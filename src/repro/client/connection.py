@@ -141,6 +141,24 @@ class TipConnection:
         """Execute and fetch the first row, type-mapped."""
         return self.execute(sql, parameters).fetchone()
 
+    def query_stored_last(
+        self, sql: str, parameters: Sequence = ()
+    ) -> Tuple[List[Tuple], List[object]]:
+        """All rows of *sql* split as (type-mapped leading columns, last
+        column exactly as stored).
+
+        The planner kernels' bulk fetch: they select the validity
+        column last as an expression (``+valid``), so neither its
+        declared-type converter nor the type map decodes it, and ground
+        the stored blobs themselves.  Runs on the raw connection under
+        the caller's ``NOW`` binding.
+        """
+        if _FAULTS.plan is not None:
+            _FAULTS.plan.apply("conn.execute")
+        fetched = self._raw.execute(sql, parameters).fetchall()
+        return (self.type_map.map_rows([row[:-1] for row in fetched]),
+                [row[-1] for row in fetched])
+
     # -- transactions and lifecycle ---------------------------------------
 
     def commit(self) -> None:

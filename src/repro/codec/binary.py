@@ -45,7 +45,7 @@ from repro.core.element import Element
 from repro.core.instant import Instant
 from repro.core.period import Period
 from repro.core.span import Span
-from repro.errors import CodecError
+from repro.errors import CodecError, TipTypeError
 from repro.faults import state as _FAULTS
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "VERSION",
     "encode",
     "decode",
+    "element_pairs",
     "is_tip_blob",
     "tip_type_of",
     "TAG_BY_TYPE",
@@ -76,6 +77,7 @@ TAG_BY_TYPE = {
     Element: _TAG_ELEMENT,
 }
 TYPE_BY_TAG = {tag: tip_type for tip_type, tag in TAG_BY_TYPE.items()}
+_ELEMENT_HEADER = bytes((MAGIC, VERSION, _TAG_ELEMENT))
 
 TipValue = Union[Chronon, Span, Instant, Period, Element]
 
@@ -257,9 +259,12 @@ def _decode_bytes(data: bytes, *, stamp: bool) -> TipValue:
         except struct.error as exc:
             raise CodecError("truncated element count") from exc
         offset = body + _U32.size
-        value = _decode_element_fast(data, offset, count, stamp=stamp)
-        if value is not None:
-            return value
+        pairs = _canonical_pairs(data, offset, count)
+        if pairs is not None:
+            element = Element._from_canonical_pairs(pairs)
+            if stamp:
+                element._tip_blob = data
+            return element
         periods = []
         for _ in range(count):
             start, offset = _decode_instant_body(data, offset)
@@ -274,17 +279,17 @@ def _decode_bytes(data: bytes, *, stamp: bool) -> TipValue:
     return value
 
 
-def _decode_element_fast(data: bytes, offset: int, count: int,
-                         *, stamp: bool):
-    """One-shot decode of a canonical all-determinate element blob.
+def _canonical_pairs(data: bytes, offset: int, count: int):
+    """The pairs of a canonical all-determinate element payload, or None.
 
     Unpacks every instant body in a single struct call and validates
     the pairs inline.  Returns None for anything else — NOW-relative
     flavors, out-of-calendar bounds, inverted or non-canonical pair
     lists, short payloads — which the per-period object path then
-    handles (normalizing or raising) exactly as before.  A blob taken
-    here is *verified* canonical, so encoding the element reproduces
-    it byte-for-byte and stamping is safe (unlike the general path).
+    handles (normalizing or raising) exactly as before.  Pairs taken
+    here are *verified* canonical, so encoding their element
+    reproduces the blob byte-for-byte and stamping is safe (unlike the
+    general path).
     """
     if count * 2 * _INSTANT.size > len(data) - offset:
         return None  # short payload: let the slow path pinpoint it
@@ -308,10 +313,29 @@ def _decode_element_fast(data: bytes, offset: int, count: int,
             return None  # out of order, overlapping, or adjacent
         prev_hi = hi
         pairs.append((lo, hi))
-    element = Element._from_canonical_pairs(pairs)
-    if stamp:
-        element._tip_blob = data
-    return element
+    return pairs
+
+
+def element_pairs(data: object, now_seconds: int, mismatch: str):
+    """The grounded ``(lo, hi)`` pairs of a stored Element at *now_seconds*.
+
+    The planner kernels' bulk-fetch decode: a canonical all-determinate
+    blob unpacks straight to its pairs — no Element object, no decode
+    cache get/put.  Everything else takes ``decode(data)``: NOW-relative
+    or non-canonical blobs, non-blob values, and every value while a
+    fault plan is armed (so injected corruption surfaces exactly as on
+    the converter path).  A value decoding to another TIP type raises
+    ``TipTypeError("<mismatch>, got <type>")``.
+    """
+    if (_FAULTS.plan is None and type(data) is bytes
+            and data[:3] == _ELEMENT_HEADER and len(data) >= 7):
+        pairs = _canonical_pairs(data, 7, _U32.unpack_from(data, 3)[0])
+        if pairs is not None:
+            return pairs
+    value = decode(data)  # type: ignore[arg-type]
+    if not isinstance(value, Element):
+        raise TipTypeError(f"{mismatch}, got {type(value).__name__}")
+    return value.ground_pairs(now_seconds)
 
 
 def _build(tip_type: Type[TipValue], seconds: int) -> TipValue:

@@ -20,12 +20,23 @@ algorithms:
     Coalesce: one pass that groups rows, pools their periods, and
     normalizes each group once (exactly ``GroupUnion``'s cost model).
 
+The bulk fetch reads only what a kernel uses.  Single-side filters
+(``p1.drug = 'X'``, a coalesce's ``WHERE``) go into its SQL ``WHERE``
+with the literals bound as parameters, so SQLite applies its own NULL,
+storage-class, affinity and collation rules to them.  The validity
+column is selected as ``+valid``, which no converter or type map
+touches, and :func:`repro.codec.binary.element_pairs` turns each
+stored blob straight into grounded ``(lo, hi)`` pairs.  ``NOT INDEXED``
+keeps the fetch in table order whatever indexes the filters could use,
+so the emit order never depends on the schema.
+
 Every kernel grounds elements at one statement ``NOW`` and produces
 rows value-identical to the naive path — the differential suite
-(``tests/test_plan_kernels.py``) holds them equal as multisets.
-Residual comparisons go through :func:`sql_compare`, which mirrors
-SQLite's storage-class semantics (NULL never matches; numeric < text <
-blob across classes; ``1 = 1.0``).
+(``tests/test_plan_kernels.py``) holds them equal as multisets.  Only
+the cross-side residuals in ``JoinShape.cross`` are compared in Python,
+through :func:`sql_compare`, which mirrors SQLite's storage-class
+semantics (NULL never matches; numeric < text < blob across classes;
+``1 = 1.0``).
 """
 
 from __future__ import annotations
@@ -40,9 +51,9 @@ try:  # the hash strategy emits through numpy when it is available
 except ImportError:  # pragma: no cover - baked into the toolchain image
     _np = None
 
+from repro.codec.binary import element_pairs
 from repro.core import interval_algebra as ia
 from repro.core.element import Element
-from repro.errors import TipTypeError
 from repro.plan.shapes import CoalesceShape, Condition, JoinShape
 from repro.index.interval_tree import IntervalTree
 
@@ -109,76 +120,73 @@ def sql_compare(left: object, op: str, right: object) -> bool:
     return left >= right
 
 
-def _evaluate(condition: Condition, resolve) -> bool:
-    """*resolve(operand)* supplies column values; literals pass through."""
-    left = condition.left.value if condition.left.kind == "lit" \
-        else resolve(condition.left)
-    right = condition.right.value if condition.right.kind == "lit" \
-        else resolve(condition.right)
-    return sql_compare(left, condition.op, right)
-
-
 # -- side preparation ---------------------------------------------------
 
 
 class _Side:
-    """One fetched, filtered, grounded join input."""
+    """One fetched, grounded join input."""
 
-    __slots__ = ("rows", "pairs", "positions")
+    __slots__ = ("rows", "pairs", "positions", "fetched")
 
     def __init__(self, rows: List[Tuple], pairs: List[List[Pair]],
-                 positions: Dict[str, int]) -> None:
+                 positions: Dict[str, int], fetched: int) -> None:
         self.rows = rows            # surviving rows, fetch order
         self.pairs = pairs          # grounded validity pairs per row
         self.positions = positions  # column name -> tuple position
+        self.fetched = fetched      # rows SQLite returned (post-pushdown)
 
 
-def _columns_for_side(shape: JoinShape, alias: str, valid: str) -> List[str]:
-    needed = {valid}
+def _columns_for_side(shape: JoinShape, alias: str) -> List[str]:
+    """Projected, key and cross-residual columns (filters stay in SQL)."""
+    needed = set()
     for output in shape.outputs:
         if output.alias == alias:
             needed.add(output.column)
     for left_col, right_col in shape.equalities:
         needed.add(left_col if alias == shape.left_alias else right_col)
-    conditions = list(shape.cross)
-    conditions += shape.left_filters if alias == shape.left_alias \
-        else shape.right_filters
-    for condition in conditions:
+    for condition in shape.cross:
         for operand in (condition.left, condition.right):
             if operand.kind == "col" and operand.alias == alias:
                 needed.add(operand.column)
     return sorted(needed)
 
 
+def _fetch(connection, table: str, columns: List[str], valid: str,
+           filters: Sequence[Condition]) -> Tuple[List[Tuple], List]:
+    """*columns* (type-mapped) and the stored *valid* values of the rows
+    of *table* that pass *filters*, in table order."""
+    params: List[object] = []
+
+    def sql(operand) -> str:
+        if operand.kind == "col":
+            return operand.column
+        value = operand.value
+        if isinstance(value, int) and not -2**63 <= value < 2**63:
+            value = float(value)  # SQLite reads such a literal as REAL
+        params.append(value)
+        return "?"
+
+    where = " AND ".join(
+        f"{sql(c.left)} {c.op} {sql(c.right)}" for c in filters
+    )
+    return connection.query_stored_last(
+        f"SELECT {', '.join(columns + ['+' + valid])} "
+        f"FROM {table} NOT INDEXED" + (f" WHERE {where}" if where else ""),
+        params,
+    )
+
+
 def _prepare_side(connection, table: str, columns: List[str], valid: str,
                   filters: Sequence[Condition], now_seconds: int,
                   window_pair: Optional[Pair]) -> _Side:
-    positions = {name: at for at, name in enumerate(columns)}
-    fetched = connection.query(
-        f"SELECT {', '.join(columns)} FROM {table}"
-    )
-    valid_at = positions[valid]
+    fetched, stored = _fetch(connection, table, columns, valid, filters)
+    mismatch = f"expected Element in {table}.{valid}"
     rows: List[Tuple] = []
     pairs: List[List[Pair]] = []
-    for row in fetched:
-        keep = True
-        for condition in filters:
-            if not _evaluate(
-                condition, lambda op: row[positions[op.column]]
-            ):
-                keep = False
-                break
-        if not keep:
-            continue
-        element = row[valid_at]
-        if element is None:
+    for row, blob in zip(fetched, stored):
+        if blob is None:
             continue  # overlaps(NULL, x) is NULL: the row never joins
-        if not isinstance(element, Element):
-            raise TipTypeError(
-                f"expected Element in {table}.{valid}, "
-                f"got {type(element).__name__}"
-            )
-        grounded = element.ground_pairs(now_seconds)
+        grounded = element_pairs(blob, now_seconds, mismatch)
         if not grounded:
             continue  # an empty element overlaps nothing
         if window_pair is not None and not ia.intersect(
@@ -187,7 +195,8 @@ def _prepare_side(connection, table: str, columns: List[str], valid: str,
             continue  # VALIDTIME PERIOD prefilter (full element kept)
         rows.append(row)
         pairs.append(grounded)
-    return _Side(rows, pairs, positions)
+    positions = {name: at for at, name in enumerate(columns)}
+    return _Side(rows, pairs, positions, len(fetched))
 
 
 # -- candidate generation ----------------------------------------------
@@ -408,10 +417,8 @@ def execute_join(connection, shape: JoinShape,
             # The window itself is empty: nothing can overlap it.
             return KernelResult([], _join_columns(shape), "empty-window",
                                 now_seconds, {"candidates": 0})
-    left_columns = _columns_for_side(shape, shape.left_alias,
-                                     shape.left_valid)
-    right_columns = _columns_for_side(shape, shape.right_alias,
-                                      shape.right_valid)
+    left_columns = _columns_for_side(shape, shape.left_alias)
+    right_columns = _columns_for_side(shape, shape.right_alias)
     if (shape.left_table == shape.right_table
             and shape.left_valid == shape.right_valid
             and not shape.left_filters and not shape.right_filters):
@@ -468,16 +475,17 @@ def execute_join(connection, shape: JoinShape,
         positions = left.positions if side == 0 else right.positions
         slots.append((side, positions[output.column]))
 
-    cross = shape.cross
+    # match() normalized cross conditions left-operand-first.
+    cross = [(left.positions[c.left.column], c.op,
+              right.positions[c.right.column]) for c in shape.cross]
     build_row = _row_builder(slots)
+    stats = {"candidates": n_candidates,
+             "left_rows": left.fetched, "right_rows": right.fetched}
     if strategy == "hash" and not cross and _np is not None:
         rows = _vector_emit(left, right, i_list, j_list, window_pair,
                             build_row)
-        return KernelResult(
-            rows, _join_columns(shape), strategy, now_seconds,
-            {"candidates": n_candidates,
-             "left_rows": len(left.rows), "right_rows": len(right.rows)},
-        )
+        return KernelResult(rows, _join_columns(shape), strategy,
+                            now_seconds, stats)
     rows: List[Tuple] = []
     # Identical intersections share one immutable Element — under a
     # common rush window most candidate pairs intersect to the same few
@@ -489,20 +497,9 @@ def execute_join(connection, shape: JoinShape,
     for i, j in pair_iter:
         left_row = left_rows[i]
         right_row = right_rows[j]
-        if cross:
-            ok = True
-            for condition in cross:
-                # match() normalized cross conditions left-operand-first
-                def resolve(op, _l=left_row, _r=right_row):
-                    side_row = _l if op.alias == shape.left_alias else _r
-                    positions = left.positions \
-                        if op.alias == shape.left_alias else right.positions
-                    return side_row[positions[op.column]]
-                if not _evaluate(condition, resolve):
-                    ok = False
-                    break
-            if not ok:
-                continue
+        if cross and not all(sql_compare(left_row[lp], op, right_row[rp])
+                             for lp, op, rp in cross):
+            continue
         a, b = left_pairs[i], right_pairs[j]
         if len(a) == 1 and len(b) == 1:
             (a_lo, a_hi), (b_lo, b_hi) = a[0], b[0]
@@ -524,11 +521,8 @@ def execute_join(connection, shape: JoinShape,
             element = elements[shared] = \
                 Element._from_canonical_pairs(shared)
         rows.append(build_row(left_row, right_row, element))
-    return KernelResult(
-        rows, _join_columns(shape), strategy, now_seconds,
-        {"candidates": n_candidates,
-         "left_rows": len(left.rows), "right_rows": len(right.rows)},
-    )
+    return KernelResult(rows, _join_columns(shape), strategy, now_seconds,
+                        stats)
 
 
 def _join_columns(shape: JoinShape) -> List[str]:
@@ -554,47 +548,25 @@ def _order_key(value: object):
 
 def execute_coalesce(connection, shape: CoalesceShape,
                      now_seconds: int) -> KernelResult:
-    needed = set(shape.group_by) | {shape.agg_column}
-    for condition in shape.filters:
-        for operand in (condition.left, condition.right):
-            if operand.kind == "col":
-                needed.add(operand.column)
-    columns = sorted(needed)
+    # The fetched rows hold exactly the GROUP BY columns, in key order,
+    # so each row is its own group key.
+    columns = list(dict.fromkeys(shape.group_by))
     positions = {name: at for at, name in enumerate(columns)}
-    fetched = connection.query(
-        f"SELECT {', '.join(columns)} FROM {shape.table}"
-    )
+    fetched, stored = _fetch(connection, shape.table, columns,
+                             shape.agg_column, shape.filters)
 
-    group_positions = [positions[col] for col in shape.group_by]
-    agg_position = positions[shape.agg_column]
     # A group's key hashes 1 and 1.0 together (dict semantics == SQLite
-    # GROUP BY) and keeps NULLs in one group, also like SQLite.
+    # GROUP BY) and keeps NULLs in one group, also like SQLite; the
+    # first row of a group stays its key and supplies its outputs.
     groups: Dict[Tuple, List[Pair]] = {}
-    representative: Dict[Tuple, Tuple] = {}
-    for row in fetched:
-        keep = True
-        for condition in shape.filters:
-            if not _evaluate(
-                condition, lambda op: row[positions[op.column]]
-            ):
-                keep = False
-                break
-        if not keep:
-            continue
-        key = tuple(row[at] for at in group_positions)
+    for key, blob in zip(fetched, stored):
         pool = groups.get(key)
         if pool is None:
             pool = groups[key] = []
-            representative[key] = row
-        value = row[agg_position]
-        if value is None:
+        if blob is None:
             continue  # aggregates ignore NULL, the group still exists
-        if not isinstance(value, Element):
-            raise TipTypeError(
-                f"group_union expects Elements, "
-                f"got {type(value).__name__}"
-            )
-        pool.extend(value.ground_pairs(now_seconds))
+        pool.extend(element_pairs(blob, now_seconds,
+                                  "group_union expects Elements"))
 
     slots = [positions[output.column] for output in shape.outputs]
     rows: List[Tuple] = []
@@ -606,14 +578,13 @@ def execute_coalesce(connection, shape: CoalesceShape,
             aggregate = element.length().seconds
         else:
             aggregate = element
-        row = representative[key]
         out: List[object] = []
         cursor = 0
         for at in range(len(shape.outputs) + 1):
             if at == shape.agg_at:
                 out.append(aggregate)
             else:
-                out.append(row[slots[cursor]])
+                out.append(key[slots[cursor]])
                 cursor += 1
         rows.append(tuple(out))
     columns_out = [output.name for output in shape.outputs]

@@ -31,6 +31,7 @@ import os
 import weakref
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.client.literals import literal
 from repro.codec.cache import LRUCache
 from repro.core.nowctx import bind_now_seconds, reset_now
 from repro.errors import TipError
@@ -348,10 +349,23 @@ def describe(connection, sql: str) -> Dict[str, object]:
     if shape.kind == "join":
         kernel = "hash" if shape.equalities else "interval-sweep"
         tables = [shape.left_table, shape.right_table]
+        pushed = shape.left_filters + shape.right_filters
     else:
         kernel = "sweep"
         tables = [shape.table]
+        pushed = shape.filters
     return {
         "strategy": "kernel", "shape": shape.kind, "kernel": kernel,
         "tables": tables, "rows": counts,
+        "pushdown": [_condition_text(condition) for condition in pushed],
     }
+
+
+def _condition_text(condition) -> str:
+    """A filter the kernel's bulk fetch hands to SQLite, as SQL text."""
+    def operand(op) -> str:
+        if op.kind == "lit":
+            return literal(op.value)
+        return f"{op.alias}.{op.column}" if op.alias else op.column
+    return (f"{operand(condition.left)} {condition.op} "
+            f"{operand(condition.right)}")

@@ -131,11 +131,12 @@ class ExplainReport:
         if self.plan_strategy:
             strategy = self.plan_strategy.get("strategy", "naive")
             if strategy == "kernel":
-                lines.append(
-                    "temporal strategy: kernel "
-                    f"({self.plan_strategy.get('shape', '?')} via "
-                    f"{self.plan_strategy.get('kernel', '?')})"
-                )
+                detail = (f"{self.plan_strategy.get('shape', '?')} via "
+                          f"{self.plan_strategy.get('kernel', '?')}")
+                pushed = self.plan_strategy.get("pushdown")
+                if pushed:
+                    detail += f"; pushed down: {' AND '.join(pushed)}"
+                lines.append(f"temporal strategy: kernel ({detail})")
             else:
                 lines.append(
                     "temporal strategy: naive "

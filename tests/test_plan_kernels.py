@@ -12,6 +12,8 @@ plan invalidation, and the kernel path on the server's reader pool.
 
 from __future__ import annotations
 
+import struct
+import traceback
 from contextlib import contextmanager
 
 import pytest
@@ -19,8 +21,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import obs, plan
+from repro import codec, faults, obs, plan
+from repro.client.typemap import TypeMap
+from repro.core.chronon import Chronon
 from repro.core.element import Element
+from repro.core.period import Period
+from repro.errors import CodecError, TipTypeError
 from repro.obs import flight
 from repro.obs.export import render_prometheus
 from repro.plan import kernels
@@ -28,8 +34,11 @@ from repro.server import RemoteTipConnection, TipServer
 from repro.tsql import TsqlSession
 from repro.tsql import compiled as stmt_cache
 from repro.tsql.explain import explain_temporal
-from tests.conftest import DEMO_NOW, E
-from tests.strategies import chronons, elements
+from repro.workload.medical import (
+    MedicalConfig, generate_prescriptions, load_tip,
+)
+from tests.conftest import DEMO_NOW, C, E
+from tests.strategies import chronons, elements, safe_seconds
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -394,3 +403,304 @@ class TestServerPath:
                 assert len(kernel_rows) == 4
                 counters = registry.snapshot()["counters"]
                 assert counters.get("plan.kernel.join", 0) >= 1
+
+
+# -- pushdown and raw-decode coverage ------------------------------------
+
+_MIXED_TABLE = ("CREATE TABLE {} (k INTEGER, n INTEGER, s TEXT, u, "
+                "valid ELEMENT)")
+#: Stored values for the filter columns: every storage class plus NULL
+#: (the INTEGER/TEXT affinities convert some of them on insert).
+_stored_values = st.sampled_from(
+    [None, -1, 0, 2, 3, 0.5, 2.0, "2", "2.0", "10", "abc", ""]
+)
+#: Filter literals: int (2**64 reads as REAL in SQL), float,
+#: numeric-looking text and plain text.
+_literals = st.sampled_from([-1, 0, 2, 3, 2**64, 0.5, 2.0, 2.5, "2", "2.0",
+                             "10", "abc", "it's"])
+_ops = st.sampled_from(["=", "!=", "<>", "<", "<=", ">", ">="])
+
+
+def _element_blob(pairs) -> bytes:
+    """An Element blob with *pairs* stored exactly as given — unsorted,
+    adjacent or overlapping lists included (``encode`` would normalize)."""
+    periods = [codec.encode(Period(Chronon(lo), Chronon(hi)))[3:]
+               for lo, hi in pairs]
+    return (bytes((codec.binary.MAGIC, codec.binary.VERSION,
+                   codec.binary.TAG_BY_TYPE[Element]))
+            + struct.pack(">I", len(periods)) + b"".join(periods))
+
+
+@st.composite
+def _validities(draw):
+    """NULL, canonical or NOW-relative Elements, and non-canonical blobs."""
+    kind = draw(st.sampled_from(["element", "unsorted", "adjacent", "null"]))
+    if kind == "null":
+        return None
+    if kind == "element":
+        return draw(elements(max_periods=3))
+    pairs = [tuple(sorted(pair)) for pair in draw(st.lists(
+        st.tuples(safe_seconds, safe_seconds), min_size=1, max_size=3))]
+    if kind == "adjacent":
+        lo, hi = pairs[-1]
+        pairs.append((hi + 1, hi + 1 + draw(st.integers(0, 86_400))))
+    return _element_blob(pairs[::-1])
+
+
+_mixed_tables = st.lists(
+    st.tuples(st.one_of(st.none(), st.integers(0, 3)), _stored_values,
+              _stored_values, _stored_values, _validities()),
+    min_size=1, max_size=8,
+)
+_filters = st.lists(
+    st.tuples(st.sampled_from(["n", "s", "u"]), _ops, _literals),
+    max_size=2,
+)
+
+
+def _sql_literal(value) -> str:
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return repr(value)
+
+
+def _where(alias, filters):
+    prefix = f"{alias}." if alias else ""
+    return [f"{prefix}{column} {op} {_sql_literal(value)}"
+            for column, op, value in filters]
+
+
+def _multiset(rows):
+    """Rows as a comparable multiset; Elements grounded at the demo NOW."""
+    now = C(DEMO_NOW).seconds
+    return sorted(repr(tuple(
+        tuple(value.ground_pairs(now)) if isinstance(value, Element)
+        else value for value in row)) for row in rows)
+
+
+def _load_mixed(connection, table, rows):
+    connection.execute(_MIXED_TABLE.format(table))
+    connection.executemany(f"INSERT INTO {table} VALUES (?, ?, ?, ?, ?)",
+                           rows)
+    connection.commit()
+
+
+def _kernel_taken(session, query, kind):
+    with obs.capture():
+        rows = session.query(query)
+        counters = obs.snapshot()["counters"]
+    assert counters.get(f"plan.kernel.{kind}") == 1, query
+    return rows
+
+
+class TestPushdownDifferential:
+    """Single-side filters run in SQLite and validity blobs decode raw;
+    results still equal the naive path over mixed storage classes."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(left=_mixed_tables, right=_mixed_tables, left_filters=_filters,
+           right_filters=_filters, key_op=st.sampled_from(["=", "<"]))
+    def test_join(self, forced_planner, left, right, left_filters,
+                  right_filters, key_op):
+        with repro.connect(now=DEMO_NOW) as connection:
+            _load_mixed(connection, "L", left)
+            _load_mixed(connection, "R", right)
+            conjuncts = [f"l.k {key_op} r.k"] + _where("l", left_filters) \
+                + _where("r", right_filters)
+            query = ("VALIDTIME SELECT l.k, r.k, l.s, l.valid "
+                     "FROM L AS l, R AS r WHERE " + " AND ".join(conjuncts))
+            session = TsqlSession(connection)
+            plan.configure(enabled=False)
+            naive = session.query(query)
+            plan.configure(enabled=True, min_rows=0)
+            kernel = _kernel_taken(session, query, "join")
+            assert _multiset(naive) == _multiset(kernel)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=_mixed_tables, filters=_filters)
+    def test_coalesce(self, forced_planner, rows, filters):
+        with repro.connect(now=DEMO_NOW) as connection:
+            _load_mixed(connection, "L", rows)
+            where = " AND ".join(_where("", filters))
+            query = ("SELECT k, length_seconds(group_union(valid)) FROM L "
+                     + (f"WHERE {where} " if where else "") + "GROUP BY k")
+            session = TsqlSession(connection)
+            plan.configure(enabled=False)
+            naive = session.query(query)
+            plan.configure(enabled=True, min_rows=0)
+            kernel = _kernel_taken(session, query, "coalesce")
+            assert _multiset(naive) == _multiset(kernel)
+
+    def test_filters_follow_column_affinity(self, forced_planner):
+        """``dosage = '2'`` on an INTEGER column matches the stored 2:
+        SQLite's affinity applies, as on the naive path."""
+        with repro.connect(now=DEMO_NOW) as connection:
+            load_tip(connection, generate_prescriptions(MedicalConfig(
+                n_prescriptions=300, n_patients=30, seed=3)))
+            connection.commit()
+            session = TsqlSession(connection)
+            for query, kind in (
+                ("VALIDTIME SELECT p1.patient, p1.drug, p2.drug "
+                 "FROM Prescription AS p1, Prescription AS p2 "
+                 "WHERE p1.patient = p2.patient AND p1.dosage = '2' "
+                 "AND p2.drug = 'Tylenol'", "join"),
+                ("SELECT patient, length_seconds(group_union(valid)) "
+                 "FROM Prescription WHERE dosage > '2' GROUP BY patient",
+                 "coalesce"),
+            ):
+                plan.configure(enabled=False)
+                naive = session.query(query)
+                plan.configure(enabled=True, min_rows=0)
+                kernel = _kernel_taken(session, query, kind)
+                assert naive, query
+                assert _multiset(naive) == _multiset(kernel)
+
+    def test_fetch_keeps_table_order_under_an_index(
+        self, conn, forced_planner
+    ):
+        """An index the pushed filter could use must not reorder the
+        fetch: rows emit in table order, as without the pushdown."""
+        _load(conn, "L", [
+            (k, E("{[1999-01-01, 1999-06-01]}")) for k in (5, 3, 4, 1, 2)
+        ])
+        _load(conn, "R", [(1, E("{[1999-03-01, 1999-09-01]}"))])
+        conn.execute("CREATE INDEX l_k ON L (k)")
+        rows = TsqlSession(conn).query(
+            "VALIDTIME SELECT l.k, r.k FROM L AS l, R AS r "
+            "WHERE l.k > r.k AND l.k > 1")
+        assert [row[0] for row in rows] == [5, 3, 4, 2]
+
+    @pytest.mark.parametrize("query, message", [
+        (HASH_Q, "expected Element in L.valid, got Period"),
+        (COALESCE_Q, "group_union expects Elements, got Period"),
+    ])
+    def test_non_element_validity_raises_type_error(
+        self, conn, forced_planner, query, message
+    ):
+        _load(conn, "L", [(1, Period(C("1999-01-01"), C("1999-02-01")))])
+        _load(conn, "R", [(1, E("{[1999-01-01, 1999-06-01]}"))])
+        with pytest.raises(TipTypeError, match=message):
+            TsqlSession(conn).query(query)
+
+    def test_undecodable_validity_raises_codec_error(
+        self, conn, forced_planner
+    ):
+        _load(conn, "L", [(1, "not an element")])
+        _load(conn, "R", [(1, E("{[1999-01-01, 1999-06-01]}"))])
+        with pytest.raises(CodecError):
+            TsqlSession(conn).query(HASH_Q)
+
+    def test_type_map_parity(self, forced_planner):
+        """A custom TypeMap shapes projected columns the same way on
+        both paths; the kernel's raw validity fetch bypasses it."""
+        type_map = TypeMap()
+        type_map.register("TEXT", str.upper)
+        with repro.connect(now=DEMO_NOW, type_map=type_map) as connection:
+            for table in ("L", "R"):
+                connection.execute(
+                    f"CREATE TABLE {table} (k INTEGER, s TEXT, t, "
+                    "valid ELEMENT)")
+                connection.executemany(
+                    f"INSERT INTO {table} VALUES (?, ?, ?, ?)",
+                    [(k, f"s{k}", C(f"1999-0{k + 1}-01"),
+                      E("{[1999-01-01, 1999-06-01]}")) for k in range(4)])
+            query = ("VALIDTIME SELECT l.k, l.s, r.t FROM L AS l, R AS r "
+                     "WHERE l.k = r.k AND r.k > 0")
+            session = TsqlSession(connection)
+            plan.configure(enabled=False)
+            naive = session.query(query)
+            plan.configure(enabled=True, min_rows=0)
+            kernel = _kernel_taken(session, query, "join")
+            assert naive == kernel
+            assert isinstance(kernel[0][2], Chronon)  # untyped TIP blob
+
+    @pytest.mark.parametrize("mode", ["truncate", "corrupt"])
+    def test_chaos_codec_faults_on_the_kernel_path(
+        self, forced_planner, mode
+    ):
+        """With ``plan.kernel`` and ``codec.decode`` both armed, blob
+        corruption reaches the kernel's decode and surfaces as a typed
+        CodecError (or decodes cleanly) — identically on every run."""
+
+        def run():
+            with repro.connect(now=DEMO_NOW) as connection:
+                _load(connection, "L", [
+                    (k, E("{[1999-01-01, 1999-06-01]}")) for k in range(3)
+                ])
+                _load(connection, "R", [
+                    (k, E("{[1999-03-01, 1999-09-01]}")) for k in range(3)
+                ])
+                session = TsqlSession(connection)
+                with obs.capture(), faults.inject(
+                    "plan.kernel:delay:delay=0.001;"
+                    f"codec.decode:{mode}", seed=7,
+                ):
+                    try:
+                        outcome = ("ok", _multiset(session.query(HASH_Q)))
+                        kernel_ran = obs.snapshot()["counters"].get(
+                            "plan.kernel.join") == 1
+                    except CodecError as exc:
+                        outcome = ("CodecError", str(exc))
+                        kernel_ran = "execute_join" in [
+                            frame.name for frame
+                            in traceback.extract_tb(exc.__traceback__)]
+                assert kernel_ran
+                return outcome
+
+        first = run()
+        assert first == run()
+        if mode == "truncate":
+            assert first[0] == "CodecError"
+
+
+class TestPushdownObservability:
+    def _tables(self, conn):
+        _load(conn, "L", [
+            (k, E("{[1999-01-01, 1999-06-01]}")) for k in range(6)
+        ] + [(4, None)])
+        _load(conn, "R", [
+            (k, E("{[1999-03-01, 1999-09-01]}")) for k in range(6)
+        ])
+
+    def test_stats_count_rows_fetched_after_pushdown(
+        self, conn, forced_planner
+    ):
+        self._tables(conn)
+        session = TsqlSession(conn)
+        join = ("VALIDTIME SELECT l.k, r.k FROM L AS l, R AS r "
+                "WHERE l.k = r.k AND l.k >= 2 AND r.k < 4")
+        coalesce = ("SELECT k, length_seconds(group_union(valid)) FROM L "
+                    "WHERE k > 3 GROUP BY k")
+        now = conn.statement_now_seconds()
+        result = kernels.execute_join(
+            conn, plan.match(session.translate(join)), now)
+        # Left keeps k = 2..5 plus the NULL-valid k = 4 row: five
+        # fetched, four joinable; right keeps k = 0..3.
+        assert result.stats == {"candidates": 2, "left_rows": 5,
+                                "right_rows": 4}
+        result = kernels.execute_coalesce(
+            conn, plan.match(session.translate(coalesce)), now)
+        assert result.stats == {"groups": 2, "input_rows": 3}
+        flight.clear()
+        flight.enable()
+        try:
+            session.query(join)
+            session.query(coalesce)
+        finally:
+            flight.disable()
+        events = [event["data"]
+                  for event in flight.snapshot(kind="plan.kernel")]
+        assert events[0]["left_rows"] == 5 and events[0]["right_rows"] == 4
+        assert events[1]["input_rows"] == 3
+
+    def test_explain_lists_pushed_filters(self, conn, forced_planner):
+        self._tables(conn)
+        report = explain_temporal(
+            conn, "VALIDTIME SELECT l.k, r.k FROM L AS l, R AS r "
+                  "WHERE l.k = r.k AND l.k >= 2 AND r.k < 'x''y'")
+        assert report.plan_strategy["pushdown"] == ["l.k >= 2",
+                                                    "r.k < 'x''y'"]
+        assert ("temporal strategy: kernel (join via hash; pushed down: "
+                "l.k >= 2 AND r.k < 'x''y')") in report.render()
