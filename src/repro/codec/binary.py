@@ -35,7 +35,10 @@ work directly on stored TIP columns.
 from __future__ import annotations
 
 import struct
-from typing import Type, Union
+from itertools import chain
+from typing import Sequence, Type, Union
+
+import numpy as np
 
 from repro.codec import cache as _CACHE
 from repro.core import granularity
@@ -54,6 +57,7 @@ __all__ = [
     "encode",
     "decode",
     "element_pairs",
+    "element_arrays",
     "is_tip_blob",
     "tip_type_of",
     "TAG_BY_TYPE",
@@ -319,12 +323,14 @@ def _canonical_pairs(data: bytes, offset: int, count: int):
 def element_pairs(data: object, now_seconds: int, mismatch: str):
     """The grounded ``(lo, hi)`` pairs of a stored Element at *now_seconds*.
 
-    The planner kernels' bulk-fetch decode: a canonical all-determinate
-    blob unpacks straight to its pairs — no Element object, no decode
-    cache get/put.  Everything else takes ``decode(data)``: NOW-relative
-    or non-canonical blobs, non-blob values, and every value while a
-    fault plan is armed (so injected corruption surfaces exactly as on
-    the converter path).  A value decoding to another TIP type raises
+    The one-blob form of :func:`element_arrays` (which the kernels use
+    on whole columns) and the reference it is tested against: a
+    canonical all-determinate blob unpacks straight to its pairs — no
+    Element object, no decode cache get/put.  Everything else takes
+    ``decode(data)``: NOW-relative or non-canonical blobs, non-blob
+    values, and every value while a fault plan is armed (so injected
+    corruption surfaces exactly as on the converter path).  A value
+    decoding to another TIP type raises
     ``TipTypeError("<mismatch>, got <type>")``.
     """
     if (_FAULTS.plan is None and type(data) is bytes
@@ -332,10 +338,92 @@ def element_pairs(data: object, now_seconds: int, mismatch: str):
         pairs = _canonical_pairs(data, 7, _U32.unpack_from(data, 3)[0])
         if pairs is not None:
             return pairs
+    return _decoded_pairs(data, now_seconds, mismatch)
+
+
+def _decoded_pairs(data: object, now_seconds: int, mismatch: str):
+    """:func:`element_pairs` through ``decode(data)``: the per-blob path."""
     value = decode(data)  # type: ignore[arg-type]
     if not isinstance(value, Element):
         raise TipTypeError(f"{mismatch}, got {type(value).__name__}")
     return value.ground_pairs(now_seconds)
+
+
+#: One stored period of an Element payload: two determinate-or-NOW
+#: instant bodies, unaligned (numpy packs structured dtypes).
+_PERIOD = np.dtype([("lo_flavor", "u1"), ("lo", ">u8"),
+                    ("hi_flavor", "u1"), ("hi", ">u8")])
+_HEADER_LEN = len(_ELEMENT_HEADER) + _U32.size
+_HEADER_ARRAY = np.frombuffer(_ELEMENT_HEADER, np.uint8)
+_MAX_BIASED = granularity.MAX_SECONDS + _BIAS_SECONDS
+
+
+def element_arrays(values: Sequence, now_seconds: int, mismatch: str):
+    """A fetched Element column grounded at *now_seconds*, as flat arrays.
+
+    Returns ``(row, lo, hi, fallbacks)``: int64 arrays with one entry
+    per grounded pair (the index of its value in *values* and its
+    bounds), ordered by row and canonically within a row, plus the
+    number of values decoded one at a time.  NULLs add no pairs.
+    Canonical all-determinate blobs are unpacked and validated in one
+    vectorized pass, with the checks of :func:`_canonical_pairs`:
+    header, length, flavors, calendar bounds, sorted, disjoint and
+    non-adjacent.  Everything else takes :func:`element_pairs`'s
+    ``decode()`` path one value at a time, in row order, so results and
+    errors are exactly the per-blob ones: NOW-relative and
+    non-canonical blobs, non-bytes values and other TIP types, and
+    every value while a fault plan is armed.
+    """
+    armed = _FAULTS.plan is not None
+    at = [] if armed else [
+        i for i, value in enumerate(values) if type(value) is bytes
+    ]
+    slow = [i for i, value in enumerate(values)
+            if value is not None and (armed or type(value) is not bytes)]
+    row = lo = hi = np.empty(0, np.int64)
+    if at:
+        blobs = [values[i] for i in at]
+        sizes = np.fromiter(map(len, blobs), np.int64, len(blobs))
+        starts = np.cumsum(sizes) - sizes
+        # Padded so every header gather stays in bounds; short blobs
+        # fail the length test below whatever bytes they pick up.
+        data = np.frombuffer(b"".join(blobs) + bytes(_HEADER_LEN), np.uint8)
+        header = data[starts[:, None] + np.arange(_HEADER_LEN)]
+        count = np.ascontiguousarray(header[:, 3:]).view(">u4")[:, 0] \
+            .astype(np.int64)
+        ok = (header[:, :3] == _HEADER_ARRAY).all(axis=1) & (
+            sizes == _HEADER_LEN + count * _PERIOD.itemsize)
+        # The payloads of the well-formed blobs, back to back.
+        keep = np.repeat(ok, sizes)
+        keep[(starts[ok][:, None] + np.arange(_HEADER_LEN)).ravel()] = False
+        periods = data[:-_HEADER_LEN][keep].view(_PERIOD)
+        blob_of = np.repeat(np.flatnonzero(ok), count[ok])
+        # Clipped so out-of-calendar payloads stay int64 (and fail).
+        lo = np.minimum(periods["lo"], _MAX_BIASED + 1).astype(np.int64) \
+            - _BIAS_SECONDS
+        hi = np.minimum(periods["hi"], _MAX_BIASED + 1).astype(np.int64) \
+            - _BIAS_SECONDS
+        bad = ((periods["lo_flavor"] != 0) | (periods["hi_flavor"] != 0)
+               | (lo > hi) | (hi > granularity.MAX_SECONDS))
+        bad[1:] |= (blob_of[1:] == blob_of[:-1]) & (lo[1:] <= hi[:-1] + 1)
+        ok[blob_of[bad]] = False
+        fine = ok[blob_of]
+        row = np.asarray(at, np.int64)[blob_of[fine]]
+        lo, hi = lo[fine], hi[fine]
+        slow = sorted(slow + [at[b] for b in np.flatnonzero(~ok).tolist()])
+    if slow:
+        grounded = [_decoded_pairs(values[i], now_seconds, mismatch)
+                    for i in slow]
+        counts = np.fromiter(map(len, grounded), np.int64, len(slow))
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(grounded)),
+                           np.int64, 2 * int(counts.sum()))
+        row = np.concatenate((row, np.repeat(np.asarray(slow, np.int64),
+                                             counts)))
+        order = np.argsort(row, kind="stable")
+        row = row[order]
+        lo = np.concatenate((lo, flat[0::2]))[order]
+        hi = np.concatenate((hi, flat[1::2]))[order]
+    return row, lo, hi, len(slow)
 
 
 def _build(tip_type: Type[TipValue], seconds: int) -> TipValue:

@@ -17,43 +17,50 @@ algorithms:
     Skewed sides: the smaller side's periods are bulk-loaded into an
     :meth:`IntervalTree.build` and the larger side probes it.
 ``sweep``
-    Coalesce: one pass that groups rows, pools their periods, and
-    normalizes each group once (exactly ``GroupUnion``'s cost model).
+    Coalesce: one segmented sort-and-sweep unions every group's
+    periods at once (the coalesced element is built only when the
+    query returns it).
 
 The bulk fetch reads only what a kernel uses.  Single-side filters
 (``p1.drug = 'X'``, a coalesce's ``WHERE``) go into its SQL ``WHERE``
 with the literals bound as parameters, so SQLite applies its own NULL,
-storage-class, affinity and collation rules to them.  The validity
-column is selected as ``+valid``, which no converter or type map
-touches, and :func:`repro.codec.binary.element_pairs` turns each
-stored blob straight into grounded ``(lo, hi)`` pairs.  ``NOT INDEXED``
+storage-class, affinity and collation rules to them.  ``NOT INDEXED``
 keeps the fetch in table order whatever indexes the filters could use,
-so the emit order never depends on the schema.
+so the emit order never depends on the schema.  The validity column is
+selected as ``+valid``, which no converter or type map touches, and
+:func:`repro.codec.binary.element_arrays` turns it into flat int64
+``(row, lo, hi)`` arrays in one vectorized pass; only NOW-relative,
+non-canonical and non-blob values decode one at a time (counted as
+``fallback_decodes``).  Joins keep the arrays for the window prefilter
+and the vectorized hash emit; per-row pair lists exist only on the
+merge, tree and cross-residual paths.  Both emits share one Element
+per distinct intersection, so equal validities encode once.
 
 Every kernel grounds elements at one statement ``NOW`` and produces
 rows value-identical to the naive path — the differential suite
-(``tests/test_plan_kernels.py``) holds them equal as multisets.  Only
-the cross-side residuals in ``JoinShape.cross`` are compared in Python,
-through :func:`sql_compare`, which mirrors SQLite's storage-class
-semantics (NULL never matches; numeric < text < blob across classes;
-``1 = 1.0``).
+(``tests/test_plan_kernels.py``) holds them equal as multisets.  Hash
+keys (dict hashing) and the cross-side residuals in ``JoinShape.cross``
+(:func:`sql_compare`) are compared in Python with SQLite's
+storage-class semantics (NULL never matches; numeric < text < blob
+across classes; ``1 = 1.0``); the planner keeps a statement off the
+kernels when SQLite would first convert between two compared columns'
+affinities.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import compress, repeat
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-try:  # the hash strategy emits through numpy when it is available
-    import numpy as _np
-except ImportError:  # pragma: no cover - baked into the toolchain image
-    _np = None
+import numpy as np
 
-from repro.codec.binary import element_pairs
+from repro.codec.binary import element_arrays
 from repro.core import interval_algebra as ia
 from repro.core.element import Element
+from repro.core.span import Span
 from repro.plan.shapes import CoalesceShape, Condition, JoinShape
 from repro.index.interval_tree import IntervalTree
 
@@ -124,16 +131,30 @@ def sql_compare(left: object, op: str, right: object) -> bool:
 
 
 class _Side:
-    """One fetched, grounded join input."""
+    """One fetched, grounded join input: its validity pairs as flat
+    int64 arrays, row-major (``row`` ascending, canonical per row)."""
 
-    __slots__ = ("rows", "pairs", "positions", "fetched")
+    __slots__ = ("rows", "row", "lo", "hi", "counts", "offsets",
+                 "positions", "fetched", "fallbacks")
 
-    def __init__(self, rows: List[Tuple], pairs: List[List[Pair]],
-                 positions: Dict[str, int], fetched: int) -> None:
+    def __init__(self, rows: List[Tuple], row, lo, hi,
+                 positions: Dict[str, int], fetched: int,
+                 fallbacks: int) -> None:
         self.rows = rows            # surviving rows, fetch order
-        self.pairs = pairs          # grounded validity pairs per row
+        self.row, self.lo, self.hi = row, lo, hi  # one entry per pair
+        self.counts = np.bincount(row, minlength=len(rows))
+        self.offsets = np.zeros(len(rows) + 1, np.int64)
+        np.cumsum(self.counts, out=self.offsets[1:])
         self.positions = positions  # column name -> tuple position
         self.fetched = fetched      # rows SQLite returned (post-pushdown)
+        self.fallbacks = fallbacks  # blobs decoded one at a time
+
+    def pair_lists(self) -> List[List[Pair]]:
+        """Per-row pair lists, for the scalar emit loop."""
+        lo, hi = self.lo.tolist(), self.hi.tolist()
+        bounds = self.offsets.tolist()
+        return [list(zip(lo[a:b], hi[a:b]))
+                for a, b in zip(bounds, bounds[1:])]
 
 
 def _columns_for_side(shape: JoinShape, alias: str) -> List[str]:
@@ -180,23 +201,21 @@ def _prepare_side(connection, table: str, columns: List[str], valid: str,
                   filters: Sequence[Condition], now_seconds: int,
                   window_pair: Optional[Pair]) -> _Side:
     fetched, stored = _fetch(connection, table, columns, valid, filters)
-    mismatch = f"expected Element in {table}.{valid}"
-    rows: List[Tuple] = []
-    pairs: List[List[Pair]] = []
-    for row, blob in zip(fetched, stored):
-        if blob is None:
-            continue  # overlaps(NULL, x) is NULL: the row never joins
-        grounded = element_pairs(blob, now_seconds, mismatch)
-        if not grounded:
-            continue  # an empty element overlaps nothing
-        if window_pair is not None and not ia.intersect(
-            grounded, [window_pair]
-        ):
-            continue  # VALIDTIME PERIOD prefilter (full element kept)
-        rows.append(row)
-        pairs.append(grounded)
+    row, lo, hi, fallbacks = element_arrays(
+        stored, now_seconds, f"expected Element in {table}.{valid}")
+    # NULL and empty elements overlap nothing; under a VALIDTIME PERIOD
+    # a row joins only if some period meets the window (whole element
+    # kept).
+    hit = row if window_pair is None else \
+        row[(lo <= window_pair[1]) & (hi >= window_pair[0])]
+    keep = np.zeros(len(fetched), bool)
+    keep[hit] = True
+    kept = keep[row]
+    renumber = np.cumsum(keep) - 1
     positions = {name: at for at, name in enumerate(columns)}
-    return _Side(rows, pairs, positions, len(fetched))
+    return _Side(list(compress(fetched, keep.tolist())),
+                 renumber[row[kept]], lo[kept], hi[kept],
+                 positions, len(fetched), fallbacks)
 
 
 # -- candidate generation ----------------------------------------------
@@ -210,36 +229,47 @@ def _hash_candidates(shape: JoinShape, left: _Side,
     fetch order, so the pairs come out unique and in (i, j) order with
     no dedup or sort — and the two flat lists feed numpy directly.
     """
-    left_keys = [left.positions[col] for col, _ in shape.equalities]
-    right_keys = [right.positions[col] for _, col in shape.equalities]
-    buckets: Dict[Tuple, List[int]] = {}
-    for j, row in enumerate(right.rows):
-        key = tuple(row[at] for at in right_keys)
-        if any(value is None for value in key):
-            continue  # NULL = anything is never true
+    left_key = _key_getter([left.positions[col]
+                            for col, _ in shape.equalities])
+    right_key = _key_getter([right.positions[col]
+                             for _, col in shape.equalities])
+    buckets: Dict[object, List[int]] = {}
+    for j, key in enumerate(map(right_key, right.rows)):
         # Python's dict groups 1 with 1.0 exactly as SQLite's `=` does;
-        # text, blob, and numeric values never collide across classes.
-        buckets.setdefault(key, []).append(j)
+        # text, blob, and numeric values never collide across classes
+        # (the planner vetoes key pairs SQLite would convert between).
+        if key is not None:
+            buckets.setdefault(key, []).append(j)
     i_list: List[int] = []
     j_list: List[int] = []
-    for i, row in enumerate(left.rows):
-        key = tuple(row[at] for at in left_keys)
-        if any(value is None for value in key):
-            continue
-        bucket = buckets.get(key)
+    for i, key in enumerate(map(left_key, left.rows)):
+        bucket = buckets.get(key)  # a NULL key (None) is in no bucket
         if bucket:
             j_list.extend(bucket)
             i_list.extend(repeat(i, len(bucket)))
     return i_list, j_list
 
 
+def _key_getter(positions: List[int]) -> Callable:
+    """Row -> hash-join key, or None when a key column is NULL
+    (``NULL = anything`` is never true)."""
+    get = itemgetter(*positions)
+    if len(positions) == 1:
+        return get
+    return lambda row: None if None in (key := get(row)) else key
+
+
+def _pair_rows(side: _Side) -> Iterable[Tuple[int, int, int]]:
+    """``(start, end, row)`` per grounded pair."""
+    return zip(side.lo.tolist(), side.hi.tolist(), side.row.tolist())
+
+
 def _merge_candidates(left: _Side, right: _Side) -> Set[Tuple[int, int]]:
     """Sort-merge interval sweep: all row pairs with overlapping periods."""
     events: List[Tuple[int, int, int, int]] = []  # (start, side, end, row)
-    for i, row_pairs in enumerate(left.pairs):
-        events.extend((start, 0, end, i) for start, end in row_pairs)
-    for j, row_pairs in enumerate(right.pairs):
-        events.extend((start, 1, end, j) for start, end in row_pairs)
+    for side, data in enumerate((left, right)):
+        events.extend((start, side, end, index)
+                      for start, end, index in _pair_rows(data))
     events.sort()
     active: Tuple[List[Tuple[int, int]], List[Tuple[int, int]]] = ([], [])
     out: Set[Tuple[int, int]] = set()
@@ -259,16 +289,11 @@ def _tree_candidates(left: _Side, right: _Side,
                      build_left: bool) -> Set[Tuple[int, int]]:
     """Bulk-build a tree over the small side, probe with the other."""
     small, big = (left, right) if build_left else (right, left)
-    tree = IntervalTree.build(
-        (start, end, i)
-        for i, row_pairs in enumerate(small.pairs)
-        for start, end in row_pairs
-    )
+    tree = IntervalTree.build(_pair_rows(small))
     out: Set[Tuple[int, int]] = set()
-    for j, row_pairs in enumerate(big.pairs):
-        for start, end in row_pairs:
-            for i in tree.search_overlap(start, end):
-                out.add((i, j) if build_left else (j, i))
+    for start, end, j in _pair_rows(big):
+        for i in tree.search_overlap(start, end):
+            out.add((i, j) if build_left else (j, i))
     return out
 
 
@@ -294,19 +319,6 @@ def _row_builder(slots: Sequence[Tuple[int, int]]) -> Callable:
     return eval(f"lambda l, r, e: ({spec})")  # noqa: S307
 
 
-def _flatten_pairs(side: _Side):
-    """Side validity pairs as flat arrays plus per-row offsets."""
-    counts = _np.fromiter((len(p) for p in side.pairs), dtype=_np.int64,
-                          count=len(side.pairs))
-    offsets = _np.zeros(len(counts) + 1, dtype=_np.int64)
-    _np.cumsum(counts, out=offsets[1:])
-    flat = _np.fromiter(
-        (bound for pairs in side.pairs for pair in pairs for bound in pair),
-        dtype=_np.int64, count=int(offsets[-1]) * 2,
-    )
-    return counts, offsets, flat[0::2], flat[1::2]
-
-
 def _vector_emit(left: _Side, right: _Side,
                  i_list: List[int], j_list: List[int],
                  window_pair: Optional[Pair],
@@ -324,35 +336,32 @@ def _vector_emit(left: _Side, right: _Side,
     rows: List[Tuple] = []
     if not i_list:
         return rows
-    l_counts, l_offsets, l_starts, l_ends = _flatten_pairs(left)
-    if right is left:
-        r_counts, r_offsets = l_counts, l_offsets
-        r_starts, r_ends = l_starts, l_ends
-    else:
-        r_counts, r_offsets, r_starts, r_ends = _flatten_pairs(right)
-    all_lefts = _np.asarray(i_list, dtype=_np.int64)
-    all_rights = _np.asarray(j_list, dtype=_np.int64)
+    all_lefts = np.asarray(i_list, dtype=np.int64)
+    all_rights = np.asarray(j_list, dtype=np.int64)
     left_rows, right_rows = left.rows, right.rows
-    empty_element = Element._from_canonical_pairs(())
+    # One Element per distinct intersection, as in the scalar loop, so
+    # identical validities encode once downstream.
+    elements: Dict[Tuple[Pair, ...], Element] = {
+        (): Element._from_canonical_pairs(())}
     from_canonical = Element._from_canonical_pairs
     append = rows.append
     for chunk_at in range(0, len(all_lefts), _VECTOR_CHUNK):
         lefts = all_lefts[chunk_at:chunk_at + _VECTOR_CHUNK]
         rights = all_rights[chunk_at:chunk_at + _VECTOR_CHUNK]
-        n_right = r_counts[rights]
-        combos = l_counts[lefts] * n_right
-        bounds = _np.zeros(len(lefts) + 1, dtype=_np.int64)
-        _np.cumsum(combos, out=bounds[1:])
+        n_right = right.counts[rights]
+        combos = left.counts[lefts] * n_right
+        bounds = np.zeros(len(lefts) + 1, dtype=np.int64)
+        np.cumsum(combos, out=bounds[1:])
         total = int(bounds[-1])
         # which[t] = chunk-local candidate of combination t; k = its
         # combination ordinal, split p-major/q-minor below.
-        which = _np.repeat(_np.arange(len(lefts)), combos)
-        k = _np.arange(total, dtype=_np.int64) - bounds[:-1][which]
+        which = np.repeat(np.arange(len(lefts)), combos)
+        k = np.arange(total, dtype=np.int64) - bounds[:-1][which]
         nj = n_right[which]
-        p_at = l_offsets[lefts][which] + k // nj
-        q_at = r_offsets[rights][which] + k % nj
-        lo = _np.maximum(l_starts[p_at], r_starts[q_at])
-        hi = _np.minimum(l_ends[p_at], r_ends[q_at])
+        p_at = left.offsets[lefts][which] + k // nj
+        q_at = right.offsets[rights][which] + k % nj
+        lo = np.maximum(left.lo[p_at], right.lo[q_at])
+        hi = np.minimum(left.hi[p_at], right.hi[q_at])
         keep = lo <= hi
         which_kept = which[keep]
         if not len(which_kept):
@@ -360,44 +369,33 @@ def _vector_emit(left: _Side, right: _Side,
         lo_kept = lo[keep]
         hi_kept = hi[keep]
         # Candidates that survive, in emit order (which_kept is sorted).
-        change = _np.empty(len(which_kept), dtype=bool)
+        change = np.empty(len(which_kept), dtype=bool)
         change[0] = True
-        _np.not_equal(which_kept[1:], which_kept[:-1], out=change[1:])
+        np.not_equal(which_kept[1:], which_kept[:-1], out=change[1:])
         survivors = which_kept[change]
         if window_pair is not None:
-            lo_kept = _np.maximum(lo_kept, window_pair[0])
-            hi_kept = _np.minimum(hi_kept, window_pair[1])
+            lo_kept = np.maximum(lo_kept, window_pair[0])
+            hi_kept = np.minimum(hi_kept, window_pair[1])
             inside = lo_kept <= hi_kept
             which_kept = which_kept[inside]
             lo_kept = lo_kept[inside]
             hi_kept = hi_kept[inside]
-        slice_from = _np.searchsorted(which_kept, survivors, "left").tolist()
-        slice_to = _np.searchsorted(which_kept, survivors, "right").tolist()
+        slice_from = np.searchsorted(which_kept, survivors, "left").tolist()
+        slice_to = np.searchsorted(which_kept, survivors, "right").tolist()
         lo_list = lo_kept.tolist()
         hi_list = hi_kept.tolist()
         survivor_rows = zip(lefts[survivors].tolist(),
                             rights[survivors].tolist(),
                             slice_from, slice_to)
-        if window_pair is None:
-            # No clipping: every survivor kept at least one pair.
-            for i, j, s, e in survivor_rows:
-                if e - s == 1:  # by far the common case
-                    pairs: Tuple[Pair, ...] = ((lo_list[s], hi_list[s]),)
-                else:
-                    pairs = tuple(zip(lo_list[s:e], hi_list[s:e]))
-                append(build_row(left_rows[i], right_rows[j],
-                                 from_canonical(pairs)))
-        else:
-            for i, j, s, e in survivor_rows:
-                if e - s == 1:
-                    pairs = ((lo_list[s], hi_list[s]),)
-                elif e > s:
-                    pairs = tuple(zip(lo_list[s:e], hi_list[s:e]))
-                else:
-                    pairs = ()  # the window emptied the row's validity
-                append(build_row(left_rows[i], right_rows[j],
-                                 from_canonical(pairs) if pairs
-                                 else empty_element))
+        for i, j, s, e in survivor_rows:
+            if e - s == 1:  # by far the common case
+                pairs: Tuple[Pair, ...] = ((lo_list[s], hi_list[s]),)
+            else:  # several pairs, or none once the window clipped them
+                pairs = tuple(zip(lo_list[s:e], hi_list[s:e]))
+            element = elements.get(pairs)
+            if element is None:
+                element = elements[pairs] = from_canonical(pairs)
+            append(build_row(left_rows[i], right_rows[j], element))
     return rows
 
 
@@ -416,7 +414,8 @@ def execute_join(connection, shape: JoinShape,
         if window_pair is None:
             # The window itself is empty: nothing can overlap it.
             return KernelResult([], _join_columns(shape), "empty-window",
-                                now_seconds, {"candidates": 0})
+                                now_seconds,
+                                {"candidates": 0, "fallback_decodes": 0})
     left_columns = _columns_for_side(shape, shape.left_alias)
     right_columns = _columns_for_side(shape, shape.right_alias)
     if (shape.left_table == shape.right_table
@@ -440,8 +439,7 @@ def execute_join(connection, shape: JoinShape,
             window_pair,
         )
 
-    n_left = sum(len(p) for p in left.pairs)
-    n_right = sum(len(p) for p in right.pairs)
+    n_left, n_right = len(left.lo), len(right.lo)
     pair_iter: Sequence[Tuple[int, int]]
     if shape.equalities:
         strategy = "hash"
@@ -458,10 +456,6 @@ def execute_join(connection, shape: JoinShape,
         pair_iter = sorted(_merge_candidates(left, right))
         n_candidates = len(pair_iter)
 
-    # Assemble: resolve residuals, intersect full elements, clip last —
-    # exactly restrict(tintersect(a, b), window)'s order of operations,
-    # so a pair whose shared time misses the window still emits a row
-    # (with an empty validity), as the naive path does.
     # slots: (side, position) per output slot; side 2 is the validity.
     slots: List[Tuple[int, int]] = []
     cursor = 0
@@ -479,20 +473,35 @@ def execute_join(connection, shape: JoinShape,
     cross = [(left.positions[c.left.column], c.op,
               right.positions[c.right.column]) for c in shape.cross]
     build_row = _row_builder(slots)
-    stats = {"candidates": n_candidates,
-             "left_rows": left.fetched, "right_rows": right.fetched}
-    if strategy == "hash" and not cross and _np is not None:
+    fallbacks = left.fallbacks + (right.fallbacks if right is not left else 0)
+    stats = {"candidates": n_candidates, "left_rows": left.fetched,
+             "right_rows": right.fetched, "fallback_decodes": fallbacks}
+    if strategy == "hash" and not cross:
         rows = _vector_emit(left, right, i_list, j_list, window_pair,
                             build_row)
-        return KernelResult(rows, _join_columns(shape), strategy,
-                            now_seconds, stats)
+    else:
+        rows = _scalar_emit(left, right, pair_iter, cross, window_pair,
+                            build_row)
+    return KernelResult(rows, _join_columns(shape), strategy, now_seconds,
+                        stats)
+
+
+def _scalar_emit(left: _Side, right: _Side,
+                 pair_iter: Iterable[Tuple[int, int]],
+                 cross: Sequence[Tuple[int, str, int]],
+                 window_pair: Optional[Pair],
+                 build_row: Callable) -> List[Tuple]:
+    """Per-candidate emit: residuals, intersection, window clip last —
+    ``restrict(tintersect(a, b), window)``'s order, so a pair whose
+    shared time misses the window still emits (empty validity)."""
     rows: List[Tuple] = []
     # Identical intersections share one immutable Element — under a
     # common rush window most candidate pairs intersect to the same few
     # sets, and element construction dominates the emit loop otherwise.
     elements: Dict[Tuple[Pair, ...], Element] = {}
     left_rows, right_rows = left.rows, right.rows
-    left_pairs, right_pairs = left.pairs, right.pairs
+    left_pairs = left.pair_lists()
+    right_pairs = left_pairs if right is left else right.pair_lists()
     intersect = ia.intersect
     for i, j in pair_iter:
         left_row = left_rows[i]
@@ -521,8 +530,7 @@ def execute_join(connection, shape: JoinShape,
             element = elements[shared] = \
                 Element._from_canonical_pairs(shared)
         rows.append(build_row(left_row, right_row, element))
-    return KernelResult(rows, _join_columns(shape), strategy, now_seconds,
-                        stats)
+    return rows
 
 
 def _join_columns(shape: JoinShape) -> List[str]:
@@ -546,6 +554,27 @@ def _order_key(value: object):
     return (4, repr(value))
 
 
+def _union(group, lo, hi):
+    """Each group's pairs coalesced: ``(group, lo, hi)`` arrays of the
+    merged periods, in (group, lo) order.
+
+    One sort-and-sweep over start/end events; a period opens where the
+    running depth leaves 0 and closes where it returns (after every
+    group, so one cumsum needs no segmenting).  Starts sort before ends
+    at a tie, merging adjacent periods as :func:`ia.normalize` does.
+    Times sort by dense rank (< 2n): the key cannot overflow int64.
+    """
+    at = np.concatenate((lo, hi + 1))
+    is_end = np.repeat(np.array([0, 1], np.int64), len(lo))
+    ranks, rank = np.unique(at * 2 + is_end, return_inverse=True)
+    owner = np.concatenate((group, group))
+    order = np.argsort(owner * len(ranks) + rank)
+    at, owner, is_end = at[order], owner[order], is_end[order]
+    depth = np.cumsum(1 - 2 * is_end)
+    closes = depth == 0
+    return owner[closes], at[(depth == 1) & (is_end == 0)], at[closes] - 1
+
+
 def execute_coalesce(connection, shape: CoalesceShape,
                      now_seconds: int) -> KernelResult:
     # The fetched rows hold exactly the GROUP BY columns, in key order,
@@ -558,38 +587,40 @@ def execute_coalesce(connection, shape: CoalesceShape,
     # A group's key hashes 1 and 1.0 together (dict semantics == SQLite
     # GROUP BY) and keeps NULLs in one group, also like SQLite; the
     # first row of a group stays its key and supplies its outputs.
-    groups: Dict[Tuple, List[Pair]] = {}
-    for key, blob in zip(fetched, stored):
-        pool = groups.get(key)
-        if pool is None:
-            pool = groups[key] = []
-        if blob is None:
-            continue  # aggregates ignore NULL, the group still exists
-        pool.extend(element_pairs(blob, now_seconds,
-                                  "group_union expects Elements"))
+    # NULL validities add no periods, but their group still exists.
+    keys = sorted(dict.fromkeys(fetched),
+                  key=lambda k: tuple(_order_key(v) for v in k))
+    rank = {key: at for at, key in enumerate(keys)}
+    group_of = np.fromiter(map(rank.__getitem__, fetched), np.int64,
+                           len(fetched))
+    row, lo, hi, fallbacks = element_arrays(
+        stored, now_seconds, "group_union expects Elements")
+    group, lo, hi = _union(group_of[row], lo, hi)
+
+    if shape.agg_wrapper in ("length", "length_seconds"):
+        totals = np.zeros(len(keys), np.int64)
+        np.add.at(totals, group, hi - lo + 1)
+        aggregates: List[object] = [Span(n) for n in totals.tolist()]
+        if shape.agg_wrapper == "length_seconds":
+            aggregates = [span.seconds for span in aggregates]
+    else:  # the coalesced element itself
+        bounds = np.searchsorted(group, np.arange(len(keys) + 1)).tolist()
+        lo_list, hi_list = lo.tolist(), hi.tolist()
+        aggregates = [
+            Element._from_canonical_pairs(tuple(zip(lo_list[a:b],
+                                                    hi_list[a:b])))
+            for a, b in zip(bounds, bounds[1:])]
 
     slots = [positions[output.column] for output in shape.outputs]
     rows: List[Tuple] = []
-    for key in sorted(groups, key=lambda k: tuple(_order_key(v) for v in k)):
-        element = Element.from_pairs(groups[key])
-        if shape.agg_wrapper == "length":
-            aggregate: object = element.length()
-        elif shape.agg_wrapper == "length_seconds":
-            aggregate = element.length().seconds
-        else:
-            aggregate = element
-        out: List[object] = []
-        cursor = 0
-        for at in range(len(shape.outputs) + 1):
-            if at == shape.agg_at:
-                out.append(aggregate)
-            else:
-                out.append(key[slots[cursor]])
-                cursor += 1
+    for key, aggregate in zip(keys, aggregates):
+        out: List[object] = [key[at] for at in slots]
+        out.insert(shape.agg_at, aggregate)
         rows.append(tuple(out))
     columns_out = [output.name for output in shape.outputs]
     columns_out.insert(shape.agg_at, shape.agg_name)
     return KernelResult(
         rows, columns_out, "sweep", now_seconds,
-        {"groups": len(groups), "input_rows": len(fetched)},
+        {"groups": len(keys), "input_rows": len(fetched),
+         "fallback_decodes": fallbacks},
     )

@@ -179,6 +179,18 @@ def _table_schema(connection, table: str) -> Optional[Dict[str, str]]:
     return schema or None
 
 
+def _affinity(decltype: str) -> str:
+    """The affinity SQLite derives from a declared type, as far as
+    comparisons care: numeric (INTEGER, REAL, NUMERIC), text or none."""
+    if "INT" in decltype:
+        return "numeric"
+    if any(part in decltype for part in ("CHAR", "CLOB", "TEXT")):
+        return "text"
+    if not decltype or "BLOB" in decltype:
+        return "none"
+    return "numeric"
+
+
 def _schema_ok(connection, shape) -> bool:
     """Every referenced column exists and key/residual columns are
     plain-typed (TIP-typed values would need blade comparison rules)."""
@@ -211,7 +223,13 @@ def _schema_ok(connection, shape) -> bool:
                 if operand.column not in schema \
                         or schema[operand.column] in TIP_DECLTYPES:
                     return False
-        return True
+        # Keys and cross residuals compare in Python, by storage class;
+        # SQLite would first convert one side when the affinities differ
+        # (2 = '2' between an INTEGER and a TEXT column is true).
+        pairs = list(shape.equalities) + [
+            (c.left.column, c.right.column) for c in shape.cross]
+        return all(_affinity(left[left_col]) == _affinity(right[right_col])
+                   for left_col, right_col in pairs)
     schema = _table_schema(connection, shape.table)
     if schema is None:
         return False

@@ -204,7 +204,7 @@ class RemoteResult:
 
     def __init__(self, frame: dict) -> None:
         self.columns: List[str] = frame.get("columns", [])
-        self.rows: List[Tuple] = [protocol.load_row(row) for row in frame.get("rows", [])]
+        self.rows: List[Tuple] = protocol.load_rows(frame.get("rows", []))
         self.rowcount: int = frame.get("rowcount", -1)
         self.statement_now: Optional[str] = frame.get("statement_now")
         raw_profile = frame.get("profile")
@@ -521,8 +521,7 @@ class RemoteTipConnection:
                     # Grant the next chunk *before* yielding, so the
                     # server fills the pipe while rows are consumed.
                     self._send({"op": "credit", "n": 1})
-                    for row in response.get("rows", []):
-                        yield protocol.load_row(row)
+                    yield from protocol.load_rows(response.get("rows", []))
                     continue
                 done = True
                 if response.get("cont") == "done" and response.get("ok"):

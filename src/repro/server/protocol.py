@@ -151,19 +151,30 @@ trace spans under ``metrics.trace``.
 TIP values (in params and in result rows) are framed as
 ``{"$tip": "<base64 of the binary encoding>"}``; byte strings as
 ``{"$bytes": ...}``; everything else is plain JSON.
+
+**Per-frame value reuse.**  Result rows are marshalled a frame at a
+time and column by column (:func:`dump_rows` / :func:`load_rows`).
+Plain columns pass through untouched; within one frame each distinct
+TIP object (server side, by identity) or ``$tip`` string (client side)
+goes through :func:`dump_value` / :func:`load_value` once, and every
+row holding it shares the result.  The wire format is unchanged: each
+occurrence is still written out in full, so a frame is byte-identical
+to one built row by row with :func:`dump_row`.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+from itertools import chain
 from typing import Any, List, Sequence
 
 from repro import codec
 from repro.errors import TipError
 
 __all__ = [
-    "dump_value", "load_value", "dump_frame", "load_frame",
+    "dump_value", "load_value", "dump_row", "load_row", "dump_rows",
+    "load_rows", "dump_frame", "load_frame",
     "read_frame_line", "ProtocolError", "FrameTooLarge", "MAX_FRAME_BYTES",
 ]
 
@@ -217,6 +228,63 @@ def load_row(row: Sequence) -> tuple:
         if isinstance(value, dict):
             return tuple(load_value(value) for value in row)
     return tuple(row)
+
+
+#: Types that travel as plain JSON: a column of only these is untouched.
+_PLAIN = frozenset((type(None), bool, int, float, str))
+
+
+def dump_rows(rows: Sequence[Sequence]) -> List[List[Any]]:
+    """Encode one frame's result rows, column by column.
+
+    Same output as :func:`dump_row` per row.  Plain columns are copied
+    untouched; in the others each distinct object (by identity) goes
+    through :func:`dump_value` once and its rows share the envelope.
+    """
+    out = list(map(list, rows))
+    if _PLAIN.issuperset(map(type, chain.from_iterable(rows))):
+        return out
+    memo: dict = {}
+    for at, column in enumerate(zip(*rows)):
+        if _PLAIN.issuperset(map(type, column)):
+            continue
+        for line, value in zip(out, column):
+            if type(value) not in _PLAIN:
+                dumped = memo.get(id(value))
+                if dumped is None:
+                    dumped = memo[id(value)] = dump_value(value)
+                line[at] = dumped
+    return out
+
+
+def load_rows(rows: Sequence[Sequence]) -> List[tuple]:
+    """Decode one frame's result rows, column by column.
+
+    Same output as :func:`load_row` per row.  Columns without envelopes
+    pass through; each distinct ``$tip`` string goes through
+    :func:`load_value` once and its rows share the decoded value (TIP
+    values are immutable).
+    """
+    if dict not in set(map(type, chain.from_iterable(rows))):
+        return list(map(tuple, rows))
+    columns = list(zip(*rows))
+    memo: dict = {}
+    for at, column in enumerate(columns):
+        if dict not in set(map(type, column)):
+            continue
+        loaded = []
+        for value in column:
+            if type(value) is dict:
+                text = value.get("$tip")
+                if type(text) is not str:
+                    value = load_value(value)
+                elif text in memo:
+                    value = memo[text]
+                else:
+                    value = memo[text] = load_value(value)
+            loaded.append(value)
+        columns[at] = loaded
+    return list(zip(*columns))
 
 
 def dump_frame(frame: dict) -> bytes:

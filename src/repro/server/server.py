@@ -457,8 +457,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                         if result is not None:
                             return {
                                 "ok": True,
-                                "rows": [protocol.dump_row(row)
-                                         for row in result.rows],
+                                "rows": protocol.dump_rows(result.rows),
                                 "columns": result.columns,
                                 "rowcount": len(result.rows),
                                 "statement_now":
@@ -489,7 +488,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                     )
                 return self._execute_response(
                     cursor,
-                    rows=[protocol.dump_row(row) for row in rows],
+                    rows=protocol.dump_rows(rows),
                     columns=[entry[0] for entry in cursor.description],
                     rowcount=len(rows),
                 )
@@ -706,7 +705,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                     rows = cursor.fetchmany(chunk)
                     if not rows:
                         break
-                    pending = [protocol.dump_row(row) for row in rows]
+                    pending = protocol.dump_rows(rows)
                     while pending:
                         if credit <= 0:
                             credit = self._await_credit()

@@ -23,9 +23,12 @@ from hypothesis import strategies as st
 import repro
 from repro import codec, faults, obs, plan
 from repro.client.typemap import TypeMap
+from repro.core import granularity
 from repro.core.chronon import Chronon
 from repro.core.element import Element
+from repro.core.instant import Instant
 from repro.core.period import Period
+from repro.core.span import Span
 from repro.errors import CodecError, TipTypeError
 from repro.obs import flight
 from repro.obs.export import render_prometheus
@@ -34,6 +37,7 @@ from repro.server import RemoteTipConnection, TipServer
 from repro.tsql import TsqlSession
 from repro.tsql import compiled as stmt_cache
 from repro.tsql.explain import explain_temporal
+from repro.workload import graphs
 from repro.workload.medical import (
     MedicalConfig, generate_prescriptions, load_tip,
 )
@@ -154,6 +158,27 @@ class TestDifferential:
             naive, kernel = _both_ways(session, COALESCE_Q)
             assert sorted(naive) == sorted(kernel)
 
+    @pytest.mark.parametrize("query", [
+        COALESCE_Q, "SELECT k, length(group_union(valid)) FROM L GROUP BY k",
+        "SELECT k, group_union(valid) FROM L GROUP BY k"])
+    def test_coalesce_at_the_calendar_bounds(self, forced_planner, query):
+        """The vectorized union stays exact at the first and last
+        chronon of the calendar (adjacent and overlapping inputs)."""
+        low, high = C("0001-01-01").seconds, C("9999-12-31 23:59:59").seconds
+        with repro.connect(now=DEMO_NOW) as connection:
+            _load(connection, "L", [
+                (1, Element.from_pairs([(low, low + 9)])),
+                (1, Element.from_pairs([(low + 10, low + 20)])),
+                (1, Element.from_pairs([(high - 5, high)])),
+                (2, Element.from_pairs([(high - 9, high)])),
+                (2, Element.from_pairs([(high - 30, high - 2)])),
+                (3, None),
+            ])
+            session = TsqlSession(connection)
+            naive, kernel = _both_ways(session, query)
+            assert _multiset(naive) == _multiset(kernel)
+            assert len(kernel) == 3
+
     def test_tree_join_skewed_sides(self, forced_planner):
         """A >=TREE_SKEW size skew takes the tree-probe strategy."""
         with repro.connect(now=DEMO_NOW) as connection:
@@ -186,7 +211,11 @@ class TestDifferential:
             _load(connection, "R", right)
             session = TsqlSession(connection)
             vectorized = session.query(HASH_Q)
-            monkeypatch.setattr(kernels, "_np", None)
+            monkeypatch.setattr(
+                kernels, "_vector_emit",
+                lambda left, right, i_list, j_list, window_pair, build_row:
+                kernels._scalar_emit(left, right, zip(i_list, j_list), (),
+                                     window_pair, build_row))
             scalar = session.query(HASH_Q)
             assert _canon(vectorized, 2) == _canon(scalar, 2)
             assert [row[:2] for row in vectorized] == [
@@ -265,6 +294,58 @@ class TestPlannerDecisions:
         description = plan.describe(conn, translated)
         assert description["strategy"] == "naive"
         assert "types" in description["reason"]
+
+    @pytest.mark.parametrize("condition", ["l.k = r.s", "l.k >= r.s"])
+    def test_mixed_affinity_comparison_vetoes_kernel(
+        self, conn, forced_planner, condition
+    ):
+        """SQLite converts ``'2'`` to 2 before comparing an INTEGER with
+        a TEXT column; the kernel compares storage classes in Python, so
+        such a key or residual pair falls back (counted as ``schema``)."""
+        conn.execute("CREATE TABLE L (k INTEGER, valid ELEMENT)")
+        conn.execute("CREATE TABLE R (k INTEGER, s TEXT, valid ELEMENT)")
+        element = E("{[1999-01-01, 1999-06-01]}")
+        conn.execute("INSERT INTO L VALUES (2, ?)", (element,))
+        conn.execute("INSERT INTO R VALUES (2, '2', ?)", (element,))
+        conn.commit()
+        session = TsqlSession(conn)
+        query = ("VALIDTIME SELECT l.k, r.s FROM L AS l, R AS r "
+                 f"WHERE {condition}")
+        plan.configure(enabled=False)
+        naive = session.query(query)
+        plan.configure(enabled=True, min_rows=0)
+        with obs.capture():
+            rows = session.query(query)
+            counters = obs.snapshot()["counters"]
+        assert len(naive) == 1
+        assert _multiset(rows) == _multiset(naive)
+        assert counters.get("plan.fallback.schema") == 1
+        assert "plan.kernel.join" not in counters
+        description = plan.describe(conn, session.translate(query))
+        assert description["strategy"] == "naive"
+        # Same-affinity keys keep the kernel.
+        assert plan.describe(conn, session.translate(
+            "VALIDTIME SELECT l.k, r.s FROM L AS l, R AS r "
+            "WHERE l.k = r.k"))["strategy"] == "kernel"
+
+    def test_benchmark_joins_keep_their_kernels(self, forced_planner):
+        """The medical ``patient = patient`` and the graph ``dst = src``
+        joins compare same-affinity columns: no veto."""
+        with repro.connect(now=DEMO_NOW) as connection:
+            load_tip(connection, generate_prescriptions(MedicalConfig(
+                n_prescriptions=50, n_patients=5, seed=3)))
+            graphs.load_graph(connection, graphs.generate_edges(
+                graphs.GraphConfig(n_nodes=10, n_edges=30, seed=3)))
+            connection.commit()
+            session = TsqlSession(connection)
+            for query in (
+                "VALIDTIME SELECT p1.patient, p1.drug, p2.drug "
+                "FROM Prescription AS p1, Prescription AS p2 "
+                "WHERE p1.patient = p2.patient AND p1.drug = 'Tylenol'",
+                graphs.windowed_path_query("1997-01-01, 1997-06-30"),
+            ):
+                assert plan.describe(connection, session.translate(
+                    query))["strategy"] == "kernel", query
 
     def test_disabled_planner_is_invisible(self, conn):
         plan.configure(enabled=False)
@@ -679,10 +760,11 @@ class TestPushdownObservability:
         # Left keeps k = 2..5 plus the NULL-valid k = 4 row: five
         # fetched, four joinable; right keeps k = 0..3.
         assert result.stats == {"candidates": 2, "left_rows": 5,
-                                "right_rows": 4}
+                                "right_rows": 4, "fallback_decodes": 0}
         result = kernels.execute_coalesce(
             conn, plan.match(session.translate(coalesce)), now)
-        assert result.stats == {"groups": 2, "input_rows": 3}
+        assert result.stats == {"groups": 2, "input_rows": 3,
+                                "fallback_decodes": 0}
         flight.clear()
         flight.enable()
         try:
@@ -704,3 +786,149 @@ class TestPushdownObservability:
                                                     "r.k < 'x''y'"]
         assert ("temporal strategy: kernel (join via hash; pushed down: "
                 "l.k >= 2 AND r.k < 'x''y')") in report.render()
+
+    def test_fallback_decodes_count_now_relative_rows(
+        self, conn, forced_planner
+    ):
+        """``fallback_decodes`` counts the validity blobs decoded one at
+        a time: none on canonical data, one per NOW-relative row."""
+        rows = [(k, E("{[1999-01-01, 1999-06-01]}")) for k in range(4)]
+        _load(conn, "L", rows)
+        _load(conn, "R", rows)
+        session = TsqlSession(conn)
+        self_join = ("VALIDTIME SELECT l.k, r.k FROM L AS l, L AS r "
+                     "WHERE l.k = r.k")
+
+        def fallbacks():
+            now = conn.statement_now_seconds()
+            return [
+                kernel(conn, plan.match(session.translate(query)),
+                       now).stats["fallback_decodes"]
+                for kernel, query in ((kernels.execute_join, HASH_Q),
+                                      (kernels.execute_join, self_join),
+                                      (kernels.execute_coalesce,
+                                       COALESCE_Q))]
+
+        assert fallbacks() == [0, 0, 0]
+        conn.executemany("INSERT INTO L VALUES (?, ?)", [
+            (k, E("{[1999-03-01, NOW]}")) for k in range(3)
+        ] + [(9, None)])
+        conn.commit()
+        # The self-join fetches L once: its three rows count once.
+        assert fallbacks() == [3, 3, 3]
+        flight.clear()
+        flight.enable()
+        try:
+            session.query(HASH_Q)
+            session.query(COALESCE_Q)
+        finally:
+            flight.disable()
+        assert [event["data"]["fallback_decodes"] for event
+                in flight.snapshot(kind="plan.kernel")] == [3, 3]
+
+
+# -- the batch validity decoder ------------------------------------------
+
+_NOW_SECONDS = C(DEMO_NOW).seconds
+_MAX_BIASED = granularity.MAX_SECONDS - granularity.MIN_SECONDS
+
+
+def _packed(*fields) -> bytes:
+    """An Element blob of raw ``(flavor, biased, flavor, biased)``
+    periods, packed exactly as given."""
+    return (_element_blob([])[:3] + struct.pack(">I", len(fields))
+            + b"".join(struct.pack(">BQBQ", *f) for f in fields))
+
+
+@st.composite
+def _column_values(draw):
+    """One stored validity value: mostly decodable, sometimes not."""
+    kind = draw(st.sampled_from(
+        ["null", "empty", "element", "now", "unsorted", "adjacent"] * 4
+        + ["calendar", "truncated", "trailing", "period", "chronon",
+           "text"]))
+    if kind == "null":
+        return None
+    if kind == "empty":
+        return codec.encode(Element([]))
+    if kind == "element":
+        return codec.encode(draw(elements(max_periods=3)))
+    if kind == "now":
+        start = draw(chronons())
+        return codec.encode(Element([Period(start, Instant.now_relative(
+            Span(draw(st.integers(0, 10**6)))))]))
+    if kind in ("unsorted", "adjacent"):
+        pairs = [tuple(sorted(pair)) for pair in draw(st.lists(
+            st.tuples(safe_seconds, safe_seconds), min_size=1, max_size=3))]
+        if kind == "adjacent":
+            lo, hi = pairs[-1]
+            pairs.append((hi + 1, hi + 1 + draw(st.integers(0, 86_400))))
+        return _element_blob(pairs[::-1])
+    if kind == "calendar":
+        return _packed((0, 0, 0, _MAX_BIASED + draw(st.integers(1, 99))))
+    blob = codec.encode(draw(elements(max_periods=2)))
+    if kind == "truncated":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if kind == "trailing":
+        return blob + draw(st.binary(min_size=1, max_size=3))
+    if kind == "period":
+        return codec.encode(Period(C("1999-01-01"), C("1999-02-01")))
+    if kind == "chronon":
+        return codec.encode(draw(chronons()))
+    return draw(st.text(max_size=4))
+
+
+def _per_blob(values):
+    """The oracle: :func:`element_pairs` one value at a time."""
+    try:
+        return ("ok", [(at, list(codec.binary.element_pairs(
+            value, _NOW_SECONDS, "expected Element"))) for at, value
+            in enumerate(values) if value is not None])
+    except (CodecError, TipTypeError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _batch(values):
+    try:
+        row, lo, hi, fallbacks = codec.binary.element_arrays(
+            values, _NOW_SECONDS, "expected Element")
+    except (CodecError, TipTypeError) as exc:
+        return (type(exc).__name__, str(exc)), None
+    grouped = {at: [] for at, value in enumerate(values)
+               if value is not None}
+    for at, pair in zip(row.tolist(), zip(lo.tolist(), hi.tolist())):
+        grouped[at].append(pair)
+    return ("ok", list(grouped.items())), fallbacks
+
+
+def _canonical(value) -> bool:
+    return (type(value) is bytes and len(value) >= 7
+            and value[:3] == _element_blob([])[:3]
+            and codec.binary._canonical_pairs(
+                value, 7, struct.unpack_from(">I", value, 3)[0]) is not None)
+
+
+class TestBatchDecode:
+    """``element_arrays`` == per-blob ``element_pairs``, errors included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_column_values(), max_size=8))
+    def test_equals_per_blob_decode(self, values):
+        outcome, fallbacks = _batch(values)
+        assert outcome == _per_blob(values)
+        if fallbacks is not None:
+            assert fallbacks == sum(value is not None and not _canonical(value)
+                                    for value in values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.lists(_column_values(), max_size=8),
+           mode=st.sampled_from(["truncate", "corrupt"]))
+    def test_fault_plan_outcome_is_deterministic(self, values, mode):
+        """Armed, every value takes the per-blob path in row order: two
+        runs agree with each other and with the per-blob oracle."""
+        runs = []
+        for _ in range(3):
+            with faults.inject(f"codec.decode:{mode}", seed=11):
+                runs.append(_batch(values)[0] if len(runs) < 2
+                            else _per_blob(values))
+        assert runs[0] == runs[1] == runs[2]

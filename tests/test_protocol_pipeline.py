@@ -21,10 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
+from repro import codec, obs
+from repro.codec.binary import TAG_BY_TYPE
+from repro.core.element import Element
 from repro.server import RemoteTipConnection, TipServer
 from repro.server import protocol
 from repro.server.client import RemoteError, RemoteResult
+from tests.strategies import chronons, elements, instants, periods, spans
 
 NOW = "1999-09-01"
 
@@ -320,3 +323,120 @@ def test_batch_equivalent_to_one_per_frame(statements):
     batched = run(lambda c, s: c.execute_batch(s))
     sequential = run(_run_one_per_frame)
     assert batched == sequential
+
+
+# -- the column-wise row codec -------------------------------------------
+
+_TIP_VALUES = st.one_of(chronons(), spans(), instants(), periods(),
+                        elements(max_periods=3))
+_PLAIN_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=5),
+    st.binary(max_size=5), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _twin(value):
+    """An equal but distinct object (a fresh, uncached decode)."""
+    if isinstance(value, tuple(TAG_BY_TYPE)):
+        return codec.binary._decode_bytes(codec.encode(value), stamp=False)
+    return value
+
+
+@st.composite
+def _result_rows(draw):
+    """Rows over a pool of values: one object repeated, equal twins,
+    TIP columns with NULLs, fully mixed columns, or no rows at all."""
+    pool = draw(st.lists(st.one_of(_TIP_VALUES, _PLAIN_VALUES),
+                         min_size=1, max_size=6))
+    pool += [_twin(value) for value in pool]
+    width = draw(st.integers(1, 4))
+    kinds = [draw(st.sampled_from(["tip-or-null", "mixed", "plain"]))
+             for _ in range(width)]
+
+    def cell(kind):
+        if kind == "tip-or-null":
+            return draw(st.one_of(st.none(), _TIP_VALUES,
+                                  st.sampled_from(pool)))
+        if kind == "plain":
+            return draw(_PLAIN_VALUES)
+        return draw(st.sampled_from(pool))
+
+    return [tuple(cell(kind) for kind in kinds)
+            for _ in range(draw(st.integers(0, 12)))]
+
+
+def _typed(rows):
+    """Rows compared by type and wire form (NOW-relative values have no
+    grounded equality; ``True == 1`` must not pass)."""
+    return [tuple((type(value).__name__,
+                   codec.encode(value) if isinstance(value, tuple(TAG_BY_TYPE))
+                   else value) for value in row) for row in rows]
+
+
+class TestRowCodec:
+    """``dump_rows``/``load_rows`` == the per-row ``dump_row``/``load_row``
+    path, frame bytes included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_result_rows())
+    def test_frames_equal_the_per_row_path(self, rows):
+        frame = protocol.dump_frame({"rows": protocol.dump_rows(rows)})
+        per_row = protocol.dump_frame(
+            {"rows": [protocol.dump_row(row) for row in rows]})
+        assert frame == per_row
+        wire_rows = protocol.load_frame(frame)["rows"]
+        loaded = protocol.load_rows(wire_rows)
+        assert _typed(loaded) == _typed(
+            [protocol.load_row(row) for row in wire_rows])
+        assert _typed(loaded) == _typed(rows)
+
+    def test_empty_frames(self):
+        assert protocol.dump_rows([]) == []
+        assert protocol.load_rows([]) == []
+
+    def test_each_distinct_value_is_marshalled_once(self, monkeypatch):
+        """One object repeated encodes once; equal twins encode each;
+        one envelope string decodes once."""
+        element = Element.from_pairs([(0, 10)])
+        twin = _twin(element)
+        calls = []
+        dump_value, load_value = protocol.dump_value, protocol.load_value
+        monkeypatch.setattr(protocol, "dump_value",
+                            lambda v: calls.append("dump") or dump_value(v))
+        monkeypatch.setattr(protocol, "load_value",
+                            lambda v: calls.append("load") or load_value(v))
+        dumped = protocol.dump_rows([(1, element), (2, element), (3, twin)])
+        assert calls == ["dump", "dump"]
+        loaded = protocol.load_rows(protocol.load_frame(
+            protocol.dump_frame({"rows": dumped}))["rows"])
+        assert calls == ["dump", "dump", "load"]
+        assert loaded[0][1] is loaded[1][1] is loaded[2][1]
+
+    def test_stream_split_by_the_frame_bound_round_trips(self):
+        """Chunks too big for the frame bound are halved by the server;
+        the split ROWS frames still decode to the stored rows."""
+        values = [Element.from_pairs([(k * 100, k * 100 + 50)])
+                  for k in range(3)]
+        with TipServer(":memory:", observability=False,
+                       max_frame_bytes=1024) as server:
+            host, port = server.address
+            with RemoteTipConnection(host, port) as connection:
+                connection.execute("CREATE TABLE t (n INTEGER, v ELEMENT)")
+                for n in range(40):
+                    connection.execute("INSERT INTO t VALUES (?, ?)",
+                                       (n, values[n % 3]))
+            wire = _Wire(server)
+            wire.send({"op": "execute", "sql": "SELECT n, v FROM t ORDER BY n",
+                       "params": [], "stream": True, "chunk": 40,
+                       "window": 100})
+            frames = []
+            while True:
+                frame = wire.recv()
+                if frame["cont"] == "done":
+                    break
+                frames.append(frame)
+            wire.close()
+        assert len(frames) > 1  # the single 40-row chunk was split
+        rows = [row for frame in frames
+                for row in protocol.load_rows(frame["rows"])]
+        assert _typed(rows) == _typed(
+            [(n, values[n % 3]) for n in range(40)])
