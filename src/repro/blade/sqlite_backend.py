@@ -15,6 +15,13 @@ Marshalling rules, mirroring the engine behaviour the paper describes:
   implicit cast graph (``Chronon -> Instant -> Period -> Element``);
 * SQL ``NULL`` anywhere yields ``NULL`` (strict routines);
 * booleans surface as SQLite integers 0/1.
+
+Each installation keeps a memo of the TIP values its routines just
+returned, keyed by result blob, so ``tsub(start(valid), dob)`` gets
+``start``'s value back without a decode.  A connection runs on one
+thread at a time, so the memo needs no lock; it is bypassed while a
+fault plan is armed or the marshalling caches are off, and its hits
+count as the decode cache's ``memo_hits``.
 """
 
 from __future__ import annotations
@@ -31,6 +38,11 @@ from repro.errors import TipError, TipTypeError
 __all__ = ["install_blade", "install_tip", "tip_blade"]
 
 _TIP_BLADE: Optional[DataBlade] = None
+
+#: Routine results one connection remembers for the calls around them.
+MEMO_SIZE = 64
+_DECODE_CACHE = codec.cache.DECODE
+_CACHE_STATE = codec.cache.state
 
 
 def tip_blade() -> DataBlade:
@@ -140,14 +152,20 @@ def _coerce_scalar(value, type_name: str):
     raise TipTypeError(f"unknown scalar type {type_name!r}")
 
 
-def _encode_result(value, blade: DataBlade):
-    """Marshal a routine result back to a SQLite storage class."""
+def _encode_result(value, blade: DataBlade, memo=None):
+    """Marshal a routine result back to a SQLite storage class; a TIP
+    result is remembered in *memo* under its blob."""
     if value is None:
         return None
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, TIP_TYPES):
-        return codec.encode(value)
+        blob = codec.encode(value)
+        if memo is not None and _FAULTS.plan is None and _CACHE_STATE.enabled:
+            if len(memo) >= MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[blob] = value
+        return blob
     if isinstance(value, (int, float, str, bytes)):
         return value
     type_def = blade.type_for_class(type(value))
@@ -156,26 +174,43 @@ def _encode_result(value, blade: DataBlade):
     raise TipTypeError(f"routine returned unsupported type {type(value).__name__}")
 
 
-def _coerce_any(value):
-    """The compiled coercer for ``any``-typed arguments."""
-    if isinstance(value, (bytes, bytearray, memoryview)) and codec.is_tip_blob(value):
-        return codec.decode(value)
-    return value
+def _recall(memo) -> Callable:
+    """``codec.decode`` behind a connection's result *memo*."""
+    decode = codec.decode
+
+    def recall(blob):
+        if type(blob) is bytes and _FAULTS.plan is None:
+            value = memo.get(blob)
+            if value is not None:
+                _DECODE_CACHE.memo_hit()
+                return value
+        return decode(blob)
+
+    return recall
 
 
-def _compile_coercer(type_name: str, blade: DataBlade) -> Callable:
+def _compile_coercer(type_name: str, blade: DataBlade, memo: dict) -> Callable:
     """A specialized argument coercer for one declared signature slot.
 
     Compiled once per routine at :func:`install_blade` time, replacing
     the per-call branch ladder of :func:`_coerce_argument` with a
     closure that inlines the overwhelmingly common paths — an exact
-    TIP blob (through the decode cache), an already-correct Python
-    value, or a literal string (through the parse cache) — and defers
-    everything else (widening casts, blade-specific encodings,
-    bytearray/memoryview arguments) to the generic branch chain.
+    TIP blob (through the connection's result *memo*, then the decode
+    cache), an already-correct Python value, or a literal string
+    (through the parse cache) — and defers everything else (widening
+    casts, blade-specific encodings, bytearray/memoryview arguments) to
+    the generic branch chain.
     """
+    decode = _recall(memo)
+    is_tip_blob = codec.is_tip_blob
     if type_name == "any":
-        return _coerce_any
+
+        def coerce_any(value):
+            if isinstance(value, (bytes, bytearray, memoryview)) and is_tip_blob(value):
+                return decode(value)
+            return value
+
+        return coerce_any
     if type_name in ("integer", "number", "float", "boolean", "text"):
 
         def coerce_scalar(value):
@@ -189,8 +224,6 @@ def _compile_coercer(type_name: str, blade: DataBlade) -> Callable:
     python_type = type_def.python_type
     parse = type_def.parse
     parse_cached = codec.cache.parse_cached
-    decode = codec.decode
-    is_tip_blob = codec.is_tip_blob
 
     def coerce(value):
         if type(value) is bytes:  # the SQLite marshaller hands exact bytes
@@ -211,7 +244,7 @@ def _compile_coercer(type_name: str, blade: DataBlade) -> Callable:
     return coerce
 
 
-def _make_sql_function(routine: RoutineDef, blade: DataBlade) -> Callable:
+def _make_sql_function(routine: RoutineDef, blade: DataBlade, memo: dict) -> Callable:
     """Compile the specialized call plan for one routine.
 
     The plan is specialized twice: per *argument* (the coercers from
@@ -222,7 +255,8 @@ def _make_sql_function(routine: RoutineDef, blade: DataBlade) -> Callable:
     one, exactly as the generic path coerced them in order.
     """
     implementation = routine.implementation
-    coercers = tuple(_compile_coercer(type_name, blade) for type_name in routine.arg_types)
+    coercers = tuple(_compile_coercer(type_name, blade, memo)
+                     for type_name in routine.arg_types)
 
     if len(coercers) == 0:
 
@@ -232,7 +266,7 @@ def _make_sql_function(routine: RoutineDef, blade: DataBlade) -> Callable:
                 # as a typed engine error on this statement, leaving
                 # the session and the connection usable.
                 _FAULTS.plan.apply("blade.routine")
-            return _encode_result(implementation(), blade)
+            return _encode_result(implementation(), blade, memo)
 
     elif len(coercers) == 1:
         (coerce0,) = coercers
@@ -242,7 +276,7 @@ def _make_sql_function(routine: RoutineDef, blade: DataBlade) -> Callable:
                 _FAULTS.plan.apply("blade.routine")
             if raw0 is None:
                 return None
-            return _encode_result(implementation(coerce0(raw0)), blade)
+            return _encode_result(implementation(coerce0(raw0)), blade, memo)
 
     elif len(coercers) == 2:
         coerce0, coerce1 = coercers
@@ -255,7 +289,7 @@ def _make_sql_function(routine: RoutineDef, blade: DataBlade) -> Callable:
             arg0 = coerce0(raw0)
             if raw1 is None:
                 return None
-            return _encode_result(implementation(arg0, coerce1(raw1)), blade)
+            return _encode_result(implementation(arg0, coerce1(raw1)), blade, memo)
 
     else:
 
@@ -267,7 +301,7 @@ def _make_sql_function(routine: RoutineDef, blade: DataBlade) -> Callable:
                 if raw is None:
                     return None
                 args.append(coerce(raw))
-            return _encode_result(implementation(*args), blade)
+            return _encode_result(implementation(*args), blade, memo)
 
     sql_function.__name__ = f"tip_sql_{routine.name}"
     sql_function.__doc__ = routine.doc
@@ -279,7 +313,7 @@ def _make_sql_aggregate(aggregate: AggregateDef, blade: DataBlade) -> type:
     steps_name = f"blade.aggregate.{aggregate.name}.steps"
     # The same specialized coercion plan as scalar routines: compiled
     # once here, then run per input row.
-    coerce = _compile_coercer(aggregate.arg_type, blade)
+    coerce = _compile_coercer(aggregate.arg_type, blade, {})
 
     class SqlAggregate:
         def __init__(self) -> None:
@@ -311,14 +345,16 @@ def install_blade(connection: sqlite3.Connection, blade: DataBlade) -> sqlite3.C
     (re-creating a function replaces it).  Every entry point is wrapped
     with per-name call-count/latency/error instrumentation here, at
     ``create_function`` time; the wrappers are inert pass-throughs
-    until :func:`repro.obs.enable` flips the process-wide switch.
+    until :func:`repro.obs.enable` flips the process-wide switch.  The
+    routines share one result memo per installation.
     """
+    memo: dict = {}
     for (name, arity), routine in blade.routines.items():
         connection.create_function(
             name,
             arity,
             obs.instrumented(
-                f"blade.routine.{name}", _make_sql_function(routine, blade)
+                f"blade.routine.{name}", _make_sql_function(routine, blade, memo)
             ),
             deterministic=routine.deterministic,
         )

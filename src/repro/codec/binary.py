@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.codec import cache as _CACHE
 from repro.core import granularity
-from repro.obs import flight as _flight
 from repro.core.chronon import Chronon
 from repro.core.element import Element
 from repro.core.instant import Instant
@@ -58,6 +57,7 @@ __all__ = [
     "decode",
     "element_pairs",
     "element_arrays",
+    "merge_pairs",
     "is_tip_blob",
     "tip_type_of",
     "TAG_BY_TYPE",
@@ -209,8 +209,11 @@ def decode(data: bytes) -> TipValue:
             raise CodecError(f"expected bytes, got {type(data).__name__}")
     if _FAULTS.plan is not None:
         # Chaos hook: a corrupted/truncated blob must fail as a typed
-        # CodecError below, never crash the decoder.
-        return _decode_bytes(_FAULTS.plan.apply("codec.decode", data), stamp=False)
+        # CodecError below, never crash the decoder.  A value shorter
+        # than a header has nothing to corrupt and fails typed as is.
+        if len(data) >= 3:
+            data = _FAULTS.plan.apply("codec.decode", data)
+        return _decode_bytes(data, stamp=False)
     if not _CACHE.state.enabled:
         return _decode_bytes(data, stamp=False)
     cache = _CACHE.DECODE
@@ -219,11 +222,6 @@ def decode(data: bytes) -> TipValue:
         return value
     value = _decode_bytes(data, stamp=True)
     cache.put(data, value)
-    if _flight.state.enabled:
-        # Misses only: hits are far too hot for a ring append per row
-        # (the stats counters still count them); a miss marks the cold
-        # moment a timeline cares about.
-        _flight.record("cache.decode.miss", tag=data[2])
     return value
 
 
@@ -355,7 +353,45 @@ _PERIOD = np.dtype([("lo_flavor", "u1"), ("lo", ">u8"),
                     ("hi_flavor", "u1"), ("hi", ">u8")])
 _HEADER_LEN = len(_ELEMENT_HEADER) + _U32.size
 _HEADER_ARRAY = np.frombuffer(_ELEMENT_HEADER, np.uint8)
-_MAX_BIASED = granularity.MAX_SECONDS + _BIAS_SECONDS
+_MAX_SPAN = granularity.MAX_SPAN_SECONDS
+
+
+def _ground(flavor, biased, now_seconds: int):
+    """Grounded bounds of stored instant bodies, and which are invalid.
+
+    A determinate body (flavor 0) holds ``seconds - MIN_SECONDS``, valid
+    up to ``MAX_SPAN``; a NOW-relative one (flavor 1) holds ``offset +
+    MAX_SPAN``, valid up to ``2 * MAX_SPAN``, and grounds to ``now +
+    offset`` clamped to the calendar like ``Instant.ground_seconds``.
+    Payloads are clipped first, so every sum stays within int64.
+    """
+    biased = np.minimum(biased, 2 * _MAX_SPAN + 1).astype(np.int64)
+    invalid = (flavor > 1) | (biased > _MAX_SPAN * (1 + flavor.astype(np.int64)))
+    seconds = biased + np.where(flavor == 0, granularity.MIN_SECONDS,
+                                now_seconds - _MAX_SPAN)
+    return np.clip(seconds, granularity.MIN_SECONDS,
+                   granularity.MAX_SECONDS), invalid
+
+
+def merge_pairs(owner, lo, hi):
+    """Each owner's pairs coalesced: ``(owner, lo, hi)`` arrays of the
+    merged periods, in (owner, lo) order.
+
+    One sort-and-sweep over start/end events; a period opens where the
+    running depth leaves 0 and closes where it returns (after every
+    owner, so one cumsum needs no segmenting).  Starts sort before ends
+    at a tie, merging adjacent periods as :func:`ia.normalize` does.
+    Times sort by dense rank (< 2n): the key cannot overflow int64.
+    """
+    at = np.concatenate((lo, hi + 1))
+    is_end = np.repeat(np.array([0, 1], np.int64), len(lo))
+    ranks, rank = np.unique(at * 2 + is_end, return_inverse=True)
+    owners = np.concatenate((owner, owner))
+    order = np.argsort(owners * len(ranks) + rank)
+    at, owners, is_end = at[order], owners[order], is_end[order]
+    depth = np.cumsum(1 - 2 * is_end)
+    closes = depth == 0
+    return owners[closes], at[(depth == 1) & (is_end == 0)], at[closes] - 1
 
 
 def element_arrays(values: Sequence, now_seconds: int, mismatch: str):
@@ -364,15 +400,18 @@ def element_arrays(values: Sequence, now_seconds: int, mismatch: str):
     Returns ``(row, lo, hi, fallbacks)``: int64 arrays with one entry
     per grounded pair (the index of its value in *values* and its
     bounds), ordered by row and canonically within a row, plus the
-    number of values decoded one at a time.  NULLs add no pairs.
-    Canonical all-determinate blobs are unpacked and validated in one
-    vectorized pass, with the checks of :func:`_canonical_pairs`:
-    header, length, flavors, calendar bounds, sorted, disjoint and
-    non-adjacent.  Everything else takes :func:`element_pairs`'s
-    ``decode()`` path one value at a time, in row order, so results and
-    errors are exactly the per-blob ones: NOW-relative and
-    non-canonical blobs, non-bytes values and other TIP types, and
-    every value while a fault plan is armed.
+    number of values decoded one at a time.  NULLs add no pairs.  Every
+    well-formed Element blob, NOW-relative ones included, is unpacked
+    and grounded in one vectorized pass: NOW-relative bounds clamp to
+    the calendar, periods empty at *now_seconds* drop out, and blobs
+    whose grounded pairs are not sorted, disjoint and non-adjacent are
+    normalized by one segmented :func:`merge_pairs`.  What the per-blob
+    ``decode()`` would reject — a bad header, length or flavor, an
+    out-of-range payload, an inverted determinate period — and
+    non-bytes values, other TIP types and every value while a fault
+    plan is armed take :func:`element_pairs`'s ``decode()`` path one
+    value at a time, in row order, so errors are exactly the per-blob
+    ones.
     """
     armed = _FAULTS.plan is not None
     at = [] if armed else [
@@ -398,18 +437,16 @@ def element_arrays(values: Sequence, now_seconds: int, mismatch: str):
         keep[(starts[ok][:, None] + np.arange(_HEADER_LEN)).ravel()] = False
         periods = data[:-_HEADER_LEN][keep].view(_PERIOD)
         blob_of = np.repeat(np.flatnonzero(ok), count[ok])
-        # Clipped so out-of-calendar payloads stay int64 (and fail).
-        lo = np.minimum(periods["lo"], _MAX_BIASED + 1).astype(np.int64) \
-            - _BIAS_SECONDS
-        hi = np.minimum(periods["hi"], _MAX_BIASED + 1).astype(np.int64) \
-            - _BIAS_SECONDS
-        bad = ((periods["lo_flavor"] != 0) | (periods["hi_flavor"] != 0)
-               | (lo > hi) | (hi > granularity.MAX_SECONDS))
-        bad[1:] |= (blob_of[1:] == blob_of[:-1]) & (lo[1:] <= hi[:-1] + 1)
-        ok[blob_of[bad]] = False
-        fine = ok[blob_of]
-        row = np.asarray(at, np.int64)[blob_of[fine]]
-        lo, hi = lo[fine], hi[fine]
+        lo_flavor, hi_flavor = periods["lo_flavor"], periods["hi_flavor"]
+        lo, lo_invalid = _ground(lo_flavor, periods["lo"], now_seconds)
+        hi, hi_invalid = _ground(hi_flavor, periods["hi"], now_seconds)
+        ok[blob_of[lo_invalid | hi_invalid
+                   | ((lo_flavor == 0) & (hi_flavor == 0) & (lo > hi))]] = False
+        fine = ok[blob_of] & (lo <= hi)  # empty at NOW: no chronons
+        blob_of, lo, hi = blob_of[fine], lo[fine], hi[fine]
+        if ((blob_of[1:] == blob_of[:-1]) & (lo[1:] <= hi[:-1] + 1)).any():
+            blob_of, lo, hi = merge_pairs(blob_of, lo, hi)
+        row = np.asarray(at, np.int64)[blob_of]
         slow = sorted(slow + [at[b] for b in np.flatnonzero(~ok).tolist()])
     if slow:
         grounded = [_decoded_pairs(values[i], now_seconds, mismatch)

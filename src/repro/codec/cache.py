@@ -86,9 +86,12 @@ class LRUCache:
 
     Stats are plain attribute increments under the same lock that
     orders the map itself, so a snapshot is always self-consistent.
+    ``memo_hits`` counts lookups a memo in front of the cache answered
+    (the blade's routine-result memo, in front of :data:`DECODE`).
     """
 
-    __slots__ = ("name", "maxsize", "hits", "misses", "evictions", "_data", "_lock")
+    __slots__ = ("name", "maxsize", "hits", "misses", "evictions", "memo_hits",
+                 "_data", "_lock")
 
     def __init__(self, name: str, maxsize: int) -> None:
         self.name = name
@@ -96,6 +99,7 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.memo_hits = 0
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
@@ -109,6 +113,10 @@ class LRUCache:
             self._data.move_to_end(key)
             self.hits += 1
             return value
+
+    def memo_hit(self) -> None:
+        with self._lock:
+            self.memo_hits += 1
 
     def put(self, key, value) -> None:
         if self.maxsize <= 0:
@@ -126,7 +134,7 @@ class LRUCache:
         with self._lock:
             self._data.clear()
             if reset_stats:
-                self.hits = self.misses = self.evictions = 0
+                self.hits = self.misses = self.evictions = self.memo_hits = 0
 
     def resize(self, maxsize: int) -> None:
         with self._lock:
@@ -140,7 +148,8 @@ class LRUCache:
             return len(self._data)
 
     def stats(self) -> Dict[str, float]:
-        """Entries, capacity, hit/miss/eviction counts, and hit ratio."""
+        """Entries, capacity, hit/miss/eviction/memo-hit counts, and the
+        cache's own hit ratio."""
         with self._lock:
             hits, misses = self.hits, self.misses
             looked_up = hits + misses
@@ -150,6 +159,7 @@ class LRUCache:
                 "hits": hits,
                 "misses": misses,
                 "evictions": self.evictions,
+                "memo_hits": self.memo_hits,
                 "hit_ratio": (hits / looked_up) if looked_up else 0.0,
             }
 
@@ -223,6 +233,7 @@ def stats_counters() -> Dict[str, int]:
         flat[prefix + "hits"] = snap["hits"]
         flat[prefix + "misses"] = snap["misses"]
         flat[prefix + "evictions"] = snap["evictions"]
+        flat[prefix + "memo_hits"] = snap["memo_hits"]
     return flat
 
 

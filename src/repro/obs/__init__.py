@@ -151,16 +151,25 @@ def instrumented(name: str, fn):
 
     The wrapper is a straight pass-through while observability is
     disabled; the instruments only come into existence on the first
-    call with it enabled.
+    call with it enabled.  The ``.calls`` counter and ``.seconds``
+    histogram are looked up once per registry epoch (a new registry or
+    a reset), not on every call.
     """
     calls_name = name + ".calls"
     errors_name = name + ".errors"
     seconds_name = name + ".seconds"
+    bound = [(None, None, None)]  # (epoch, calls, seconds), swapped whole
 
     def wrapper(*args, **kwargs):
         if not state.enabled:
             return fn(*args, **kwargs)
         registry = get_registry()
+        epoch, calls, seconds = bound[0]
+        if epoch is not registry.epoch:
+            epoch = registry.epoch
+            calls = registry.counter(calls_name)
+            seconds = registry.histogram(seconds_name)
+            bound[0] = (epoch, calls, seconds)
         started = perf_counter()
         try:
             return fn(*args, **kwargs)
@@ -168,8 +177,8 @@ def instrumented(name: str, fn):
             registry.counter(errors_name).inc()
             raise
         finally:
-            registry.counter(calls_name).inc()
-            registry.histogram(seconds_name).observe(perf_counter() - started)
+            calls.inc()
+            seconds.observe(perf_counter() - started)
 
     wrapper.__name__ = getattr(fn, "__name__", name)
     wrapper.__doc__ = getattr(fn, "__doc__", None)

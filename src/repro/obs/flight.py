@@ -3,14 +3,14 @@
 Counters say *how often*; the flight recorder says *when, in what
 order*.  Every interesting moment in the concurrent server — statement
 begin/end, BATCH and stream lifecycle, reader-pool checkouts and
-writer-lock waits, WAL checkpoints, statement/decode-cache traffic,
-fired faults — lands here as one :class:`FlightEvent`, stamped with a
-monotonic timestamp, a monotonically increasing sequence number, and
-the session's connection key.  The ring is a ``deque(maxlen=...)``;
-appends and sequence numbers both ride CPython-atomic operations
-(``deque.append`` and ``next`` on an ``itertools.count``), so the
-record path takes no lock at all and memory is bounded by
-construction.  Readers snapshot with ``list(ring)`` and simply retry
+writer-lock waits, WAL checkpoints, statement-cache traffic, cache
+clears, fired faults — lands here as one :class:`FlightEvent`,
+stamped with a monotonic timestamp, a monotonically increasing
+sequence number, and the session's connection key.  The ring is a
+``deque(maxlen=...)``; appends and sequence numbers both ride
+CPython-atomic operations (``deque.append`` and ``next`` on an
+``itertools.count``), so the record path takes no lock at all and
+memory is bounded by construction.  Readers snapshot with ``list(ring)`` and simply retry
 on the rare concurrent-mutation ``RuntimeError``.
 
 The recorder follows the package's inert-when-off discipline: every

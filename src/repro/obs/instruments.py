@@ -10,6 +10,7 @@ same lock, so a snapshot observes a consistent value.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Dict, Optional, Tuple
 
 __all__ = ["Counter", "Histogram", "DEFAULT_BOUNDS"]
@@ -71,11 +72,7 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        index = len(self.bounds)
-        for position, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = position
-                break
+        index = bisect_left(self.bounds, value)  # first bound >= value
         with self._lock:
             self._count += 1
             self._sum += value

@@ -53,13 +53,18 @@ def is_enabled() -> bool:
 
 
 class MetricsRegistry:
-    """A named bag of lazily created instruments."""
+    """A named bag of lazily created instruments.
+
+    ``epoch`` is replaced on every :meth:`reset`, so a caller holding
+    instruments it looked up earlier can tell when they were dropped.
+    """
 
     def __init__(self, name: str = "default") -> None:
         self.name = name
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self.epoch = object()
 
     # -- instrument access (lazy creation) ----------------------------
 
@@ -104,6 +109,7 @@ class MetricsRegistry:
         with self._lock:
             self._counters.clear()
             self._histograms.clear()
+            self.epoch = object()
 
 
 _default_registry = MetricsRegistry()

@@ -29,12 +29,14 @@ keeps the fetch in table order whatever indexes the filters could use,
 so the emit order never depends on the schema.  The validity column is
 selected as ``+valid``, which no converter or type map touches, and
 :func:`repro.codec.binary.element_arrays` turns it into flat int64
-``(row, lo, hi)`` arrays in one vectorized pass; only NOW-relative,
-non-canonical and non-blob values decode one at a time (counted as
-``fallback_decodes``).  Joins keep the arrays for the window prefilter
-and the vectorized hash emit; per-row pair lists exist only on the
-merge, tree and cross-residual paths.  Both emits share one Element
-per distinct intersection, so equal validities encode once.
+``(row, lo, hi)`` arrays grounded at the statement ``NOW`` in one
+vectorized pass, NOW-relative and non-canonical blobs included; only
+values the per-blob decoder would reject (and non-blob values) decode
+one at a time (counted as ``fallback_decodes``).  Joins keep the
+arrays for the window prefilter and the vectorized hash emit; per-row
+pair lists exist only on the merge, tree and cross-residual paths.
+Both emits share one Element per distinct intersection, so equal
+validities encode once.
 
 Every kernel grounds elements at one statement ``NOW`` and produces
 rows value-identical to the naive path — the differential suite
@@ -57,7 +59,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from repro.codec.binary import element_arrays
+from repro.codec.binary import element_arrays, merge_pairs
 from repro.core import interval_algebra as ia
 from repro.core.element import Element
 from repro.core.span import Span
@@ -554,27 +556,6 @@ def _order_key(value: object):
     return (4, repr(value))
 
 
-def _union(group, lo, hi):
-    """Each group's pairs coalesced: ``(group, lo, hi)`` arrays of the
-    merged periods, in (group, lo) order.
-
-    One sort-and-sweep over start/end events; a period opens where the
-    running depth leaves 0 and closes where it returns (after every
-    group, so one cumsum needs no segmenting).  Starts sort before ends
-    at a tie, merging adjacent periods as :func:`ia.normalize` does.
-    Times sort by dense rank (< 2n): the key cannot overflow int64.
-    """
-    at = np.concatenate((lo, hi + 1))
-    is_end = np.repeat(np.array([0, 1], np.int64), len(lo))
-    ranks, rank = np.unique(at * 2 + is_end, return_inverse=True)
-    owner = np.concatenate((group, group))
-    order = np.argsort(owner * len(ranks) + rank)
-    at, owner, is_end = at[order], owner[order], is_end[order]
-    depth = np.cumsum(1 - 2 * is_end)
-    closes = depth == 0
-    return owner[closes], at[(depth == 1) & (is_end == 0)], at[closes] - 1
-
-
 def execute_coalesce(connection, shape: CoalesceShape,
                      now_seconds: int) -> KernelResult:
     # The fetched rows hold exactly the GROUP BY columns, in key order,
@@ -595,7 +576,7 @@ def execute_coalesce(connection, shape: CoalesceShape,
                            len(fetched))
     row, lo, hi, fallbacks = element_arrays(
         stored, now_seconds, "group_union expects Elements")
-    group, lo, hi = _union(group_of[row], lo, hi)
+    group, lo, hi = merge_pairs(group_of[row], lo, hi)
 
     if shape.agg_wrapper in ("length", "length_seconds"):
         totals = np.zeros(len(keys), np.int64)

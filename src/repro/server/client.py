@@ -204,7 +204,7 @@ class RemoteResult:
 
     def __init__(self, frame: dict) -> None:
         self.columns: List[str] = frame.get("columns", [])
-        self.rows: List[Tuple] = protocol.load_rows(frame.get("rows", []))
+        self.rows: List[Tuple] = protocol.load_result(frame)
         self.rowcount: int = frame.get("rowcount", -1)
         self.statement_now: Optional[str] = frame.get("statement_now")
         raw_profile = frame.get("profile")
@@ -521,7 +521,7 @@ class RemoteTipConnection:
                     # Grant the next chunk *before* yielding, so the
                     # server fills the pipe while rows are consumed.
                     self._send({"op": "credit", "n": 1})
-                    yield from protocol.load_rows(response.get("rows", []))
+                    yield from protocol.load_result(response)
                     continue
                 done = True
                 if response.get("cont") == "done" and response.get("ok"):

@@ -17,10 +17,11 @@ Requests::
     {"op": "ping"}
     {"op": "close"}
 
-Responses::
+Responses (``values`` and ``refs`` only when a column needs them; see
+*Result value table* below)::
 
-    {"ok": true, "rows": [...], "columns": [...], "rowcount": n,
-     "statement_now": "..."}
+    {"ok": true, "rows": [...], "values": [...], "refs": [...],
+     "columns": [...], "rowcount": n, "statement_now": "..."}
     {"ok": false, "error": "message", "kind": "OperationalError"}
 
 **Pipelining.**  A ``BATCH`` frame carries many statements in one round
@@ -37,6 +38,7 @@ answers with zero or more ``ROWS`` continuation frames followed by one
 ``DONE`` frame::
 
     {"ok": true, "cont": "rows", "rows": [...]}        # <= chunk rows
+                                    # (+ "values", "refs" as below)
     {"ok": true, "cont": "done", "columns": [...],
      "rowcount": n, "rows_streamed": n, "statement_now": "..."}
 
@@ -150,16 +152,27 @@ trace spans under ``metrics.trace``.
 
 TIP values (in params and in result rows) are framed as
 ``{"$tip": "<base64 of the binary encoding>"}``; byte strings as
-``{"$bytes": ...}``; everything else is plain JSON.
+``{"$bytes": ...}``; everything else is plain JSON.  Request params
+carry one envelope per value (:func:`dump_value` / :func:`load_value`);
+:func:`dump_row` is the same encoding for a whole row.
 
-**Per-frame value reuse.**  Result rows are marshalled a frame at a
-time and column by column (:func:`dump_rows` / :func:`load_rows`).
-Plain columns pass through untouched; within one frame each distinct
-TIP object (server side, by identity) or ``$tip`` string (client side)
-goes through :func:`dump_value` / :func:`load_value` once, and every
-row holding it shares the result.  The wire format is unchanged: each
-occurrence is still written out in full, so a frame is byte-identical
-to one built row by row with :func:`dump_row`.
+**Result value table.**  Every frame that carries result rows — an
+execute or prepared result, each BATCH sub-result, each ``ROWS``
+chunk — is marshalled a frame at a time and column by column
+(:func:`dump_result` / :func:`load_result`).  Plain columns pass
+through untouched.  A column whose non-NULL cells are all TIP values
+or byte strings carries integer indices into the frame's ``values``
+list, which holds each distinct object's envelope once, and the
+column's position is listed in ``refs``::
+
+    {"ok": true, "rows": [[1, 0], [2, 0], [3, null], [4, 1]],
+     "values": [{"$tip": "VAEF..."}, {"$tip": "VAEF..."}], "refs": [1],
+     "columns": ["k", "valid"], ...}
+
+The client decodes each entry of ``values`` once and shares the value
+among the rows that refer to it.  A column mixing plain and enveloped
+cells keeps its envelopes in place, and a frame without reference
+columns has neither field.
 """
 
 from __future__ import annotations
@@ -173,8 +186,8 @@ from repro import codec
 from repro.errors import TipError
 
 __all__ = [
-    "dump_value", "load_value", "dump_row", "load_row", "dump_rows",
-    "load_rows", "dump_frame", "load_frame",
+    "dump_value", "load_value", "dump_row", "dump_result", "load_result",
+    "dump_frame", "load_frame",
     "read_frame_line", "ProtocolError", "FrameTooLarge", "MAX_FRAME_BYTES",
 ]
 
@@ -223,67 +236,70 @@ def dump_row(row: Sequence) -> List[Any]:
     return list(row)
 
 
-def load_row(row: Sequence) -> tuple:
-    for value in row:
-        if isinstance(value, dict):
-            return tuple(load_value(value) for value in row)
-    return tuple(row)
-
-
 #: Types that travel as plain JSON: a column of only these is untouched.
 _PLAIN = frozenset((type(None), bool, int, float, str))
 
 
-def dump_rows(rows: Sequence[Sequence]) -> List[List[Any]]:
-    """Encode one frame's result rows, column by column.
+def dump_result(rows: Sequence[Sequence]) -> dict:
+    """One frame's result rows as its ``rows`` / ``values`` / ``refs`` fields.
 
-    Same output as :func:`dump_row` per row.  Plain columns are copied
-    untouched; in the others each distinct object (by identity) goes
-    through :func:`dump_value` once and its rows share the envelope.
+    Plain columns are copied untouched, and a frame without reference
+    columns carries only ``rows``.  ``values`` holds the envelope of
+    each distinct TIP or bytes object (by identity) once, as
+    :func:`dump_value` writes it.  A column whose non-NULL cells are all
+    such objects holds indices into ``values`` and is listed in
+    ``refs``; a column mixing plain and enveloped cells writes each
+    envelope in place.
     """
     out = list(map(list, rows))
     if _PLAIN.issuperset(map(type, chain.from_iterable(rows))):
-        return out
-    memo: dict = {}
+        return {"rows": out}
+    values: list = []
+    slots: dict = {}  # id(object) -> index of its envelope in values
+    refs = []
     for at, column in enumerate(zip(*rows)):
-        if _PLAIN.issuperset(map(type, column)):
+        kinds = set(map(type, column))
+        kinds.discard(type(None))
+        if _PLAIN.issuperset(kinds):
             continue
+        by_ref = _PLAIN.isdisjoint(kinds)
+        if by_ref:
+            refs.append(at)
         for line, value in zip(out, column):
             if type(value) not in _PLAIN:
-                dumped = memo.get(id(value))
-                if dumped is None:
-                    dumped = memo[id(value)] = dump_value(value)
-                line[at] = dumped
-    return out
+                slot = slots.get(id(value))
+                if slot is None:
+                    slot = slots[id(value)] = len(values)
+                    values.append(dump_value(value))
+                line[at] = slot if by_ref else values[slot]
+    if not refs:
+        return {"rows": out}
+    return {"rows": out, "values": values, "refs": refs}
 
 
-def load_rows(rows: Sequence[Sequence]) -> List[tuple]:
-    """Decode one frame's result rows, column by column.
+def load_result(frame: dict) -> List[tuple]:
+    """The result rows of a frame written by :func:`dump_result`.
 
-    Same output as :func:`load_row` per row.  Columns without envelopes
-    pass through; each distinct ``$tip`` string goes through
-    :func:`load_value` once and its rows share the decoded value (TIP
-    values are immutable).
+    Each entry of ``values`` goes through :func:`load_value` once and
+    every row referring to it shares the decoded value (TIP values are
+    immutable); envelopes written in place decode one by one.
     """
-    if dict not in set(map(type, chain.from_iterable(rows))):
+    rows = frame.get("rows", [])
+    refs = frame.get("refs") or ()
+    if not refs and dict not in set(map(type, chain.from_iterable(rows))):
         return list(map(tuple, rows))
     columns = list(zip(*rows))
-    memo: dict = {}
-    for at, column in enumerate(columns):
-        if dict not in set(map(type, column)):
-            continue
-        loaded = []
-        for value in column:
-            if type(value) is dict:
-                text = value.get("$tip")
-                if type(text) is not str:
-                    value = load_value(value)
-                elif text in memo:
-                    value = memo[text]
-                else:
-                    value = memo[text] = load_value(value)
-            loaded.append(value)
-        columns[at] = loaded
+    try:
+        if refs:
+            values = [load_value(value) for value in frame["values"]]
+            for at in refs:
+                columns[at] = [None if slot is None else values[slot]
+                               for slot in columns[at]]
+        for at, column in enumerate(columns):
+            if at not in refs and dict in set(map(type, column)):
+                columns[at] = [load_value(value) for value in column]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ProtocolError(f"malformed result rows: {exc!r}") from exc
     return list(zip(*columns))
 
 

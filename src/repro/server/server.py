@@ -457,7 +457,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                         if result is not None:
                             return {
                                 "ok": True,
-                                "rows": protocol.dump_rows(result.rows),
+                                **protocol.dump_result(result.rows),
                                 "columns": result.columns,
                                 "rowcount": len(result.rows),
                                 "statement_now":
@@ -488,7 +488,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                     )
                 return self._execute_response(
                     cursor,
-                    rows=protocol.dump_rows(rows),
+                    rows=rows,
                     columns=[entry[0] for entry in cursor.description],
                     rowcount=len(rows),
                 )
@@ -705,7 +705,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                     rows = cursor.fetchmany(chunk)
                     if not rows:
                         break
-                    pending = protocol.dump_rows(rows)
+                    pending = rows
                     while pending:
                         if credit <= 0:
                             credit = self._await_credit()
@@ -734,9 +734,10 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 return {"ok": False, "cont": "done", "rows_streamed": streamed,
                         "error": str(exc), "kind": type(exc).__name__}
 
-    def _send_chunk(self, rows: List[list]):
+    def _send_chunk(self, rows: List[tuple]):
         """Send one ROWS frame within the bound; ``(sent, remaining)``.
 
+        Each attempt marshals its rows with their own value table.
         Splits oversized chunks in half until they fit; a single row
         that cannot fit reports ``(-1, rows)`` so the stream fails
         typed.  ``(None, rows)`` means the peer is unreachable.
@@ -745,7 +746,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         take = len(rows)
         while take >= 1:
             payload = protocol.dump_frame(
-                {"ok": True, "cont": "rows", "rows": rows[:take]}
+                {"ok": True, "cont": "rows", **protocol.dump_result(rows[:take])}
             )
             if len(payload) <= limit:
                 try:
@@ -794,7 +795,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
     def _execute_response(cursor, *, rows, columns, rowcount) -> dict:
         response = {
             "ok": True,
-            "rows": rows,
+            **protocol.dump_result(rows),
             "columns": columns,
             "rowcount": rowcount,
             "statement_now": cursor.statement_now_text,

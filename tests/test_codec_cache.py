@@ -304,8 +304,13 @@ class TestCallPlans:
         for _ in range(20):
             conn.query("SELECT overlaps(valid, '{[1999-06-01, NOW]}') FROM Rx")
         # 2 distinct row blobs and 1 window literal: everything after
-        # the first pass over each is a hit.
-        assert marshal_cache.DECODE.stats()["hit_ratio"] >= 0.9
+        # the first pass over each is a hit.  The rows were inserted
+        # through element() on this connection, so the routine-result
+        # memo answers for them before the decode cache.
+        stats = marshal_cache.DECODE.stats()
+        assert stats["memo_hits"] > 0
+        hits = stats["hits"] + stats["memo_hits"]
+        assert hits / (hits + stats["misses"]) >= 0.9
         assert marshal_cache.PARSE.stats()["hit_ratio"] >= 0.9
 
     def test_zero_arg_routine(self, conn):
@@ -327,6 +332,143 @@ class TestCallPlans:
         install_blade(conn.raw, blade)
         assert conn.query_one("SELECT add3(1, 2, 3)") == (6,)
         assert conn.query_one("SELECT add3(1, NULL, 3)") == (None,)
+
+
+class TestResultMemo:
+    """Nested routine calls reuse the value the inner call returned
+    (the per-connection result memo) with unchanged semantics."""
+
+    NESTED = ("SELECT patient, span_seconds(tsub(start(valid), dob)), "
+              "tip_text(tadd(end_time(valid), tmul(span('1'), 2))) "
+              "FROM Rx ORDER BY patient")
+
+    @pytest.fixture
+    def conn(self, tmp_path):
+        connection = repro.connect(str(tmp_path / "memo.db"), now="2000-01-01")
+        connection.execute(
+            "CREATE TABLE Rx (patient TEXT, dob CHRONON, valid ELEMENT)")
+        connection.executemany("INSERT INTO Rx VALUES (?, ?, ?)", [
+            (f"p{n:02d}", Chronon.parse(f"19{50 + n}-03-26"),
+             Element.parse(f"{{[1998-0{1 + n % 9}-01, NOW]}}"))
+            for n in range(12)] + [("zz", None, None)])
+        connection.commit()
+        yield connection
+        connection.close()
+
+    def _uncached(self, conn, sql):
+        marshal_cache.configure(enabled=False)
+        try:
+            return conn.query(sql)
+        finally:
+            marshal_cache.configure(enabled=True)
+
+    def test_nested_results_skip_the_decode_cache(self, conn):
+        expected = self._uncached(conn, self.NESTED)
+        marshal_cache.clear_caches(reset_stats=True)
+        assert conn.query(self.NESTED) == expected
+        stats = marshal_cache.DECODE.stats()
+        # start(), end_time() and tmul() results feed tsub()/tadd():
+        # the memo answers those; only stored columns miss the cache.
+        assert stats["memo_hits"] >= 2 * 12
+        assert stats["misses"] <= 2 * 12 + 2
+
+    def test_memo_hit_feeds_a_widening_cast(self, conn):
+        """A Chronon result passed where an Element is declared."""
+        sql = ("SELECT patient, contains(valid, start(valid)), "
+               "overlaps(element_union(valid, end_time(valid)), valid) "
+               "FROM Rx ORDER BY patient")
+        expected = self._uncached(conn, sql)
+        marshal_cache.clear_caches(reset_stats=True)
+        assert conn.query(sql) == expected
+        assert expected[0][1:] == (1, 1) and expected[-1][1:] == (None, None)
+        assert marshal_cache.DECODE.stats()["memo_hits"] >= 12
+
+    def test_null_propagates_through_nested_calls(self, conn):
+        rows = conn.query(
+            "SELECT tsub(start(valid), dob), tip_text(start(NULL)), "
+            "tlt(tsub(start(valid), NULL), span('1')) FROM Rx "
+            "WHERE patient = 'zz' OR patient = 'p00' ORDER BY patient")
+        assert rows[0][1:] == (None, None)
+        assert isinstance(rows[0][0], Span)
+        assert rows[1] == (None, None, None)
+
+    def test_insert_select_of_a_nested_result_round_trips(self, conn):
+        conn.execute("CREATE TABLE Out (patient TEXT, age SPAN, "
+                     "first CHRONON)")
+        conn.execute("INSERT INTO Out SELECT patient, tsub(start(valid), dob), "
+                     "start(valid) FROM Rx")
+        conn.commit()
+        stored = conn.query("SELECT patient, span_seconds(age), "
+                            "tip_text(first) FROM Out ORDER BY patient")
+        expected = self._uncached(
+            conn, "SELECT patient, span_seconds(tsub(start(valid), dob)), "
+                  "tip_text(start(valid)) FROM Rx ORDER BY patient")
+        assert stored == expected
+        (age,) = conn.query_one("SELECT age FROM Out WHERE patient = 'p00'")
+        assert isinstance(age, Span) and age.seconds == expected[0][1]
+
+    def test_pool_readers_stay_isolated_under_interleaving(self, conn):
+        """Two readers run different nested statements in lockstep:
+        each memo answers only its own connection, results stay exact."""
+        import threading
+
+        from repro.server.pool import ConnectionPool
+
+        queries = [self.NESTED, self.NESTED.replace("start(", "end_time(")
+                   .replace("end_time(valid), tmul", "start(valid), tmul")]
+        expected = [self._uncached(conn, sql) for sql in queries]
+        assert expected[0] != expected[1]
+        pool = ConnectionPool(conn.raw.execute(
+            "PRAGMA database_list").fetchone()[2], readers=2)
+        barrier = threading.Barrier(2)
+        failures = []
+        now = Chronon.parse("2000-01-01").seconds
+
+        def reader(index):
+            try:
+                for _ in range(6):
+                    with pool.read(now) as connection:
+                        barrier.wait(timeout=10)
+                        rows = connection.query(queries[index])
+                        barrier.wait(timeout=10)
+                    if rows != expected[index]:
+                        failures.append((index, rows))
+            except Exception as exc:  # pragma: no cover - surfaced below
+                failures.append((index, exc))
+                barrier.abort()
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in (0, 1)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            pool.close()
+        assert not failures
+        # Busy is sampled before a checkout takes its reader: the other
+        # reader was held at the same time.
+        assert pool.stats()["max_busy"] == 1
+
+    def test_armed_faults_give_the_same_outcome_twice(self, conn):
+        """The memo is bypassed while armed: routine and decode faults
+        fire at the same calls on two seeded runs."""
+
+        def run():
+            outcomes = []
+            with faults.inject("blade.routine:raise:p=0.02;"
+                               "codec.decode:corrupt:p=0.05", seed=5):
+                for _ in range(4):
+                    try:
+                        outcomes.append(conn.query(self.NESTED))
+                    except Exception as exc:
+                        outcomes.append(type(exc).__name__)
+            return outcomes
+
+        first = run()
+        assert first == run()
+        assert any(isinstance(outcome, str) for outcome in first)
+        assert marshal_cache.DECODE.stats()["memo_hits"] == 0
 
 
 class TestObservability:
@@ -370,7 +512,10 @@ class TestObservability:
         for entry in profiles:
             for name, delta in entry.counters.items():
                 merged[name] = merged.get(name, 0) + delta
-        assert merged.get("codec.cache.decode.hits", 0) >= 1
+        # The row came from element() on this connection: the second
+        # query's decode is a routine-result memo hit.
+        assert (merged.get("codec.cache.decode.hits", 0)
+                + merged.get("codec.cache.decode.memo_hits", 0)) >= 1
 
 
 class TestRoundTripProperties:

@@ -184,6 +184,42 @@ class TestServerEvents:
         (closed,) = flight.events(kind="session.close")
         assert closed.data["frames"] >= 4 and closed.data["errors"] == 0
 
+    def test_decode_misses_do_not_flood_the_ring(self, captured):
+        """A paper-Q1 statement over 1 200 rows of distinct validities
+        misses the decode cache thousands of times; it still adds only
+        a handful of events, so earlier statements' begin/end pairs
+        survive in the ring (the miss counters still count)."""
+        from repro.core.chronon import Chronon
+        from repro.core.element import Element
+
+        day = 86_400
+        with TipServer() as server:
+            with server.connection.raw as raw:
+                raw.execute("CREATE TABLE rx (patient TEXT, valid ELEMENT, "
+                            "dob CHRONON)")
+                raw.executemany("INSERT INTO rx VALUES (?, ?, ?)", [(
+                    f"p{n}",
+                    codec.encode(Element.from_pairs(
+                        [(n * day, n * day + 30 * day)])),
+                    codec.encode(Chronon(-n * day)),
+                ) for n in range(1_200)])
+            codec.clear_caches(reset_stats=True)
+            flight.clear()
+            host, port = server.address
+            with RemoteTipConnection(host, port, retry=NO_RETRY) as connection:
+                for weeks in (1, 2, 3):
+                    rows = connection.query(
+                        "SELECT patient FROM rx WHERE CASE WHEN "
+                        "is_empty(valid) THEN 0 ELSE tlt(tsub(start(valid), "
+                        f"dob), tmul(span('7'), {weeks})) END")
+                    # start(valid) - dob is 2n days for row n.
+                    assert len(rows) == sum(2 * n < 7 * weeks
+                                            for n in range(1_200))
+                kinds = [event.kind for event in flight.events()]
+        assert codec.cache.DECODE.stats()["misses"] >= 2_400
+        assert kinds.count("stmt.begin") == kinds.count("stmt.end") == 3
+        assert len(kinds) < 40
+
     def test_failed_statement_records_an_unhappy_end(self, captured):
         with TipServer() as server:
             host, port = server.address

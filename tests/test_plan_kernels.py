@@ -241,6 +241,30 @@ class TestDifferential:
             naive, kernel = _both_ways(session, HASH_Q)
             assert _canon(naive, 2) == _canon(kernel, 2)
 
+    @pytest.mark.parametrize("now", ["1998-12-31", "1999-04-15",
+                                     "1999-07-01", "2001-01-01"])
+    def test_now_relative_periods_vanish(self, forced_planner, now):
+        """Moving NOW empties some NOW-relative periods and merges
+        others; join and coalesce kernels still equal the naive path."""
+        rows = [
+            (1, E("{[NOW, 1999-06-01]}")),
+            (1, E("{[1999-01-01, NOW - 30], [NOW, NOW + 10]}")),
+            (2, E("{[NOW + 1, 1999-12-31], [1999-03-01, 1999-05-01]}")),
+            (2, E("{[1999-02-01, NOW], [NOW - 10, 2000-06-01]}")),
+            (3, E("{[NOW, NOW - 1]}")),
+            (3, E("{[1999-01-01, 1999-03-01]}")),
+        ]
+        with repro.connect(now=now) as connection:
+            _load(connection, "L", rows)
+            _load(connection, "R", rows[::-1])
+            session = TsqlSession(connection)
+            for query, elem_at in ((HASH_Q, 2), (MERGE_Q, 2),
+                                   (COALESCE_Q, None),
+                                   ("SELECT k, group_union(valid) FROM L "
+                                    "GROUP BY k", 1)):
+                naive, kernel = _both_ways(session, query)
+                assert _canon(naive, elem_at) == _canon(kernel, elem_at)
+
     def test_empty_window_short_circuits(self, forced_planner):
         """A window that grounds empty yields no rows without a fetch."""
         with repro.connect(now=DEMO_NOW) as connection:
@@ -787,11 +811,12 @@ class TestPushdownObservability:
         assert ("temporal strategy: kernel (join via hash; pushed down: "
                 "l.k >= 2 AND r.k < 'x''y')") in report.render()
 
-    def test_fallback_decodes_count_now_relative_rows(
+    def test_fallback_decodes_skip_now_relative_rows(
         self, conn, forced_planner
     ):
-        """``fallback_decodes`` counts the validity blobs decoded one at
-        a time: none on canonical data, one per NOW-relative row."""
+        """``fallback_decodes`` counts only the validities decoded one at
+        a time: none on canonical data, and none for NOW-relative rows,
+        which the vectorized pass grounds itself."""
         rows = [(k, E("{[1999-01-01, 1999-06-01]}")) for k in range(4)]
         _load(conn, "L", rows)
         _load(conn, "R", rows)
@@ -814,8 +839,7 @@ class TestPushdownObservability:
             (k, E("{[1999-03-01, NOW]}")) for k in range(3)
         ] + [(9, None)])
         conn.commit()
-        # The self-join fetches L once: its three rows count once.
-        assert fallbacks() == [3, 3, 3]
+        assert fallbacks() == [0, 0, 0]
         flight.clear()
         flight.enable()
         try:
@@ -824,13 +848,25 @@ class TestPushdownObservability:
         finally:
             flight.disable()
         assert [event["data"]["fallback_decodes"] for event
-                in flight.snapshot(kind="plan.kernel")] == [3, 3]
+                in flight.snapshot(kind="plan.kernel")] == [0, 0]
 
 
 # -- the batch validity decoder ------------------------------------------
 
 _NOW_SECONDS = C(DEMO_NOW).seconds
-_MAX_BIASED = granularity.MAX_SECONDS - granularity.MIN_SECONDS
+_MIN, _MAX = granularity.MIN_SECONDS, granularity.MAX_SECONDS
+_MAX_SPAN = granularity.MAX_SPAN_SECONDS
+_MAX_BIASED = _MAX - _MIN
+
+#: Statement NOWs the decoder is checked at: both calendar ends, the
+#: demo NOW, and anything in between.
+_nows = st.one_of(st.sampled_from([_MIN, _MAX, _NOW_SECONDS]),
+                  st.integers(_MIN, _MAX))
+#: NOW offsets, weighted to the ones that clamp at a calendar end.
+_offsets = st.one_of(
+    st.sampled_from([-_MAX_SPAN, _MAX_SPAN, 0, -1, 1]),
+    st.integers(-_MAX_SPAN, _MAX_SPAN),
+    st.integers(-10**8, 10**8))
 
 
 def _packed(*fields) -> bytes:
@@ -841,12 +877,40 @@ def _packed(*fields) -> bytes:
 
 
 @st.composite
+def _body(draw, flavor=None):
+    """One stored instant body: ``(flavor, biased payload)``."""
+    if flavor is None:
+        flavor = draw(st.sampled_from([0, 1]))
+    if flavor == 0:
+        return 0, draw(safe_seconds) - _MIN
+    return 1, draw(_offsets) + _MAX_SPAN
+
+
+@st.composite
+def _mixed_periods(draw):
+    """Periods whose bounds mix flavors freely: some clamp, some are
+    empty at a given NOW, and their grounded pairs may overlap or
+    touch.  Determinate periods are ordered, so the blob is valid."""
+    fields = []
+    for _ in range(draw(st.integers(1, 4))):
+        (f1, b1), (f2, b2) = draw(_body()), draw(_body())
+        if f1 == f2 == 0 and b1 > b2:
+            b1, b2 = b2, b1
+        fields.append((f1, b1, f2, b2))
+    if draw(st.booleans()):  # a twin that touches the first period
+        f1, b1, f2, b2 = fields[0]
+        fields.append((f2, b2 + 1, f2, b2 + 1 + draw(st.integers(0, 99))))
+    return _packed(*fields)
+
+
+@st.composite
 def _column_values(draw):
     """One stored validity value: mostly decodable, sometimes not."""
     kind = draw(st.sampled_from(
-        ["null", "empty", "element", "now", "unsorted", "adjacent"] * 4
+        ["null", "empty", "element", "now", "unsorted", "adjacent",
+         "mixed", "empty_at_now"] * 4
         + ["calendar", "truncated", "trailing", "period", "chronon",
-           "text"]))
+           "text", "inverted", "flavor", "offset"]))
     if kind == "null":
         return None
     if kind == "empty":
@@ -857,6 +921,14 @@ def _column_values(draw):
         start = draw(chronons())
         return codec.encode(Element([Period(start, Instant.now_relative(
             Span(draw(st.integers(0, 10**6)))))]))
+    if kind == "mixed":
+        return draw(_mixed_periods())
+    if kind == "empty_at_now":
+        # [NOW + a, NOW + b] with a > b is empty at every NOW; a late
+        # determinate start before NOW - x empties as NOW moves back.
+        a, b = sorted(draw(st.tuples(_offsets, _offsets)))
+        return _packed((1, b + _MAX_SPAN + 1, 1, a + _MAX_SPAN),
+                       (0, draw(safe_seconds) - _MIN, 1, a + _MAX_SPAN))
     if kind in ("unsorted", "adjacent"):
         pairs = [tuple(sorted(pair)) for pair in draw(st.lists(
             st.tuples(safe_seconds, safe_seconds), min_size=1, max_size=3))]
@@ -866,6 +938,13 @@ def _column_values(draw):
         return _element_blob(pairs[::-1])
     if kind == "calendar":
         return _packed((0, 0, 0, _MAX_BIASED + draw(st.integers(1, 99))))
+    if kind == "inverted":
+        lo, hi = sorted(draw(st.tuples(safe_seconds, safe_seconds)))
+        return _packed((0, hi + 1 - _MIN, 0, lo - _MIN))
+    if kind == "flavor":
+        return _packed((draw(st.integers(2, 255)), 0, 0, 0))
+    if kind == "offset":  # a NOW offset beyond the span range
+        return _packed((0, 0, 1, 2 * _MAX_SPAN + draw(st.integers(1, 99))))
     blob = codec.encode(draw(elements(max_periods=2)))
     if kind == "truncated":
         return blob[:draw(st.integers(0, len(blob) - 1))]
@@ -878,20 +957,20 @@ def _column_values(draw):
     return draw(st.text(max_size=4))
 
 
-def _per_blob(values):
+def _per_blob(values, now=_NOW_SECONDS):
     """The oracle: :func:`element_pairs` one value at a time."""
     try:
         return ("ok", [(at, list(codec.binary.element_pairs(
-            value, _NOW_SECONDS, "expected Element"))) for at, value
+            value, now, "expected Element"))) for at, value
             in enumerate(values) if value is not None])
     except (CodecError, TipTypeError) as exc:
         return (type(exc).__name__, str(exc))
 
 
-def _batch(values):
+def _batch(values, now=_NOW_SECONDS):
     try:
         row, lo, hi, fallbacks = codec.binary.element_arrays(
-            values, _NOW_SECONDS, "expected Element")
+            values, now, "expected Element")
     except (CodecError, TipTypeError) as exc:
         return (type(exc).__name__, str(exc)), None
     grouped = {at: [] for at, value in enumerate(values)
@@ -901,24 +980,18 @@ def _batch(values):
     return ("ok", list(grouped.items())), fallbacks
 
 
-def _canonical(value) -> bool:
-    return (type(value) is bytes and len(value) >= 7
-            and value[:3] == _element_blob([])[:3]
-            and codec.binary._canonical_pairs(
-                value, 7, struct.unpack_from(">I", value, 3)[0]) is not None)
-
-
 class TestBatchDecode:
     """``element_arrays`` == per-blob ``element_pairs``, errors included."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(values=st.lists(_column_values(), max_size=8))
-    def test_equals_per_blob_decode(self, values):
-        outcome, fallbacks = _batch(values)
-        assert outcome == _per_blob(values)
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_column_values(), max_size=8), now=_nows)
+    def test_equals_per_blob_decode(self, values, now):
+        """At any NOW; every decodable blob takes the vectorized pass
+        (this generator's other values all raise)."""
+        outcome, fallbacks = _batch(values, now)
+        assert outcome == _per_blob(values, now)
         if fallbacks is not None:
-            assert fallbacks == sum(value is not None and not _canonical(value)
-                                    for value in values)
+            assert fallbacks == 0
 
     @settings(max_examples=40, deadline=None)
     @given(values=st.lists(_column_values(), max_size=8),
@@ -932,3 +1005,29 @@ class TestBatchDecode:
                 runs.append(_batch(values)[0] if len(runs) < 2
                             else _per_blob(values))
         assert runs[0] == runs[1] == runs[2]
+
+    def test_clamping_and_vanishing_periods(self):
+        """NOW-relative bounds clamp at both calendar ends, and periods
+        empty at NOW drop out, exactly as ``Element.ground_pairs``."""
+        day = 86_400
+        blob = _packed(
+            (1, 0, 1, _MAX_SPAN - day),                # [MIN, NOW - 1 day]
+            (1, _MAX_SPAN + day, 1, 2 * _MAX_SPAN),    # [NOW + 1 day, MAX]
+            (1, _MAX_SPAN + 1, 1, _MAX_SPAN),          # [NOW + 1, NOW]
+            (0, C("1999-06-01").seconds - _MIN, 1, _MAX_SPAN))
+        for now in (_MIN, _MIN + day, _NOW_SECONDS, _MAX - day, _MAX):
+            outcome, fallbacks = _batch([blob], now)
+            assert outcome == _per_blob([blob], now) and fallbacks == 0
+        (_, pairs), = _batch([blob], _NOW_SECONDS)[0][1]
+        assert pairs[0][0] == _MIN and pairs[-1][1] == _MAX
+
+    def test_counts_only_values_outside_the_vectorized_pass(self):
+        """A NOW-relative blob costs no fallback; a value that is not
+        exact ``bytes`` decodes alone and is the one counted."""
+        now_blob = codec.encode(E("{[1999-03-01, NOW]}"))
+        values = [now_blob, bytearray(now_blob), None]
+        outcome, fallbacks = _batch(values)
+        assert outcome == _per_blob([now_blob, now_blob, None])
+        assert fallbacks == 1
+
+

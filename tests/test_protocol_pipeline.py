@@ -13,6 +13,7 @@ compare equal — no field is exempted from the golden comparison.
 
 from __future__ import annotations
 
+import base64
 import json
 import select
 import socket
@@ -119,6 +120,29 @@ class TestBatchGoldenFrames:
             assert wire.round_trip(
                 {"op": "execute", "sql": "SELECT n FROM g", "params": []}
             ) == _ok([[3]], ["n"], 1)
+            wire.close()
+
+    def test_tip_columns_exact_response(self):
+        """A TIP column travels by reference: indices in ``rows``, each
+        distinct value once in ``values``, its position in ``refs`` —
+        in an execute result and in a batch sub-result alike."""
+        element = Element.from_pairs([(0, 86_399)])
+        envelope = {"$tip": base64.b64encode(codec.encode(element))
+                    .decode("ascii")}
+        with TipServer(":memory:", observability=False) as server:
+            wire = _Wire(server)
+            wire.round_trip({"op": "set_now", "now": NOW})
+            wire.round_trip({"op": "execute", "params": [],
+                             "sql": "CREATE TABLE g (n INTEGER, v ELEMENT)"})
+            for n, value in ((1, envelope), (2, envelope), (3, None)):
+                wire.round_trip({"op": "execute", "params": [n, value],
+                                 "sql": "INSERT INTO g VALUES (?, ?)"})
+            select = {"sql": "SELECT n, v FROM g ORDER BY n", "params": []}
+            expected = {**_ok([[1, 0], [2, 0], [3, None]], ["n", "v"], 3),
+                        "values": [envelope], "refs": [1]}
+            assert wire.round_trip({"op": "execute", **select}) == expected
+            assert wire.round_trip({"op": "batch", "statements": [select]}) \
+                == {"ok": True, "results": [expected]}
             wire.close()
 
     def test_malformed_batches_fail_typed(self):
@@ -372,30 +396,51 @@ def _typed(rows):
                    else value) for value in row) for row in rows]
 
 
+def _wire_round_trip(rows):
+    """*rows* through ``dump_result``, the JSON frame, and ``load_result``."""
+    frame = protocol.load_frame(protocol.dump_frame(
+        {"ok": True, **protocol.dump_result(rows)}))
+    return frame, protocol.load_result(frame)
+
+
 class TestRowCodec:
-    """``dump_rows``/``load_rows`` == the per-row ``dump_row``/``load_row``
-    path, frame bytes included."""
+    """``dump_result``/``load_result``: the per-frame value table."""
 
     @settings(max_examples=150, deadline=None)
     @given(rows=_result_rows())
-    def test_frames_equal_the_per_row_path(self, rows):
-        frame = protocol.dump_frame({"rows": protocol.dump_rows(rows)})
-        per_row = protocol.dump_frame(
-            {"rows": [protocol.dump_row(row) for row in rows]})
-        assert frame == per_row
-        wire_rows = protocol.load_frame(frame)["rows"]
-        loaded = protocol.load_rows(wire_rows)
-        assert _typed(loaded) == _typed(
-            [protocol.load_row(row) for row in wire_rows])
+    def test_round_trips_through_the_value_table(self, rows):
+        frame, loaded = _wire_round_trip(rows)
         assert _typed(loaded) == _typed(rows)
+        refs = frame.get("refs", [])
+        plain = (type(None), bool, int, float, str)
+        distinct = set()
+        for at, column in enumerate(zip(*rows)):
+            enveloped = [v for v in column if not isinstance(v, plain)]
+            everywhere = len(enveloped) == sum(v is not None for v in column)
+            # A column of only TIP/bytes cells (and NULLs) is by
+            # reference; a mixed one keeps its envelopes in place.
+            assert (at in refs) == bool(enveloped and everywhere)
+            distinct.update(map(id, enveloped))
+            if at in refs:
+                assert all(isinstance(slot, int)
+                           for line in frame["rows"]
+                           for slot in [line[at]] if slot is not None)
+        # One entry per distinct enveloped object, when any column
+        # refers to the table.
+        assert len(frame.get("values", [])) == (len(distinct) if refs else 0)
 
     def test_empty_frames(self):
-        assert protocol.dump_rows([]) == []
-        assert protocol.load_rows([]) == []
+        assert protocol.dump_result([]) == {"rows": []}
+        assert protocol.load_result({"rows": []}) == []
+        assert protocol.load_result({}) == []
+
+    def test_plain_frames_carry_no_table(self):
+        assert protocol.dump_result([(1, "a", None), (2.5, True, "b")]) == {
+            "rows": [[1, "a", None], [2.5, True, "b"]]}
 
     def test_each_distinct_value_is_marshalled_once(self, monkeypatch):
-        """One object repeated encodes once; equal twins encode each;
-        one envelope string decodes once."""
+        """One object repeated encodes once and decodes once; equal but
+        distinct objects get an entry each."""
         element = Element.from_pairs([(0, 10)])
         twin = _twin(element)
         calls = []
@@ -404,18 +449,89 @@ class TestRowCodec:
                             lambda v: calls.append("dump") or dump_value(v))
         monkeypatch.setattr(protocol, "load_value",
                             lambda v: calls.append("load") or load_value(v))
-        dumped = protocol.dump_rows([(1, element), (2, element), (3, twin)])
-        assert calls == ["dump", "dump"]
-        loaded = protocol.load_rows(protocol.load_frame(
-            protocol.dump_frame({"rows": dumped}))["rows"])
-        assert calls == ["dump", "dump", "load"]
-        assert loaded[0][1] is loaded[1][1] is loaded[2][1]
+        rows = [(1, element), (2, element), (3, None), (4, twin), (5, element)]
+        frame, loaded = _wire_round_trip(rows)
+        assert frame["rows"] == [[1, 0], [2, 0], [3, None], [4, 1], [5, 0]]
+        assert frame["refs"] == [1] and len(frame["values"]) == 2
+        assert calls == ["dump", "dump", "load", "load"]
+        assert loaded[0][1] is loaded[1][1] is loaded[4][1]
+        assert loaded[2] == (3, None)
+        assert _typed(loaded) == _typed(rows)
+
+    def test_mixed_columns_and_bytes(self):
+        """A column mixing text and TIP values keeps envelopes in place;
+        a bytes column with NULLs rides the value table as ``$bytes``."""
+        element = Element.from_pairs([(0, 10)])
+        rows = [(element, b"\x00\x01", 1), ("text", None, 2),
+                (element, b"\x00\x01", 3)]
+        frame, loaded = _wire_round_trip(rows)
+        envelope = {"$tip": base64.b64encode(codec.encode(element))
+                    .decode("ascii")}
+        assert frame["refs"] == [1]
+        assert frame["rows"] == [[envelope, 1, 1], ["text", None, 2],
+                                 [envelope, 1, 3]]
+        # The same object twice is one entry; two distinct bytes
+        # objects (as SQLite hands them out) are two.
+        assert frame["values"] == [envelope, {"$bytes": "AAE="}]
+        assert _typed(loaded) == _typed(rows)
+        frame, _ = _wire_round_trip([(b"\x00\x01",), (bytes([0, 1]),)])
+        assert len(frame["values"]) == 2
+
+    def test_malformed_tables_fail_typed(self):
+        for frame in ({"rows": [[0]], "refs": [0], "values": []},
+                      {"rows": [[0]], "refs": [0]},
+                      {"rows": [["x"]], "refs": [0], "values": [1]}):
+            with pytest.raises(protocol.ProtocolError):
+                protocol.load_result(frame)
+
+    def test_window_join_sized_frame_is_smaller(self):
+        """~8k rows over ~1.3k distinct validities (the windowed path
+        join's shape): the value table beats one envelope per row."""
+        validities = [Element.from_pairs([(k * 1000, k * 1000 + 500),
+                                          (k * 1000 + 700, k * 1000 + 900)])
+                      for k in range(1300)]
+        rows = [(n, n % 997, validities[n % 1300]) for n in range(8000)]
+        table = protocol.dump_frame(protocol.dump_result(rows))
+        per_row = protocol.dump_frame(
+            {"rows": [protocol.dump_row(row) for row in rows]})
+        assert len(table) < 0.5 * len(per_row)
+
+    def test_every_result_path_round_trips(self):
+        """execute, batch, stream and prepared results all carry the
+        value table: TIP, ``$bytes``, mixed and NULL cells, repeated
+        values, and empty results."""
+        element = Element.from_pairs([(0, 86_400)])
+        stored = [(n, element if n % 3 else None, bytes([n]) * 3,
+                   "text" if n % 2 else element) for n in range(12)]
+        select = "SELECT n, v, b, m FROM t ORDER BY n"
+        empty = "SELECT n, v FROM t WHERE n < 0"
+        with TipServer(":memory:", observability=False) as server:
+            host, port = server.address
+            with RemoteTipConnection(host, port) as connection:
+                connection.execute(
+                    "CREATE TABLE t (n INTEGER, v ELEMENT, b BLOB, m)")
+                for row in stored:
+                    connection.execute("INSERT INTO t VALUES (?, ?, ?, ?)",
+                                       row)
+                expected = _typed(stored)
+                assert _typed(connection.execute(select).rows) == expected
+                batch = connection.execute_batch([select, empty])
+                assert _typed(batch[0].rows) == expected
+                assert batch[1].rows == []
+                assert _typed(connection.stream(select, chunk=5)) == expected
+                assert list(connection.stream(empty)) == []
+                with connection.prepare(
+                        "SELECT n, v, b, m FROM t WHERE n >= ? "
+                        "ORDER BY n") as statement:
+                    assert _typed(statement.execute((0,)).rows) == expected
+                    assert statement.execute((99,)).rows == []
 
     def test_stream_split_by_the_frame_bound_round_trips(self):
         """Chunks too big for the frame bound are halved by the server;
-        the split ROWS frames still decode to the stored rows."""
+        each split ROWS frame carries its own value table and they
+        still decode to the stored rows."""
         values = [Element.from_pairs([(k * 100, k * 100 + 50)])
-                  for k in range(3)]
+                  for k in range(20)]
         with TipServer(":memory:", observability=False,
                        max_frame_bytes=1024) as server:
             host, port = server.address
@@ -423,7 +539,7 @@ class TestRowCodec:
                 connection.execute("CREATE TABLE t (n INTEGER, v ELEMENT)")
                 for n in range(40):
                     connection.execute("INSERT INTO t VALUES (?, ?)",
-                                       (n, values[n % 3]))
+                                       (n, values[n % 20]))
             wire = _Wire(server)
             wire.send({"op": "execute", "sql": "SELECT n, v FROM t ORDER BY n",
                        "params": [], "stream": True, "chunk": 40,
@@ -436,7 +552,10 @@ class TestRowCodec:
                 frames.append(frame)
             wire.close()
         assert len(frames) > 1  # the single 40-row chunk was split
+        for frame in frames:
+            assert frame["refs"] == [1]
+            assert len(frame["values"]) == min(20, len(frame["rows"]))
         rows = [row for frame in frames
-                for row in protocol.load_rows(frame["rows"])]
+                for row in protocol.load_result(frame)]
         assert _typed(rows) == _typed(
-            [(n, values[n % 3]) for n in range(40)])
+            [(n, values[n % 20]) for n in range(40)])
