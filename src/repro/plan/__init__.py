@@ -5,8 +5,8 @@ engine can pick set-oriented algorithms for temporal operators instead
 of evaluating predicates tuple-at-a-time.  This package is that
 argument in code: :mod:`repro.plan.shapes` recognizes translated
 sequenced-join and coalesce statements, :mod:`repro.plan.kernels`
-evaluates them with interval sort-merge / hash / tree-probe joins and
-a single-pass sweep coalesce, and :mod:`repro.plan.planner` decides —
+evaluates them with hash or searchsorted overlap joins and a
+single-pass sweep coalesce, and :mod:`repro.plan.planner` decides —
 per statement, observably — which path runs.  Anything the matcher
 does not fully understand keeps the naive UDF path, which remains the
 semantics oracle (``tests/test_plan_kernels.py`` holds the two paths

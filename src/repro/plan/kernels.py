@@ -11,15 +11,22 @@ algorithms:
     temporal-graph path query joins on ``e1.dst = e2.src``); the
     overlap test runs only within each hash bucket.
 ``merge``
-    No equalities: both sides' grounded periods are swept in start
-    order with an active set per side (sort-merge interval join).
-``tree``
-    Skewed sides: the smaller side's periods are bulk-loaded into an
-    :meth:`IntervalTree.build` and the larger side probes it.
+    No equalities: two periods overlap exactly when one starts inside
+    the other, so two ``np.searchsorted`` passes over the sorted
+    period starts of each side find every overlapping row pair.
 ``sweep``
     Coalesce: one segmented sort-and-sweep unions every group's
     periods at once (the coalesced element is built only when the
     query returns it).
+
+A join is one pipeline whatever its strategy: the candidate step
+yields parallel ``(i, j)`` row-index lists in (left, right) fetch
+order, the cross-side residuals in ``JoinShape.cross`` drop candidates
+through one :func:`sql_compare` mask, and one vectorized emit
+intersects every surviving pair's periods and clips them to the
+window.  The strategy depends on the shape alone
+(:func:`join_strategy`), so ``EXPLAIN TEMPORAL`` names the plan that
+runs.
 
 The bulk fetch reads only what a kernel uses.  Single-side filters
 (``p1.drug = 'X'``, a coalesce's ``WHERE``) go into its SQL ``WHERE``
@@ -32,11 +39,8 @@ selected as ``+valid``, which no converter or type map touches, and
 ``(row, lo, hi)`` arrays grounded at the statement ``NOW`` in one
 vectorized pass, NOW-relative and non-canonical blobs included; only
 values the per-blob decoder would reject (and non-blob values) decode
-one at a time (counted as ``fallback_decodes``).  Joins keep the
-arrays for the window prefilter and the vectorized hash emit; per-row
-pair lists exist only on the merge, tree and cross-residual paths.
-Both emits share one Element per distinct intersection, so equal
-validities encode once.
+one at a time (counted as ``fallback_decodes``).  The emit shares one
+Element per distinct intersection, so equal validities encode once.
 
 Every kernel grounds elements at one statement ``NOW`` and produces
 rows value-identical to the naive path — the differential suite
@@ -51,28 +55,22 @@ affinities.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.codec.binary import element_arrays, merge_pairs
-from repro.core import interval_algebra as ia
 from repro.core.element import Element
 from repro.core.span import Span
 from repro.plan.shapes import CoalesceShape, Condition, JoinShape
-from repro.index.interval_tree import IntervalTree
 
-__all__ = ["KernelResult", "execute_join", "execute_coalesce", "sql_compare"]
+__all__ = ["KernelResult", "execute_join", "execute_coalesce",
+           "join_strategy", "sql_compare"]
 
 Pair = Tuple[int, int]
-
-#: When one side has this many times more periods than the other, probe
-#: an interval tree built over the small side instead of sweeping both.
-TREE_SKEW = 8
 
 
 @dataclass
@@ -81,7 +79,7 @@ class KernelResult:
 
     rows: List[Tuple]
     columns: List[str]
-    strategy: str                  # "hash" | "merge" | "tree" | "sweep"
+    strategy: str                  # join_strategy(), "empty-window" or "sweep"
     now_seconds: int
     stats: Dict[str, int] = field(default_factory=dict)
 
@@ -150,13 +148,6 @@ class _Side:
         self.positions = positions  # column name -> tuple position
         self.fetched = fetched      # rows SQLite returned (post-pushdown)
         self.fallbacks = fallbacks  # blobs decoded one at a time
-
-    def pair_lists(self) -> List[List[Pair]]:
-        """Per-row pair lists, for the scalar emit loop."""
-        lo, hi = self.lo.tolist(), self.hi.tolist()
-        bounds = self.offsets.tolist()
-        return [list(zip(lo[a:b], hi[a:b]))
-                for a, b in zip(bounds, bounds[1:])]
 
 
 def _columns_for_side(shape: JoinShape, alias: str) -> List[str]:
@@ -261,45 +252,36 @@ def _key_getter(positions: List[int]) -> Callable:
     return lambda row: None if None in (key := get(row)) else key
 
 
-def _pair_rows(side: _Side) -> Iterable[Tuple[int, int, int]]:
-    """``(start, end, row)`` per grounded pair."""
-    return zip(side.lo.tolist(), side.hi.tolist(), side.row.tolist())
+def _overlap_candidates(left: _Side, right: _Side) -> Tuple[np.ndarray,
+                                                           np.ndarray]:
+    """Row pairs with some overlapping periods, as ``(i, j)`` arrays.
+
+    Two periods overlap exactly when one starts inside the other: the
+    right periods starting in ``[lo, hi]`` of a left period, plus the
+    left periods starting in ``(lo, hi]`` of a right one (strict, so a
+    shared start is found once).  Each half is two ``searchsorted``
+    passes over one side's sorted starts; ``np.unique`` over the
+    ``i * n + j`` keys leaves the pairs unique and in (i, j) order.
+    """
+    halves = []
+    for probe, build, strict in ((left, right, False), (right, left, True)):
+        order = np.argsort(build.lo)
+        starts = build.lo[order]
+        first = np.searchsorted(starts, probe.lo,
+                                "right" if strict else "left")
+        counts = np.searchsorted(starts, probe.hi, "right") - first
+        # Output run k lists starts[first[k]:first[k] + counts[k]].
+        runs_at = np.cumsum(counts) - counts
+        found = order[np.arange(counts.sum())
+                      + np.repeat(first - runs_at, counts)]
+        halves.append((np.repeat(probe.row, counts), build.row[found]))
+    n = len(right.rows)
+    keys = np.unique(np.concatenate((halves[0][0] * n + halves[0][1],
+                                     halves[1][1] * n + halves[1][0])))
+    return keys // n, keys % n
 
 
-def _merge_candidates(left: _Side, right: _Side) -> Set[Tuple[int, int]]:
-    """Sort-merge interval sweep: all row pairs with overlapping periods."""
-    events: List[Tuple[int, int, int, int]] = []  # (start, side, end, row)
-    for side, data in enumerate((left, right)):
-        events.extend((start, side, end, index)
-                      for start, end, index in _pair_rows(data))
-    events.sort()
-    active: Tuple[List[Tuple[int, int]], List[Tuple[int, int]]] = ([], [])
-    out: Set[Tuple[int, int]] = set()
-    for start, side, end, index in events:
-        other = active[1 - side]
-        while other and other[0][0] < start:
-            heapq.heappop(other)
-        if side == 0:
-            out.update((index, j) for _, j in other)
-        else:
-            out.update((i, index) for _, i in other)
-        heapq.heappush(active[side], (end, index))
-    return out
-
-
-def _tree_candidates(left: _Side, right: _Side,
-                     build_left: bool) -> Set[Tuple[int, int]]:
-    """Bulk-build a tree over the small side, probe with the other."""
-    small, big = (left, right) if build_left else (right, left)
-    tree = IntervalTree.build(_pair_rows(small))
-    out: Set[Tuple[int, int]] = set()
-    for start, end, j in _pair_rows(big):
-        for i in tree.search_overlap(start, end):
-            out.add((i, j) if build_left else (j, i))
-    return out
-
-
-# -- vectorized emit (hash strategy, no residuals) ----------------------
+# -- the emit -----------------------------------------------------------
 
 #: Candidates per numpy batch; bounds peak array memory, not coverage.
 _VECTOR_CHUNK = 1 << 18
@@ -322,10 +304,10 @@ def _row_builder(slots: Sequence[Tuple[int, int]]) -> Callable:
 
 
 def _vector_emit(left: _Side, right: _Side,
-                 i_list: List[int], j_list: List[int],
+                 all_lefts: np.ndarray, all_rights: np.ndarray,
                  window_pair: Optional[Pair],
                  build_row: Callable) -> List[Tuple]:
-    """Array-evaluated emit: same rows, same order as the scalar loop.
+    """Rows for the candidate ``(i, j)`` row pairs, in candidate order.
 
     Every candidate row pair expands to its period×period combinations;
     one vectorized max/min pass intersects them all, and the surviving
@@ -336,13 +318,9 @@ def _vector_emit(left: _Side, right: _Side,
     like ``restrict(tintersect(...), window)``.
     """
     rows: List[Tuple] = []
-    if not i_list:
-        return rows
-    all_lefts = np.asarray(i_list, dtype=np.int64)
-    all_rights = np.asarray(j_list, dtype=np.int64)
     left_rows, right_rows = left.rows, right.rows
-    # One Element per distinct intersection, as in the scalar loop, so
-    # identical validities encode once downstream.
+    # One Element per distinct intersection, so identical validities
+    # encode once downstream.
     elements: Dict[Tuple[Pair, ...], Element] = {
         (): Element._from_canonical_pairs(())}
     from_canonical = Element._from_canonical_pairs
@@ -441,22 +419,28 @@ def execute_join(connection, shape: JoinShape,
             window_pair,
         )
 
-    n_left, n_right = len(left.lo), len(right.lo)
-    pair_iter: Sequence[Tuple[int, int]]
     if shape.equalities:
-        strategy = "hash"
         i_list, j_list = _hash_candidates(shape, left, right)
-        n_candidates = len(i_list)
-        pair_iter = zip(i_list, j_list)  # type: ignore[assignment]
-    elif n_left * TREE_SKEW <= n_right or n_right * TREE_SKEW <= n_left:
-        strategy = "tree"
-        pair_iter = sorted(_tree_candidates(left, right,
-                                            build_left=n_left <= n_right))
-        n_candidates = len(pair_iter)
+        lefts = np.asarray(i_list, np.int64)
+        rights = np.asarray(j_list, np.int64)
     else:
-        strategy = "merge"
-        pair_iter = sorted(_merge_candidates(left, right))
-        n_candidates = len(pair_iter)
+        lefts, rights = _overlap_candidates(left, right)
+    stats = {"candidates": len(lefts), "left_rows": left.fetched,
+             "right_rows": right.fetched,
+             "fallback_decodes": left.fallbacks
+             + (right.fallbacks if right is not left else 0)}
+
+    # match() normalized cross conditions left-operand-first.
+    for condition in shape.cross:
+        left_values = map(itemgetter(left.positions[condition.left.column]),
+                          map(left.rows.__getitem__, lefts.tolist()))
+        right_values = map(
+            itemgetter(right.positions[condition.right.column]),
+            map(right.rows.__getitem__, rights.tolist()))
+        keep = np.fromiter(map(sql_compare, left_values,
+                               repeat(condition.op), right_values),
+                           bool, len(lefts))
+        lefts, rights = lefts[keep], rights[keep]
 
     # slots: (side, position) per output slot; side 2 is the validity.
     slots: List[Tuple[int, int]] = []
@@ -471,68 +455,15 @@ def execute_join(connection, shape: JoinShape,
         positions = left.positions if side == 0 else right.positions
         slots.append((side, positions[output.column]))
 
-    # match() normalized cross conditions left-operand-first.
-    cross = [(left.positions[c.left.column], c.op,
-              right.positions[c.right.column]) for c in shape.cross]
-    build_row = _row_builder(slots)
-    fallbacks = left.fallbacks + (right.fallbacks if right is not left else 0)
-    stats = {"candidates": n_candidates, "left_rows": left.fetched,
-             "right_rows": right.fetched, "fallback_decodes": fallbacks}
-    if strategy == "hash" and not cross:
-        rows = _vector_emit(left, right, i_list, j_list, window_pair,
-                            build_row)
-    else:
-        rows = _scalar_emit(left, right, pair_iter, cross, window_pair,
-                            build_row)
-    return KernelResult(rows, _join_columns(shape), strategy, now_seconds,
-                        stats)
+    rows = _vector_emit(left, right, lefts, rights, window_pair,
+                        _row_builder(slots))
+    return KernelResult(rows, _join_columns(shape), join_strategy(shape),
+                        now_seconds, stats)
 
 
-def _scalar_emit(left: _Side, right: _Side,
-                 pair_iter: Iterable[Tuple[int, int]],
-                 cross: Sequence[Tuple[int, str, int]],
-                 window_pair: Optional[Pair],
-                 build_row: Callable) -> List[Tuple]:
-    """Per-candidate emit: residuals, intersection, window clip last —
-    ``restrict(tintersect(a, b), window)``'s order, so a pair whose
-    shared time misses the window still emits (empty validity)."""
-    rows: List[Tuple] = []
-    # Identical intersections share one immutable Element — under a
-    # common rush window most candidate pairs intersect to the same few
-    # sets, and element construction dominates the emit loop otherwise.
-    elements: Dict[Tuple[Pair, ...], Element] = {}
-    left_rows, right_rows = left.rows, right.rows
-    left_pairs = left.pair_lists()
-    right_pairs = left_pairs if right is left else right.pair_lists()
-    intersect = ia.intersect
-    for i, j in pair_iter:
-        left_row = left_rows[i]
-        right_row = right_rows[j]
-        if cross and not all(sql_compare(left_row[lp], op, right_row[rp])
-                             for lp, op, rp in cross):
-            continue
-        a, b = left_pairs[i], right_pairs[j]
-        if len(a) == 1 and len(b) == 1:
-            (a_lo, a_hi), (b_lo, b_hi) = a[0], b[0]
-            lo = a_lo if a_lo > b_lo else b_lo
-            hi = a_hi if a_hi < b_hi else b_hi
-            if lo > hi:
-                continue
-            shared: Tuple[Pair, ...] = ((lo, hi),)
-        else:
-            shared = tuple(intersect(a, b))
-            if not shared:
-                continue
-        if window_pair is not None:
-            shared = tuple(
-                ia.restrict(shared, window_pair[0], window_pair[1])
-            )
-        element = elements.get(shared)
-        if element is None:
-            element = elements[shared] = \
-                Element._from_canonical_pairs(shared)
-        rows.append(build_row(left_row, right_row, element))
-    return rows
+def join_strategy(shape: JoinShape) -> str:
+    """The candidate step a join runs, from its shape alone."""
+    return "hash" if shape.equalities else "merge"
 
 
 def _join_columns(shape: JoinShape) -> List[str]:

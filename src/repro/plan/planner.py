@@ -18,10 +18,10 @@ a compiled statement go through a small shape LRU keyed on the same
 generation.  Schema lookups (``PRAGMA table_info``) are cached per
 connection under the same generation key.
 
-Knobs: ``TIP_KERNEL=0`` disables the planner process-wide,
-``TIP_KERNEL_MIN_ROWS`` (default 256) sets the bigger-side row count
-below which bulk fetching cannot beat SQLite's own loop; both are
-adjustable at runtime via :func:`configure`.
+Knobs: ``TIP_KERNEL=0`` disables the planner process-wide, and
+``min_rows`` (start value :data:`DEFAULT_MIN_ROWS`) is the bigger-side
+row count below which bulk fetching cannot beat SQLite's own loop;
+both are adjustable at runtime via :func:`configure`.
 """
 
 from __future__ import annotations
@@ -66,14 +66,6 @@ def _env_enabled() -> bool:
     )
 
 
-def _env_min_rows() -> int:
-    raw = os.environ.get("TIP_KERNEL_MIN_ROWS", "")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_MIN_ROWS
-
-
 class PlanState:
     """Process-wide planner switches, read per statement without a lock."""
 
@@ -81,7 +73,7 @@ class PlanState:
 
     def __init__(self) -> None:
         self.enabled = _env_enabled()
-        self.min_rows = _env_min_rows()
+        self.min_rows = DEFAULT_MIN_ROWS
 
 
 state = PlanState()
@@ -365,7 +357,7 @@ def describe(connection, sql: str) -> Dict[str, object]:
             "reason": f"input below threshold ({state.min_rows} rows)",
         }
     if shape.kind == "join":
-        kernel = "hash" if shape.equalities else "interval-sweep"
+        kernel = kernels.join_strategy(shape)
         tables = [shape.left_table, shape.right_table]
         pushed = shape.left_filters + shape.right_filters
     else:

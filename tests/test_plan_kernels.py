@@ -1,9 +1,10 @@
 """The temporal query planner and its set-based kernels.
 
-The naive UDF path is the semantics oracle: every kernel strategy
-(hash / merge / tree joins, the vectorized hash emit, the sweep
-coalesce) is held **differentially equal** to the same statement run
-with the planner disabled, over hypothesis-generated tables that
+The naive UDF path is the semantics oracle: both join candidate steps
+(hash buckets on equality keys, the searchsorted overlap step
+without), the cross-residual mask, the one vectorized emit and the
+sweep coalesce are held **differentially equal** to the same statement
+run with the planner disabled, over hypothesis-generated tables that
 include NOW-relative and multi-period elements.  The behavioural half
 covers the planner's visible surface: fallback reasons and counters,
 ``EXPLAIN TEMPORAL``'s strategy line, flight events, generation-keyed
@@ -178,49 +179,6 @@ class TestDifferential:
             naive, kernel = _both_ways(session, query)
             assert _multiset(naive) == _multiset(kernel)
             assert len(kernel) == 3
-
-    def test_tree_join_skewed_sides(self, forced_planner):
-        """A >=TREE_SKEW size skew takes the tree-probe strategy."""
-        with repro.connect(now=DEMO_NOW) as connection:
-            _load(connection, "L", [
-                (k, E("{[1999-01-01, 1999-06-01]}")) for k in range(2)
-            ])
-            _load(connection, "R", [
-                (k, E(f"{{[1999-0{1 + k % 6}-15, 1999-0{2 + k % 6}-15]}}"))
-                for k in range(2 * kernels.TREE_SKEW)
-            ])
-            shape = plan.match(TsqlSession(connection).translate(MERGE_Q))
-            result = kernels.execute_join(
-                connection, shape, connection.statement_now_seconds()
-            )
-            assert result.strategy == "tree"
-            session = TsqlSession(connection)
-            naive, kernel = _both_ways(session, MERGE_Q)
-            assert _canon(naive, 2) == _canon(kernel, 2)
-
-    @settings(max_examples=15, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(left=small_tables, right=small_tables)
-    def test_vector_emit_equals_scalar_emit(
-        self, forced_planner, left, right, monkeypatch
-    ):
-        """The numpy hash emit and the scalar loop agree row-for-row —
-        same rows, same order — so vectorization is pure mechanism."""
-        with repro.connect(now=DEMO_NOW) as connection:
-            _load(connection, "L", left)
-            _load(connection, "R", right)
-            session = TsqlSession(connection)
-            vectorized = session.query(HASH_Q)
-            monkeypatch.setattr(
-                kernels, "_vector_emit",
-                lambda left, right, i_list, j_list, window_pair, build_row:
-                kernels._scalar_emit(left, right, zip(i_list, j_list), (),
-                                     window_pair, build_row))
-            scalar = session.query(HASH_Q)
-            assert _canon(vectorized, 2) == _canon(scalar, 2)
-            assert [row[:2] for row in vectorized] == [
-                row[:2] for row in scalar
-            ]
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -463,6 +421,32 @@ class TestObservability:
         assert report.plan_strategy["strategy"] == "kernel"
         assert "temporal strategy: kernel (join via hash)" in report.render()
 
+    @pytest.mark.parametrize("query", [
+        HASH_Q, MERGE_Q, WINDOW_Q,
+        "VALIDTIME SELECT l.k, r.k FROM L AS l, R AS r",
+        "VALIDTIME SELECT l.k, r.k FROM L AS l, R AS r "
+        "WHERE l.k = r.k AND l.k >= r.k",
+    ])
+    def test_explain_names_the_strategy_that_runs(
+        self, conn, forced_planner, query
+    ):
+        """EXPLAIN's ``join via X`` is the strategy the run records."""
+        _load(conn, "L", [
+            (k, E("{[1999-01-01, 1999-06-01]}")) for k in range(3)
+        ])
+        _load(conn, "R", [
+            (k, E("{[1999-03-01, 1999-09-01]}")) for k in range(24)
+        ])
+        rendered = explain_temporal(conn, query).render()
+        flight.clear()
+        flight.enable()
+        try:
+            TsqlSession(conn).query(query)
+        finally:
+            flight.disable()
+        (event,) = flight.snapshot(kind="plan.kernel")
+        assert f"join via {event['data']['strategy']}" in rendered, query
+
     def test_explain_reports_naive_with_reason(self, conn):
         _load(conn, "L", [(1, E("{[1999-01-01, 1999-06-01]}"))])
         _load(conn, "R", [(1, E("{[1999-03-01, 1999-09-01]}"))])
@@ -512,8 +496,9 @@ class TestServerPath:
 
 # -- pushdown and raw-decode coverage ------------------------------------
 
-_MIXED_TABLE = ("CREATE TABLE {} (k INTEGER, n INTEGER, s TEXT, u, "
-                "valid ELEMENT)")
+#: ``id`` aliases the rowid, so it numbers the rows in fetch order.
+_MIXED_TABLE = ("CREATE TABLE {} (id INTEGER PRIMARY KEY, k INTEGER, "
+                "n INTEGER, s TEXT, u, valid ELEMENT)")
 #: Stored values for the filter columns: every storage class plus NULL
 #: (the INTEGER/TEXT affinities convert some of them on insert).
 _stored_values = st.sampled_from(
@@ -552,11 +537,26 @@ def _validities(draw):
     return _element_blob(pairs[::-1])
 
 
-_mixed_tables = st.lists(
-    st.tuples(st.one_of(st.none(), st.integers(0, 3)), _stored_values,
-              _stored_values, _stored_values, _validities()),
-    min_size=1, max_size=8,
-)
+_mixed_rows = st.tuples(st.one_of(st.none(), st.integers(0, 3)),
+                        _stored_values, _stored_values, _stored_values,
+                        _validities())
+_mixed_tables = st.lists(_mixed_rows, min_size=1, max_size=8)
+
+
+@st.composite
+def _join_sides(draw):
+    """Two mixed tables; half the time one has >= 8x the other's rows,
+    so both candidate steps also run on skewed sides."""
+    if not draw(st.booleans()):
+        return draw(_mixed_tables), draw(_mixed_tables)
+    small = draw(st.lists(_mixed_rows, min_size=1, max_size=2))
+    big = draw(st.lists(_mixed_rows, min_size=8 * len(small),
+                        max_size=8 * len(small) + 4))
+    return (small, big) if draw(st.booleans()) else (big, small)
+
+
+_windows = st.sampled_from([None, "1999-02-01, 1999-10-31",
+                            "1980-01-01, NOW", "NOW - 30, NOW + 30"])
 _filters = st.lists(
     st.tuples(st.sampled_from(["n", "s", "u"]), _ops, _literals),
     max_size=2,
@@ -585,8 +585,9 @@ def _multiset(rows):
 
 def _load_mixed(connection, table, rows):
     connection.execute(_MIXED_TABLE.format(table))
-    connection.executemany(f"INSERT INTO {table} VALUES (?, ?, ?, ?, ?)",
-                           rows)
+    connection.executemany(
+        f"INSERT INTO {table} (k, n, s, u, valid) VALUES (?, ?, ?, ?, ?)",
+        rows)
     connection.commit()
 
 
@@ -602,25 +603,46 @@ class TestPushdownDifferential:
     """Single-side filters run in SQLite and validity blobs decode raw;
     results still equal the naive path over mixed storage classes."""
 
-    @settings(max_examples=100, deadline=None,
+    @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(left=_mixed_tables, right=_mixed_tables, left_filters=_filters,
-           right_filters=_filters, key_op=st.sampled_from(["=", "<"]))
-    def test_join(self, forced_planner, left, right, left_filters,
-                  right_filters, key_op):
+    @given(sides=_join_sides(), left_filters=_filters, right_filters=_filters,
+           equality=st.booleans(),
+           residual=st.one_of(st.none(), st.tuples(
+               st.sampled_from(["k", "n", "s", "u"]),
+               st.sampled_from(["<", "<=", "!=", ">="]))),
+           window=_windows, self_join=st.booleans())
+    def test_join(self, forced_planner, sides, left_filters, right_filters,
+                  equality, residual, window, self_join):
+        """Each draw independently picks an equality key or none, a
+        cross residual or none, a window or none, skewed or even side
+        sizes, and an unfiltered self-join (one shared fetch)."""
         with repro.connect(now=DEMO_NOW) as connection:
-            _load_mixed(connection, "L", left)
-            _load_mixed(connection, "R", right)
-            conjuncts = [f"l.k {key_op} r.k"] + _where("l", left_filters) \
-                + _where("r", right_filters)
-            query = ("VALIDTIME SELECT l.k, r.k, l.s, l.valid "
-                     "FROM L AS l, R AS r WHERE " + " AND ".join(conjuncts))
+            _load_mixed(connection, "L", sides[0])
+            _load_mixed(connection, "R", sides[1])
+            if self_join:
+                right_table, left_filters, right_filters = "L", [], []
+            else:
+                right_table = "R"
+            conjuncts = _where("l", left_filters) + _where("r", right_filters)
+            if equality:
+                conjuncts.append("l.k = r.k")
+            if residual is not None:
+                conjuncts.append("l.{0} {1} r.{0}".format(*residual))
+            query = ((f"VALIDTIME PERIOD '{window}' " if window else
+                      "VALIDTIME ")
+                     + "SELECT l.id, r.id, l.k, r.k, l.s, l.valid "
+                     f"FROM L AS l, {right_table} AS r"
+                     + (" WHERE " + " AND ".join(conjuncts)
+                        if conjuncts else ""))
             session = TsqlSession(connection)
             plan.configure(enabled=False)
             naive = session.query(query)
             plan.configure(enabled=True, min_rows=0)
             kernel = _kernel_taken(session, query, "join")
             assert _multiset(naive) == _multiset(kernel)
+            # Either candidate step emits in (left, right) fetch order.
+            ids = [row[:2] for row in kernel]
+            assert ids == sorted(ids)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
