@@ -246,7 +246,6 @@ class TipShell:
             return "metrics collection disabled"
         if argument == "reset":
             obs.get_registry().reset()
-            obs.get_trace_buffer().clear()
             codec.clear_caches(reset_stats=True)
             compiled.clear_cache(reset_stats=True)
             obs.flight.clear()

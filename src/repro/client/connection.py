@@ -31,7 +31,7 @@ from repro.core.granularity import check_chronon_seconds, wall_clock_seconds
 from repro.core.nowctx import bind_now_seconds, reset_now, use_now
 from repro.core.parser import parse_chronon
 from repro.faults import state as _FAULTS
-from repro.obs.profile import StatementRecorder
+from repro.obs.profile import StatementRecorder, publish
 from repro.obs.profile import state as _PROFILE
 
 __all__ = ["connect", "TipConnection", "TipCursor"]
@@ -246,10 +246,14 @@ class TipCursor:
         if _FAULTS.plan is not None:
             _FAULTS.plan.apply("conn.execute")
         if _PROFILE.enabled or _PROFILE.forced:
-            self._execute_profiled(sql, parameters)
-            if self._raw.description is None:
-                return None
-            return self._fetch_profiled(lambda: self._raw.fetchall())
+            # The profile is stored once the fetch has charged its rows.
+            self._execute_profiled(sql, parameters, defer=True)
+            try:
+                if self._raw.description is None:
+                    return None
+                return self._fetch_profiled(lambda: self._raw.fetchall())
+            finally:
+                publish(self.profile)
         self._stmt_now = self._connection.statement_now_seconds()
         token = bind_now_seconds(self._stmt_now)
         try:
@@ -261,7 +265,8 @@ class TipCursor:
         finally:
             reset_now(token)
 
-    def _execute_profiled(self, sql: str, parameters: Sequence) -> "TipCursor":
+    def _execute_profiled(self, sql: str, parameters: Sequence,
+                          defer: bool = False) -> "TipCursor":
         self._stmt_now = self._connection.statement_now_seconds()
         recorder = StatementRecorder(sql).start()
         try:
@@ -276,9 +281,45 @@ class TipCursor:
         self.profile = recorder.finish(
             rowcount=self._raw.rowcount,
             statement_now=str(Chronon(self._stmt_now)),
+            defer=defer,
         )
         self._connection._last_profile = self.profile
         return self
+
+    def execute_kernel(self, sql: str, shape=None):
+        """Offer *sql* to the temporal planner: its result, or None.
+
+        None means the planner declined and the caller runs the
+        statement normally (:mod:`repro.plan.planner`; *shape* is the
+        compile-time matched shape, if the caller has one).  The
+        decision never depends on the profiler.  Profiled like
+        :meth:`execute`: with the profiler on, a statement the kernel
+        takes leaves its profile in :attr:`profile`, whose counter
+        deltas name the kernel (``plan.kernel.join`` /
+        ``plan.kernel.coalesce``, ``plan.join.candidates``).
+        """
+        # Imported per call: the planner imports repro.client, and the
+        # lookup also picks up a rebound planner.maybe_execute_kernel.
+        from repro.plan.planner import maybe_execute_kernel
+
+        if not (_PROFILE.enabled or _PROFILE.forced):
+            result = maybe_execute_kernel(self._connection, sql, shape)
+        else:
+            recorder = StatementRecorder(sql).start()
+            try:
+                result = maybe_execute_kernel(self._connection, sql, shape)
+            except Exception as exc:
+                recorder.finish(ok=False, error=str(exc))
+                raise
+            if result is not None:
+                recorder.profile.rows = len(result.rows)
+                self.profile = recorder.finish(
+                    statement_now=chronon_text(result.now_seconds)
+                )
+                self._connection._last_profile = self.profile
+        if result is not None:
+            self._stmt_now = result.now_seconds
+        return result
 
     def executemany(self, sql: str, seq_of_parameters: Iterable[Sequence]) -> "TipCursor":
         self._stmt_now = self._connection.statement_now_seconds()

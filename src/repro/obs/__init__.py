@@ -7,13 +7,16 @@ performs.  This package provides that report surface:
 
 * **counters** — call counts, error counts, periods-processed volumes;
 * **histograms** — per-routine latency distributions;
-* **spans** — ring-buffered trace events for coarse operations.
+* **spans** — timed coarse operations, recorded as ``span`` events in
+  the flight ring (:mod:`repro.obs.flight`), the package's one event
+  store; query profiles (:mod:`repro.obs.profile`) land there too, as
+  ``stmt.profile`` events.
 
-Everything hangs off one process-wide switch (:func:`enable` /
-:func:`disable`, default *off*).  Hot paths guard on
-``registry.state.enabled`` — a single attribute load — and instruments
-are created lazily, so a disabled engine does no metric work and
-allocates nothing (asserted by ``tests/test_obs.py``).
+Metrics hang off one process-wide switch (:func:`enable` /
+:func:`disable`, default *off*), the flight ring off its own.  Hot
+paths guard on ``registry.state.enabled`` — a single attribute load —
+and instruments are created lazily, so a disabled engine does no
+metric work and allocates nothing (asserted by ``tests/test_obs.py``).
 
 Call sites either wrap a callable once (:func:`instrumented`, used by
 the blade installer at ``create_function`` time) or record explicit
@@ -35,6 +38,7 @@ from repro.obs.export import (
     render_prometheus,
     render_spans,
     render_text,
+    span_entries,
     span_records,
 )
 from repro.obs.instruments import Counter, Histogram
@@ -47,22 +51,15 @@ from repro.obs.registry import (
     set_registry,
     state,
 )
-from repro.obs.trace import (
-    TraceBuffer,
-    TraceEvent,
-    get_trace_buffer,
-    set_trace_buffer,
-    span,
-)
 from repro.obs import flight, profile
 
 __all__ = [
-    "Counter", "Histogram", "MetricsRegistry", "TraceBuffer", "TraceEvent",
+    "Counter", "Histogram", "MetricsRegistry",
     "enable", "disable", "is_enabled", "state",
-    "get_registry", "set_registry", "get_trace_buffer", "set_trace_buffer",
+    "get_registry", "set_registry",
     "counter", "histogram", "span", "snapshot", "instrumented", "call", "capture",
     "render_text", "render_json", "render_prometheus", "render_profile",
-    "render_spans", "span_records", "assemble_trace",
+    "render_spans", "span_entries", "span_records", "assemble_trace",
     "profile", "flight",
 ]
 
@@ -84,7 +81,8 @@ def histogram(name: str) -> Histogram:
 def snapshot(trace_tail: int = 0) -> Dict:
     """The active registry as plain data, plus the switch position.
 
-    *trace_tail* > 0 appends the most recent trace events.  Every
+    *trace_tail* > 0 appends the most recent spans (``span`` and
+    ``stmt.profile`` events from the flight ring).  Every
     snapshot carries a monotonic timestamp and the process uptime, the
     session open/close ledger derived from the server counters, and —
     when a fault plan is armed — the plan's per-rule hit/fired ledger,
@@ -140,10 +138,59 @@ def snapshot(trace_tail: int = 0) -> Dict:
             "rules": [rule.as_dict() for rule in plan.rules],
         }
     if trace_tail:
-        data["trace"] = [
-            event.as_dict() for event in get_trace_buffer().events(last=trace_tail)
-        ]
+        data["trace"] = span_entries(flight.events())[-trace_tail:]
     return data
+
+
+class _NullSpan:
+    """Shared do-nothing context manager for the disabled path."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+
+_NULL_SPAN = _NullSpan()
+
+
+class _Span:
+    __slots__ = ("name", "meta", "_start")
+
+    def __init__(self, name: str, meta: Dict) -> None:
+        self.name = name
+        self.meta = meta
+
+    def __enter__(self) -> "_Span":
+        self._start = perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        elapsed = perf_counter() - self._start
+        if state.enabled:
+            get_registry().histogram(f"{self.name}.seconds").observe(elapsed)
+        if flight.state.enabled:
+            trace_id = self.meta.pop("trace_id", None)
+            flight.record("span", None, trace_id, name=self.name,
+                          seconds=elapsed, ok=exc_type is None, **self.meta)
+        return False
+
+
+def span(name: str, **meta):
+    """Context manager timing one operation; inert when disabled.
+
+    With metrics on it feeds the ``<name>.seconds`` histogram; with the
+    flight ring on it records one ``span`` event carrying ``name``,
+    ``seconds``, ``ok`` and *meta* (a ``trace_id`` in *meta* becomes the
+    event's own trace id).  With both off it returns a shared no-op —
+    no allocation, no clock read.
+    """
+    if not (state.enabled or flight.state.enabled):
+        return _NULL_SPAN
+    return _Span(name, meta)
 
 
 def instrumented(name: str, fn):
@@ -208,25 +255,19 @@ def call(name: str, fn, *args):
 
 @contextmanager
 def capture(enabled: bool = True):
-    """Temporarily install a fresh registry + trace buffer; yield the registry.
+    """Temporarily install a fresh registry + flight ring; yield the registry.
 
     The workhorse of the test suite: isolates metric assertions from
     whatever the process accumulated before, and restores the previous
-    registry, buffer, switch position, and profiler state (switch,
-    threshold, rings) on exit.
+    registry, ring, switch positions, and profiler state (switch,
+    threshold, sink) on exit.
     """
-    from collections import deque
-
     previous_enabled = state.enabled
     registry = MetricsRegistry("capture")
     previous_registry = set_registry(registry)
-    previous_buffer = set_trace_buffer(TraceBuffer())
     pstate = profile.state
-    previous_profiles = (
-        pstate.recent, pstate.slow, pstate.slow_threshold, pstate.enabled,
-    )
-    pstate.recent = deque(maxlen=profile.RECENT_CAPACITY)
-    pstate.slow = profile.SlowQueryLog()
+    previous_profiler = (pstate.enabled, pstate.slow_threshold, pstate.sink_path)
+    pstate.sink_path = None
     # Flight isolation mirrors the registry: a fresh ring, and the
     # recorder switch parked off so only tests that opt in see events.
     fstate = flight.state
@@ -240,8 +281,6 @@ def capture(enabled: bool = True):
     finally:
         state.enabled = previous_enabled
         set_registry(previous_registry)
-        set_trace_buffer(previous_buffer)
-        (pstate.recent, pstate.slow, pstate.slow_threshold,
-         pstate.enabled) = previous_profiles
+        pstate.enabled, pstate.slow_threshold, pstate.sink_path = previous_profiler
         fstate.enabled, fstate.crash_dump_path = previous_flight[:2]
         flight.set_recorder(previous_flight[2])

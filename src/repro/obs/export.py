@@ -10,12 +10,13 @@ bespoke exporter.  :func:`render_profile` renders one
 :class:`~repro.obs.profile.QueryProfile` (as plain data) for the
 shell's ``.profile`` command and the PROFILE wire frame.
 
-The span exporter (:func:`span_records` / :func:`render_spans` /
-:func:`assemble_trace`) turns buffered trace events into JSONL span
-lines carrying ``trace_id`` / ``span_id`` / ``parent_span_id``, and
-reassembles the client- and server-side spans of one trace into a
-parent-first timeline — the cross-process view the flight recorder's
-per-process ring cannot give by itself.
+The span exporter (:func:`span_entries` / :func:`span_records` /
+:func:`render_spans` / :func:`assemble_trace`) reads the ``span`` and
+``stmt.profile`` events of the flight ring (or of its JSONL dumps),
+turns them into JSONL span lines carrying ``trace_id`` / ``span_id`` /
+``parent_span_id``, and reassembles the client- and server-side spans
+of one trace into a parent-first timeline — the cross-process view one
+process's ring cannot give by itself.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 __all__ = [
     "render_text", "render_json", "render_prometheus", "render_profile",
-    "span_records", "render_spans", "assemble_trace",
+    "span_entries", "span_records", "render_spans", "assemble_trace",
 ]
 
 
@@ -291,18 +292,52 @@ def render_profile(profile: Dict) -> str:
 # -- span export -------------------------------------------------------
 
 
-def span_records(events: Sequence) -> List[Dict]:
-    """Trace events flattened to span records (meta keys promoted).
+#: The ``stmt.profile`` fields that identify its span.
+_PROFILE_SPAN_KEYS = ("span_id", "parent_span_id", "side", "engine")
 
-    Accepts :class:`~repro.obs.trace.TraceEvent` objects or their
-    ``as_dict()`` form; each record carries ``name`` / ``seconds`` /
-    ``ok`` plus whatever trace identity the span's meta holds
-    (``trace_id`` / ``span_id`` / ``parent_span_id`` / ``side`` ...),
-    so one line is one span of one trace.
+
+def span_entries(events: Sequence) -> List[Dict]:
+    """The span-shaped flight events as ``{name, seconds, ok, meta}``.
+
+    Accepts :class:`~repro.obs.flight.FlightEvent` objects or their
+    ``as_dict()`` form (a ``/debug/flight`` line, a crash dump) and
+    keeps two kinds: an ``obs.span`` (``span``) and a finished query
+    profile (``stmt.profile``, named ``query.<side>``).  Everything
+    else is skipped.  The event's trace id joins the meta.
+    """
+    entries: List[Dict] = []
+    for event in events:
+        entry = event.as_dict() if hasattr(event, "as_dict") else event
+        data = entry.get("data", {})
+        if entry.get("kind") == "span":
+            meta = {key: value for key, value in data.items()
+                    if key not in ("name", "seconds", "ok")}
+            head = {"name": data.get("name", "?"),
+                    "seconds": data.get("seconds", 0.0),
+                    "ok": data.get("ok", True)}
+        elif entry.get("kind") == "stmt.profile":
+            meta = {key: data[key] for key in _PROFILE_SPAN_KEYS if key in data}
+            head = {"name": f"query.{data.get('side', 'local')}",
+                    "seconds": data.get("wall_seconds", 0.0),
+                    "ok": data.get("ok", True)}
+        else:
+            continue
+        if entry.get("trace_id"):
+            meta["trace_id"] = entry["trace_id"]
+        entries.append({**head, "meta": meta} if meta else head)
+    return entries
+
+
+def span_records(events: Sequence) -> List[Dict]:
+    """:func:`span_entries` flattened to span records (meta promoted).
+
+    Each record carries ``name`` / ``seconds`` / ``ok`` plus whatever
+    trace identity the span holds (``trace_id`` / ``span_id`` /
+    ``parent_span_id`` / ``side`` ...), so one line is one span of one
+    trace.
     """
     records: List[Dict] = []
-    for event in events:
-        entry = event.as_dict() if hasattr(event, "as_dict") else dict(event)
+    for entry in span_entries(events):
         meta = entry.pop("meta", {})
         records.append({**entry, **meta})
     return records
@@ -329,7 +364,7 @@ def assemble_trace(events: Sequence, trace_id: str) -> List[Dict]:
     ``parent_span_id`` names another span's ``span_id`` nests under it
     (the server-side half of a remote statement under its client-side
     half).  Roots and orphans (parent not captured) sit at depth 0, in
-    buffer order; each record gains a ``depth`` key.
+    ring order; each record gains a ``depth`` key.
     """
     spans = [r for r in span_records(events) if r.get("trace_id") == trace_id]
     by_id = {r["span_id"]: r for r in spans if r.get("span_id")}

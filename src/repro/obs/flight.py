@@ -4,11 +4,14 @@ Counters say *how often*; the flight recorder says *when, in what
 order*.  Every interesting moment in the concurrent server — statement
 begin/end, BATCH and stream lifecycle, reader-pool checkouts and
 writer-lock waits, WAL checkpoints, statement-cache traffic, cache
-clears, fired faults — lands here as one :class:`FlightEvent`,
-stamped with a monotonic timestamp, a monotonically increasing
-sequence number, and the session's connection key.  The ring is a
-``deque(maxlen=...)``; appends and sequence numbers both ride
-CPython-atomic operations (``deque.append`` and ``next`` on an
+clears, fired faults, planner decisions, ``obs.span`` timings
+(``span``) and finished query profiles (``stmt.profile``) — lands
+here as one :class:`FlightEvent`, stamped with a monotonic timestamp,
+a monotonically increasing sequence number, and the session's
+connection key.  It is :mod:`repro.obs`'s one event store: the span
+exporter, the recent-profile list and the slow-query log all read it.
+The ring is a ``deque(maxlen=...)``; appends and sequence numbers both
+ride CPython-atomic operations (``deque.append`` and ``next`` on an
 ``itertools.count``), so the record path takes no lock at all and
 memory is bounded by construction.  Readers snapshot with ``list(ring)`` and simply retry
 on the rare concurrent-mutation ``RuntimeError``.
@@ -139,16 +142,14 @@ class FlightEvent:
         """The event's deterministic core, as one comparable string.
 
         Drops everything a re-run legitimately changes — timestamps,
-        sequence numbers, trace/span ids, and float-valued payload
-        entries (durations) — keeping kind, session, and the stable
-        payload.  Two seeded runs of the same workload must produce
-        identical signature sequences; the chaos tests assert exactly
-        that.
+        sequence numbers, trace/span ids, a profile's wall-clock
+        ``statement_now``, and float-valued payload entries (durations)
+        at any depth, so a ``stmt.profile`` event's per-routine seconds
+        go too — keeping kind, session, and the stable payload.  Two
+        seeded runs of the same workload must produce identical
+        signature sequences; the chaos tests assert exactly that.
         """
-        stable = {
-            key: value for key, value in self.data.items()
-            if not isinstance(value, float) and "span" not in key
-        }
+        stable = _stable(self.data)
         payload = " ".join(
             f"{key}={stable[key]!r}" for key in sorted(stable)
         )
@@ -157,6 +158,16 @@ class FlightEvent:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FlightEvent({self.seq}, {self.kind!r}, session={self.session!r})"
+
+
+def _stable(data: Dict) -> Dict:
+    """*data* without floats, ids and clock readings, recursively."""
+    return {
+        key: _stable(value) if isinstance(value, dict) else value
+        for key, value in sorted(data.items())
+        if not isinstance(value, float) and "span" not in key
+        and key != "statement_now"
+    }
 
 
 class FlightRecorder:

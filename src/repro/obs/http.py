@@ -9,16 +9,17 @@ query server keeps serving:
   connection-pool gauges when the owner passed a stats callable;
 * ``GET /debug/flight`` — the flight ring as JSONL, filterable with
   ``?session=`` / ``?trace=`` / ``?kind=`` / ``?last=``;
-* ``GET /debug/spans`` — the trace buffer as JSONL span records,
-  filterable with ``?trace=`` (the cross-process timeline input);
-* ``GET /debug/profiles`` — recent :class:`QueryProfile` records
-  (``?last=`` bounds the count) as JSON;
-* ``GET /debug/slow`` — the slow-query ring, same shape;
+* ``GET /debug/spans`` — the ring's ``span`` and ``stmt.profile``
+  events as JSONL span records, filterable with ``?trace=`` /
+  ``?last=`` (the cross-process timeline input);
+* ``GET /debug/profiles`` — the :class:`QueryProfile` records still in
+  the ring (``?last=`` bounds the count) as JSON;
+* ``GET /debug/slow`` — those at or over the slow threshold, same shape;
 * ``GET /healthz`` — liveness.
 
-Every handler reads shared state only through the locked snapshot
-methods the rest of the package already exposes, so scraping is safe
-under full concurrent query traffic — the property
+Every handler reads shared state only through the snapshot functions
+the rest of the package already exposes, so scraping is safe under
+full concurrent query traffic — the property
 ``tests/test_telemetry_http.py`` hammers with eight pooled clients.
 """
 
@@ -98,11 +99,10 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
             body = "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries)
             self._reply(body, "application/x-ndjson")
         elif route == "/debug/spans":
-            events = obs.get_trace_buffer().events(last=int_param("last"))
-            records = span_records(events)
-            trace = param("trace")
-            if trace is not None:
-                records = [r for r in records if r.get("trace_id") == trace]
+            records = span_records(_flight.events(trace_id=param("trace")))
+            last = int_param("last")
+            if last:
+                records = records[-last:]
             body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
             self._reply(body, "application/x-ndjson")
         elif route == "/debug/profiles":

@@ -12,9 +12,13 @@ path win?  Three pieces:
 * a **trace context** — a ``trace_id``/``span_id`` pair threaded
   through the wire protocol so the client-side span and the
   server-side span of one statement join into a single trace;
-* a **slow-query log** — a bounded ring of the profiles whose wall
-  time met a configurable threshold, optionally mirrored to a JSONL
-  sink for offline analysis.
+* **storage in the flight ring** — every finished profile is one
+  ``stmt.profile`` event in :mod:`repro.obs.flight` (the package's one
+  event store, switched on by :func:`enable`).  :func:`recent_profiles`
+  and the slow-query log (:func:`slow_log`: the profiles whose wall
+  time met a configurable threshold) are filters over that ring, so
+  they keep what the ring keeps; slow profiles are also mirrored to an
+  optional JSONL sink, the durable record.
 
 The profiler follows the same inert-when-off discipline as the rest of
 :mod:`repro.obs`: hot paths read ``state.enabled`` (and the
@@ -36,27 +40,21 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter, time
 from typing import Dict, List, Optional
 
+from repro.obs import flight as _flight
 from repro.obs.registry import get_registry
 from repro.obs.registry import state as _obs_state
-from repro.obs.trace import TraceEvent, get_trace_buffer
 
 __all__ = [
-    "QueryProfile", "StatementRecorder", "SlowQueryLog", "ProfilerState",
+    "QueryProfile", "StatementRecorder", "ProfilerState",
     "state", "enable", "disable", "is_enabled", "configure", "forced",
     "activate_context", "current_context", "new_trace_id", "new_span_id",
-    "slow_log", "recent_profiles", "clear",
+    "publish", "slow_log", "recent_profiles",
 ]
-
-#: Ring capacities: recent profiles kept for the PROFILE frame, and
-#: slow-query entries kept before old offenders fall off.
-RECENT_CAPACITY = 64
-SLOW_CAPACITY = 128
 
 #: Counter prefixes that constitute the per-routine breakdown.
 _ROUTINE_PREFIXES = ("blade.routine.", "blade.aggregate.", "blade.cast.", "layered.op.")
@@ -142,39 +140,6 @@ class QueryProfile:
         return cls(**{key: value for key, value in data.items() if key in known})
 
 
-class SlowQueryLog:
-    """A bounded ring of offending profiles, with an optional JSONL sink."""
-
-    def __init__(self, capacity: int = SLOW_CAPACITY) -> None:
-        self._lock = threading.Lock()
-        self._entries: deque = deque(maxlen=capacity)
-        self.sink_path: Optional[str] = None
-
-    def record(self, profile: QueryProfile) -> None:
-        with self._lock:
-            self._entries.append(profile)
-            sink = self.sink_path
-        if sink is not None:
-            try:
-                with open(sink, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(profile.as_dict(), sort_keys=True) + "\n")
-            except OSError:
-                pass  # a broken sink must never fail the statement
-
-    def entries(self, last: Optional[int] = None) -> List[QueryProfile]:
-        with self._lock:
-            items = list(self._entries)
-        return items if last is None else items[-last:]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 class ProfilerState:
     """The profiler switch plus its configuration, on one singleton.
 
@@ -185,7 +150,7 @@ class ProfilerState:
     with plain attribute loads.
     """
 
-    __slots__ = ("enabled", "forced", "slow_threshold", "slow", "recent")
+    __slots__ = ("enabled", "forced", "slow_threshold", "sink_path")
 
     def __init__(self) -> None:
         self.enabled = False
@@ -193,8 +158,8 @@ class ProfilerState:
         #: Seconds; None disables slow-query capture.  0.0 captures
         #: every profiled statement.
         self.slow_threshold: Optional[float] = None
-        self.slow = SlowQueryLog()
-        self.recent: deque = deque(maxlen=RECENT_CAPACITY)
+        #: JSONL file every slow profile is appended to, or None.
+        self.sink_path: Optional[str] = None
 
 
 state = ProfilerState()
@@ -204,19 +169,21 @@ def enable(
     slow_threshold: Optional[float] = None,
     sink: Optional[str] = None,
 ) -> None:
-    """Turn per-statement profiling on (and metrics with it).
+    """Turn per-statement profiling on (and metrics and the ring with it).
 
     The routine breakdown is a registry delta, so profiling without
-    metrics would be hollow: enabling the profiler enables
-    :mod:`repro.obs` collection too.  *slow_threshold* (seconds) arms
-    the slow-query log — 0.0 captures everything; *sink* mirrors slow
-    entries to a JSONL file.
+    metrics would be hollow, and profiles are stored in the flight
+    ring: enabling the profiler enables :mod:`repro.obs` collection and
+    :mod:`repro.obs.flight` recording too.  *slow_threshold* (seconds)
+    arms the slow-query log — 0.0 captures everything; *sink* mirrors
+    slow entries to a JSONL file.
     """
     _obs_state.enabled = True
+    _flight.state.enabled = True
     if slow_threshold is not None:
         state.slow_threshold = slow_threshold
     if sink is not None:
-        state.slow.sink_path = sink
+        state.sink_path = sink
     state.enabled = True
 
 
@@ -236,13 +203,7 @@ def configure(
 ) -> None:
     """Adjust slow-query capture without touching the on/off switch."""
     state.slow_threshold = slow_threshold
-    state.slow.sink_path = sink
-
-
-def clear() -> None:
-    """Drop captured profiles (recent ring and slow log)."""
-    state.recent.clear()
-    state.slow.clear()
+    state.sink_path = sink
 
 
 @contextmanager
@@ -392,7 +353,14 @@ class StatementRecorder:
         ok: bool = True,
         error: Optional[str] = None,
         statement_now: Optional[str] = None,
+        defer: bool = False,
     ) -> QueryProfile:
+        """Close the profile and :func:`publish` it.
+
+        A caller that keeps charging the profile after this (a fetch
+        that completes the row count) passes ``defer=True`` and calls
+        :func:`publish` itself once the profile is complete.
+        """
         elapsed = perf_counter() - self._t0
         after = _registry_snapshot()
         profile = self.profile
@@ -421,37 +389,50 @@ class StatementRecorder:
             self._before.get("histograms", {}), after.get("histograms", {}),
             counter_deltas,
         )
-        self._publish(profile)
+        if not defer:
+            publish(profile)
         return profile
 
-    def _publish(self, profile: QueryProfile) -> None:
-        state.recent.append(profile)
-        threshold = state.slow_threshold
-        if threshold is not None and profile.wall_seconds >= threshold:
-            state.slow.record(profile)
-        # The statement's span joins the shared trace buffer, so
-        # client- and server-side spans of one trace sit side by side.
-        get_trace_buffer().record(TraceEvent(
-            f"query.{profile.side}",
-            profile.wall_seconds,
-            ok=profile.ok,
-            meta={
-                "trace_id": profile.trace_id,
-                "span_id": profile.span_id,
-                **({"parent_span_id": profile.parent_span_id}
-                   if profile.parent_span_id else {}),
-                "side": profile.side,
-                "engine": profile.engine,
-            },
-        ))
+
+def publish(profile: QueryProfile) -> None:
+    """Store a finished profile: one ``stmt.profile`` flight event.
+
+    The event's trace id is the profile's and its data the rest of
+    :meth:`QueryProfile.as_dict`, so client- and server-side profiles
+    of one trace sit side by side in the ring.  With the ring off the
+    profile is only returned, not stored.  A slow profile also goes to
+    the JSONL sink, whether the ring is on or not.
+    """
+    data = profile.as_dict()
+    threshold = state.slow_threshold
+    sink = state.sink_path
+    if (sink is not None and threshold is not None
+            and profile.wall_seconds >= threshold):
+        try:
+            with open(sink, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(data, sort_keys=True) + "\n")
+        except OSError:
+            pass  # a broken sink must never fail the statement
+    if _flight.state.enabled:
+        del data["trace_id"]
+        _flight.record("stmt.profile", None, profile.trace_id, **data)
+
+
+def _stored(events) -> List[QueryProfile]:
+    return [QueryProfile.from_dict({**event.data, "trace_id": event.trace_id})
+            for event in events]
 
 
 def slow_log(last: Optional[int] = None) -> List[QueryProfile]:
-    """The captured slow-query profiles, oldest first."""
-    return state.slow.entries(last=last)
+    """The stored profiles at or over the slow threshold, oldest first."""
+    threshold = state.slow_threshold
+    if threshold is None:
+        return []
+    slow = [entry for entry in _stored(_flight.events(kind="stmt.profile"))
+            if entry.wall_seconds >= threshold]
+    return slow[-last:] if last else slow
 
 
 def recent_profiles(last: Optional[int] = None) -> List[QueryProfile]:
-    """The most recent profiled statements, oldest first."""
-    items = list(state.recent)
-    return items if last is None else items[-last:]
+    """The profiled statements still in the flight ring, oldest first."""
+    return _stored(_flight.events(kind="stmt.profile", last=last))

@@ -24,9 +24,9 @@ yields parallel ``(i, j)`` row-index lists in (left, right) fetch
 order, the cross-side residuals in ``JoinShape.cross`` drop candidates
 through one :func:`sql_compare` mask, and one vectorized emit
 intersects every surviving pair's periods and clips them to the
-window.  The strategy depends on the shape alone
-(:func:`join_strategy`), so ``EXPLAIN TEMPORAL`` names the plan that
-runs.
+window.  The strategy depends on the shape and on the window grounded
+at the statement ``NOW`` alone (:func:`join_plan`), so ``EXPLAIN
+TEMPORAL`` names the plan that runs.
 
 The bulk fetch reads only what a kernel uses.  Single-side filters
 (``p1.drug = 'X'``, a coalesce's ``WHERE``) go into its SQL ``WHERE``
@@ -68,7 +68,7 @@ from repro.core.span import Span
 from repro.plan.shapes import CoalesceShape, Condition, JoinShape
 
 __all__ = ["KernelResult", "execute_join", "execute_coalesce",
-           "join_strategy", "sql_compare"]
+           "join_plan", "sql_compare"]
 
 Pair = Tuple[int, int]
 
@@ -79,7 +79,7 @@ class KernelResult:
 
     rows: List[Tuple]
     columns: List[str]
-    strategy: str                  # join_strategy(), "empty-window" or "sweep"
+    strategy: str                  # join_plan()'s strategy, or "sweep"
     now_seconds: int
     stats: Dict[str, int] = field(default_factory=dict)
 
@@ -384,18 +384,10 @@ def _vector_emit(left: _Side, right: _Side,
 
 def execute_join(connection, shape: JoinShape,
                  now_seconds: int) -> KernelResult:
-    window_pair = None
-    if shape.window is not None:
-        from repro.core.parser import parse_period
-
-        window_pair = parse_period(f"[{shape.window}]").ground_pair(
-            now_seconds
-        )
-        if window_pair is None:
-            # The window itself is empty: nothing can overlap it.
-            return KernelResult([], _join_columns(shape), "empty-window",
-                                now_seconds,
-                                {"candidates": 0, "fallback_decodes": 0})
+    strategy, window_pair = join_plan(shape, now_seconds)
+    if strategy == "empty-window":
+        return KernelResult([], _join_columns(shape), strategy, now_seconds,
+                            {"candidates": 0, "fallback_decodes": 0})
     left_columns = _columns_for_side(shape, shape.left_alias)
     right_columns = _columns_for_side(shape, shape.right_alias)
     if (shape.left_table == shape.right_table
@@ -457,13 +449,30 @@ def execute_join(connection, shape: JoinShape,
 
     rows = _vector_emit(left, right, lefts, rights, window_pair,
                         _row_builder(slots))
-    return KernelResult(rows, _join_columns(shape), join_strategy(shape),
-                        now_seconds, stats)
+    return KernelResult(rows, _join_columns(shape), strategy, now_seconds,
+                        stats)
 
 
-def join_strategy(shape: JoinShape) -> str:
-    """The candidate step a join runs, from its shape alone."""
-    return "hash" if shape.equalities else "merge"
+def join_plan(shape: JoinShape,
+              now_seconds: int) -> Tuple[str, Optional[Pair]]:
+    """The strategy a join runs at *now_seconds*, and its grounded window.
+
+    ``"empty-window"`` when the ``VALIDTIME PERIOD`` window grounds
+    empty at the statement ``NOW`` (nothing can overlap it); otherwise
+    the candidate step — ``"hash"`` on equality keys, ``"merge"``
+    without — with the window as a ``(lo, hi)`` pair, or None when the
+    statement has no window.
+    """
+    window_pair = None
+    if shape.window is not None:
+        from repro.core.parser import parse_period
+
+        window_pair = parse_period(f"[{shape.window}]").ground_pair(
+            now_seconds
+        )
+        if window_pair is None:
+            return "empty-window", None
+    return ("hash" if shape.equalities else "merge"), window_pair
 
 
 def _join_columns(shape: JoinShape) -> List[str]:

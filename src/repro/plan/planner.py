@@ -6,8 +6,11 @@ TEMPORAL`` and the ``plan.*`` counters — whether to evaluate it with a
 set-based kernel (:mod:`repro.plan.kernels`) or to leave it on the
 naive UDF path.  The naive path is always correct, so every decision
 here is allowed to say "no": unmatched shapes, TIP-typed comparison
-columns, inputs below the row threshold, an active profiler, or an
-armed fault plan that does not target ``plan.kernel`` all fall back.
+columns, inputs below the row threshold, or an armed fault plan that
+does not target ``plan.kernel`` all fall back.  Observation never
+does: a profiled statement runs the plan an unprofiled one runs, and
+reports its kernel through the ``plan.kernel.*`` counter deltas its
+profile carries.
 
 Shape matching happens once per compiled statement: the statement
 cache stamps the matched shape onto
@@ -37,7 +40,6 @@ from repro.core.nowctx import bind_now_seconds, reset_now
 from repro.errors import TipError
 from repro.faults import state as _FAULTS
 from repro.obs import flight as _flight
-from repro.obs.profile import state as _PROFILE
 from repro.obs.registry import get_registry as _obs_registry
 from repro.obs.registry import state as _obs_state
 from repro.plan import kernels, shapes
@@ -247,7 +249,9 @@ def _input_counts(connection, shape) -> List[int]:
         tables = [shape.table]
     counts = []
     for table in tables:
-        row = connection.query_one(f"SELECT COUNT(*) FROM {table}")
+        # On the raw connection: a planner probe, not a statement of
+        # its own (a profiler would otherwise record it as one).
+        row = connection.raw.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
         counts.append(int(row[0]) if row else 0)
     return counts
 
@@ -266,8 +270,8 @@ def maybe_execute_kernel(
     carries it (:attr:`repro.tsql.compiled.CompiledStatement.shape` —
     the hot prepared path, where re-matching per call would cost more
     than the statement); left None, the shape is matched here via the
-    generation-keyed cache.  Runtime vetoes (armed faults, profiler,
-    schema types, row counts) apply identically either way.
+    generation-keyed cache.  Runtime vetoes (armed faults, schema
+    types, row counts) apply identically either way.
     """
     if not state.enabled:
         return None
@@ -280,11 +284,6 @@ def maybe_execute_kernel(
         # A chaos plan aimed elsewhere: keep the run on the exact same
         # code path it exercised before the planner existed.
         _fallback("faults")
-        return None
-    if _PROFILE.enabled or _PROFILE.forced:
-        # The profiler reports blade-routine work; a kernel run would
-        # show an empty profile for a query that did real work.
-        _fallback("profiler")
         return None
     if shape is None:
         shape = _lookup_shape(sql)
@@ -357,7 +356,9 @@ def describe(connection, sql: str) -> Dict[str, object]:
             "reason": f"input below threshold ({state.min_rows} rows)",
         }
     if shape.kind == "join":
-        kernel = kernels.join_strategy(shape)
+        kernel, _window = kernels.join_plan(
+            shape, connection.statement_now_seconds()
+        )
         tables = [shape.left_table, shape.right_table]
         pushed = shape.left_filters + shape.right_filters
     else:

@@ -148,7 +148,8 @@ latencies.  The response also carries ``"pool"`` — the dispatch
 layer's obs-independent gauges (readers, checkouts, waits, max busy,
 writes, checkpoints; see :meth:`repro.server.pool.ConnectionPool.stats`).  Optional request fields: ``"reset": true`` clears the
 process-wide registry first; ``"trace_tail": n`` appends the last *n*
-trace spans under ``metrics.trace``.
+spans under ``metrics.trace`` — the ``span`` and ``stmt.profile``
+events of the flight ring, as ``{"name", "seconds", "ok", "meta"}``.
 
 TIP values (in params and in result rows) are framed as
 ``{"$tip": "<base64 of the binary encoding>"}``; byte strings as

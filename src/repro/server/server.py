@@ -63,14 +63,12 @@ from time import perf_counter
 from typing import List, Optional, Tuple
 
 from repro import codec, obs
-from repro.core.formatter import chronon_text
 from repro.core.parser import parse_chronon
 from repro.errors import TipError
 from repro.faults import state as _FAULTS
 from repro.obs import flight as _flight
 from repro.obs import profile as _profile
 from repro.obs.http import TelemetryServer
-from repro.plan import planner as _planner
 from repro.server import protocol
 from repro.server.pool import ConnectionPool, classify
 from repro.tsql import compiled as _compiled
@@ -445,25 +443,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                     # context plumbing entirely (it is generator-based
                     # and would cost a few microseconds per statement
                     # on the pipelined hot path for nothing).
-                    if not params and plan is not None \
-                            and plan.shape is not None:
-                        # The temporal planner may take the whole
-                        # statement (set-based kernel over this same
-                        # checked-out connection, shape matched at
-                        # compile time); None means run it normally.
-                        result = _planner.maybe_execute_kernel(
-                            connection, sql, shape=plan.shape
-                        )
-                        if result is not None:
-                            return {
-                                "ok": True,
-                                **protocol.dump_result(result.rows),
-                                "columns": result.columns,
-                                "rowcount": len(result.rows),
-                                "statement_now":
-                                    chronon_text(result.now_seconds),
-                            }
-                    rows = cursor.execute_fetchall(sql, params)
+                    rows, columns = self._fetch(cursor, sql, params, plan)
                 else:
                     with _profile.activate_context(trace_id, parent_span, side="server"):
                         if want_profile and not _profile.state.enabled:
@@ -472,9 +452,9 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                             # the brief forced window cannot catch another
                             # session's work on it.
                             with _profile.forced():
-                                rows = cursor.execute_fetchall(sql, params)
+                                rows, columns = self._fetch(cursor, sql, params, plan)
                         else:
-                            rows = cursor.execute_fetchall(sql, params)
+                            rows, columns = self._fetch(cursor, sql, params, plan)
                 if rows is None:
                     connection.commit()
                     if is_write:
@@ -489,12 +469,28 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 return self._execute_response(
                     cursor,
                     rows=rows,
-                    columns=[entry[0] for entry in cursor.description],
+                    columns=columns
+                    or [entry[0] for entry in cursor.description],
                     rowcount=len(rows),
                 )
             except Exception as exc:  # surface engine errors to the client
                 connection.rollback()
                 return {"ok": False, "error": str(exc), "kind": type(exc).__name__}
+
+    @staticmethod
+    def _fetch(cursor, sql, params, plan):
+        """``(rows, columns)`` of one statement; rows None for non-row ones.
+
+        The temporal planner may take the whole statement (set-based
+        kernel over the cursor's checked-out connection, shape matched
+        at compile time), profiled or not; otherwise the cursor runs it
+        and the columns come from its description (``None`` here).
+        """
+        if not params and plan is not None and plan.shape is not None:
+            result = cursor.execute_kernel(sql, plan.shape)
+            if result is not None:
+                return result.rows, result.columns
+        return cursor.execute_fetchall(sql, params), None
 
     def _batch(self, frame: dict) -> dict:
         """The BATCH frame: many statements, one round trip.

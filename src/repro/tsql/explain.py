@@ -7,7 +7,8 @@ tool.  Given one statement (TSQL2 modifiers included), it
 
 1. runs it on the TIP connection under the query profiler
    (:mod:`repro.obs.profile`) — wall time, per-routine breakdown,
-   periods processed, index probes;
+   periods processed, index probes — with the plan an unprofiled run
+   takes (a set-based kernel whenever :mod:`repro.plan` takes it);
 2. mirrors the referenced temporal tables into a layered
    :class:`~repro.layered.engine.LayeredEngine`
    (:func:`~repro.layered.migrate.flatten_from_tip`), classifies the
@@ -281,10 +282,6 @@ def explain_temporal(
         "generation": cache_snapshot["generation"],
     }
 
-    # The planner's verdict is computed before the profiled run below:
-    # profiling forces the naive path (the kernels would hide the blade
-    # work the report exists to show), so this is the only place the
-    # report can say what a *normal* execution would do.
     from repro.plan import planner as _planner
 
     plan_strategy = _planner.describe(connection, translated)
@@ -302,9 +299,11 @@ def explain_temporal(
         _obs.enable()
     try:
         with _profile.forced():
-            cursor = connection.execute(translated)
-            if cursor.description is not None:
-                cursor.fetchall()
+            cursor = connection.cursor()
+            if cursor.execute_kernel(translated) is None:
+                cursor.execute(translated)
+                if cursor.description is not None:
+                    cursor.fetchall()
             blade.profile = cursor.profile
         blade.plan = _query_plan(connection.raw, translated)
 

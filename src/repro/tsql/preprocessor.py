@@ -293,19 +293,6 @@ _ELEMENT_COLUMN_RE = re.compile(
     r"([A-Za-z_][A-Za-z0-9_]*)\s+ELEMENT\b", re.IGNORECASE
 )
 
-_PLANNER = None
-
-
-def _planner():
-    """The temporal planner, imported lazily (it imports this module)."""
-    global _PLANNER
-    if _PLANNER is None:
-        from repro.plan import planner
-
-        _PLANNER = planner
-    return _PLANNER
-
-
 class TsqlSession:
     """Execute TSQL2-modified statements on a TIP connection.
 
@@ -381,8 +368,8 @@ class TsqlSession:
         if plan.shape is not None and not parameters:
             # The shape was matched at compile time; statements without
             # one (the vast majority) skip the planner entirely here.
-            result = _planner().maybe_execute_kernel(
-                self._connection, plan.sql, shape=plan.shape
+            result = self._connection.cursor().execute_kernel(
+                plan.sql, plan.shape
             )
             if result is not None:
                 return result.rows

@@ -501,6 +501,9 @@ class TestObservability:
             conn.execute("CREATE TABLE t (valid ELEMENT)")
             conn.execute("INSERT INTO t VALUES (element('{[1999-01-01, NOW]}'))")
             with obs.capture():
+                # Profiles are stored in the flight ring; a forced
+                # profile with the ring off is returned, not stored.
+                obs.flight.enable()
                 with obs.profile.forced():
                     conn.query("SELECT overlaps(valid, '{[1999-06-01, NOW]}') FROM t")
                     conn.query("SELECT overlaps(valid, '{[1999-06-01, NOW]}') FROM t")

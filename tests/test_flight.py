@@ -28,7 +28,7 @@ import time
 import pytest
 
 from repro import codec, faults, obs
-from repro.obs import flight
+from repro.obs import flight, profile
 from repro.server import RemoteTipConnection, TipServer
 from repro.server.client import RemoteError, RetryPolicy
 
@@ -38,7 +38,7 @@ NO_RETRY = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0)
 
 @pytest.fixture
 def captured():
-    """Hermetic obs state: fresh registry, trace buffer, flight ring."""
+    """Hermetic obs state: fresh registry and flight ring."""
     with obs.capture() as registry:
         yield registry
 
@@ -109,6 +109,17 @@ class TestRing:
         assert event.signature() == "stmt.end[s1] ok=True rowcount=3"
         bare = flight.FlightEvent(1, 0.0, "session.open", None, None, {})
         assert bare.signature() == "session.open[]"
+
+    def test_signature_drops_nested_profile_timings(self):
+        event = flight.FlightEvent(
+            3, 9.5, "stmt.profile", None, "feed",
+            {"sql": "S", "wall_seconds": 0.5, "span_id": "ab",
+             "statement_now": "1999-09-01",
+             "routines": {"blade.routine.x": {"calls": 2, "seconds": 0.1}}},
+        )
+        assert event.signature() == (
+            "stmt.profile[] routines={'blade.routine.x': {'calls': 2}} sql='S'"
+        )
 
 
 class TestInertWhenDisabled:
@@ -325,7 +336,7 @@ def _wait_sessions_drained(timeout: float = 5.0) -> None:
     raise AssertionError("server sessions never drained")
 
 
-def _chaos_run(tmp_path, name: str) -> list:
+def _chaos_run(tmp_path, name: str, profiled: bool = False) -> list:
     """One seeded chaos run; returns the flight signature sequence.
 
     Everything nondeterministic is kept out by construction: the schema
@@ -345,6 +356,8 @@ def _chaos_run(tmp_path, name: str) -> list:
                 connection.execute("CREATE TABLE t (x INTEGER, v ELEMENT)")
             _wait_sessions_drained()
             flight.enable()
+            if profiled:
+                profile.enable(slow_threshold=0.0)
             codec.clear_caches(reset_stats=True)
             with faults.inject(
                 "wal.checkpoint:raise:times=2;pool.checkout:raise:after=4,times=1",
@@ -378,6 +391,16 @@ class TestDeterminism:
         assert first == second
         assert any(sig.startswith("fault.fired[chaos]") for sig in first)
         assert any(sig.startswith("server.error[chaos]") for sig in first)
+
+    def test_profiling_keeps_signatures_deterministic(self, tmp_path):
+        """``stmt.profile`` events carry timings at every depth (wall
+        time, per-routine seconds); the signature drops them all."""
+        first = _chaos_run(tmp_path / "one", "chaos", profiled=True)
+        second = _chaos_run(tmp_path / "two", "chaos", profiled=True)
+        assert first == second
+        profiles = [sig for sig in first if sig.startswith("stmt.profile[]")]
+        assert any("side='server'" in sig for sig in profiles)
+        assert any("side='client'" in sig for sig in profiles)
 
 
 def _crash_run(tmp_path, name: str) -> list:

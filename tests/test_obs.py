@@ -10,8 +10,8 @@ import pytest
 import repro
 from repro import obs
 from repro.obs.instruments import Counter, Histogram
+from repro.obs import flight
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import TraceBuffer, TraceEvent
 
 
 class TestCounter:
@@ -84,36 +84,62 @@ class TestRegistry:
 
 
 class TestTrace:
+    """Spans are ``span`` events in the flight ring (plus a histogram)."""
+
     def test_ring_buffer_bounded(self):
-        buffer = TraceBuffer(capacity=3)
-        for index in range(5):
-            buffer.record(TraceEvent(f"e{index}", 0.0))
-        names = [event.name for event in buffer.events()]
-        assert names == ["e2", "e3", "e4"]
-        assert buffer.events(last=1)[0].name == "e4"
+        with obs.capture():
+            flight.enable()
+            flight.configure(capacity=3)
+            for index in range(5):
+                with obs.span(f"e{index}"):
+                    pass
+            names = [entry["name"] for entry in obs.span_entries(flight.events())]
+            assert names == ["e2", "e3", "e4"]
+            assert obs.snapshot(trace_tail=1)["trace"][0]["name"] == "e4"
 
     def test_span_records_event_and_histogram(self):
         with obs.capture() as registry:
-            with obs.span("unit.work", detail="x"):
+            flight.enable()
+            with obs.span("unit.work", detail="x", trace_id="t1"):
                 pass
-            events = obs.get_trace_buffer().events()
-        assert [event.name for event in events] == ["unit.work"]
-        assert events[0].ok and events[0].meta == {"detail": "x"}
+            (event,) = flight.events(kind="span")
+        assert event.data["name"] == "unit.work" and event.data["ok"]
+        assert event.data["detail"] == "x" and event.trace_id == "t1"
+        assert "trace_id" not in event.data
+        (entry,) = obs.span_entries([event])
+        assert entry["meta"] == {"detail": "x", "trace_id": "t1"}
         assert registry.snapshot()["histograms"]["unit.work.seconds"]["count"] == 1
 
     def test_span_marks_failures(self):
         with obs.capture():
+            flight.enable()
             with pytest.raises(ValueError):
                 with obs.span("unit.boom"):
                     raise ValueError("boom")
-            event = obs.get_trace_buffer().events()[-1]
-        assert event.name == "unit.boom" and not event.ok
+            event = flight.events(kind="span")[-1]
+        assert event.data["name"] == "unit.boom" and not event.data["ok"]
+
+    def test_ring_off_records_the_histogram_only(self):
+        with obs.capture() as registry:
+            with obs.span("unit.metrics_only"):
+                pass
+            assert len(flight.get_recorder()) == 0
+        assert registry.snapshot()["histograms"]["unit.metrics_only.seconds"]["count"] == 1
+
+    def test_metrics_off_records_the_event_only(self):
+        with obs.capture(enabled=False) as registry:
+            flight.enable()
+            with obs.span("unit.ring_only"):
+                pass
+            assert [e.data["name"] for e in flight.events(kind="span")] == ["unit.ring_only"]
+        assert len(registry) == 0
 
     def test_span_disabled_is_inert(self):
         with obs.capture(enabled=False) as registry:
+            assert obs.span("unit.skip") is obs.span("unit.other")
             with obs.span("unit.skip"):
                 pass
-            assert len(obs.get_trace_buffer()) == 0
+            assert len(flight.get_recorder()) == 0
         assert len(registry) == 0
 
 

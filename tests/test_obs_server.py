@@ -9,6 +9,7 @@ import pytest
 
 from repro import obs
 from repro.cli import metrics_main
+from repro.obs import profile
 from repro.server import RemoteTipConnection, TipServer
 
 
@@ -74,10 +75,21 @@ class TestMetricsFrame:
         assert "server.frame.execute.calls" not in second["metrics"]["counters"]
 
     def test_trace_tail(self, served):
+        """``trace_tail`` frames the ring's newest spans: here the
+        client and server profiles of one statement, one trace."""
         host, port, _registry = served
+        profile.enable()
         with RemoteTipConnection(host, port) as connection:
+            result = connection.execute("SELECT k FROM t")
             data = connection.metrics(trace_tail=5)
-        assert isinstance(data["metrics"].get("trace", []), list)
+        trace = data["metrics"]["trace"]
+        assert isinstance(trace, list) and 0 < len(trace) <= 5
+        joined = [entry for entry in trace
+                  if entry.get("meta", {}).get("trace_id") == result.profile.trace_id]
+        assert sorted(entry["name"] for entry in joined) == [
+            "query.client", "query.server",
+        ]
+        assert all(set(entry) == {"name", "seconds", "ok", "meta"} for entry in joined)
 
 
 class TestConcurrentSessions:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,7 +31,7 @@ from repro.core.instant import Instant
 from repro.core.period import Period
 from repro.core.span import Span
 from repro.errors import CodecError, TipTypeError
-from repro.obs import flight
+from repro.obs import flight, profile
 from repro.obs.export import render_prometheus
 from repro.plan import kernels
 from repro.server import RemoteTipConnection, TipServer
@@ -58,11 +58,11 @@ COALESCE_Q = ("SELECT k, length_seconds(group_union(valid)) "
 
 
 @contextmanager
-def _forced():
-    """Planner on with no row threshold; restored afterwards."""
+def _forced(min_rows=0):
+    """Planner on with *min_rows* (none by default); restored afterwards."""
     min_rows_before = plan.state.min_rows
     enabled_before = plan.state.enabled
-    plan.configure(enabled=True, min_rows=0)
+    plan.configure(enabled=True, min_rows=min_rows)
     try:
         yield
     finally:
@@ -426,25 +426,24 @@ class TestObservability:
         "VALIDTIME SELECT l.k, r.k FROM L AS l, R AS r",
         "VALIDTIME SELECT l.k, r.k FROM L AS l, R AS r "
         "WHERE l.k = r.k AND l.k >= r.k",
+        "VALIDTIME PERIOD 'NOW, 1998-01-01' "
+        "SELECT l.k, r.k FROM L AS l, R AS r WHERE l.k = r.k",
     ])
     def test_explain_names_the_strategy_that_runs(
         self, conn, forced_planner, query
     ):
-        """EXPLAIN's ``join via X`` is the strategy the run records."""
+        """EXPLAIN's ``join via X`` is the strategy its own profiled
+        run records."""
         _load(conn, "L", [
             (k, E("{[1999-01-01, 1999-06-01]}")) for k in range(3)
         ])
         _load(conn, "R", [
             (k, E("{[1999-03-01, 1999-09-01]}")) for k in range(24)
         ])
-        rendered = explain_temporal(conn, query).render()
-        flight.clear()
-        flight.enable()
-        try:
-            TsqlSession(conn).query(query)
-        finally:
-            flight.disable()
-        (event,) = flight.snapshot(kind="plan.kernel")
+        with obs.capture():
+            flight.enable()
+            rendered = explain_temporal(conn, query).render()
+            (event,) = flight.snapshot(kind="plan.kernel")
         assert f"join via {event['data']['strategy']}" in rendered, query
 
     def test_explain_reports_naive_with_reason(self, conn):
@@ -455,6 +454,50 @@ class TestObservability:
         assert report.plan_strategy["strategy"] == "naive"
         assert "temporal strategy: naive" in report.render()
         assert "threshold" in report.render()
+
+
+class TestProfilingKeepsThePlan:
+    """A profiled statement runs the plan an unprofiled one runs."""
+
+    @staticmethod
+    def _run(session, query, mode):
+        """(rows, plan.kernel events, stored profiles) for one run."""
+        with obs.capture(enabled=mode != "off"):
+            flight.enable()
+            if mode == "enabled":
+                profile.enable()
+            with profile.forced() if mode == "forced" else nullcontext():
+                rows = session.query(query)
+            events = [
+                {key: event.data.get(key)
+                 for key in ("shape", "strategy", "rows", "candidates")}
+                for event in flight.events(kind="plan.kernel")
+            ]
+            return rows, events, profile.recent_profiles()
+
+    @pytest.mark.parametrize("query", [
+        graphs.path_query(),
+        graphs.windowed_path_query("1997-01-01, 1997-06-30"),
+        graphs.coalesce_query(),
+    ])
+    def test_profiled_runs_take_the_unprofiled_plan(self, conn, query):
+        min_rows = plan.planner.DEFAULT_MIN_ROWS
+        graphs.load_graph(conn, graphs.generate_edges(graphs.GraphConfig(
+            n_nodes=40, n_edges=2 * min_rows, seed=3,
+        )))
+        session = TsqlSession(conn)
+        with _forced(min_rows=min_rows):
+            off = self._run(session, query, "off")
+            enabled = self._run(session, query, "enabled")
+            forced = self._run(session, query, "forced")
+        assert len(off[1]) == 1 and off[1][0]["rows"] == len(off[0])
+        assert off[:2] == enabled[:2] == forced[:2]
+        # The profile names the kernel through its counter deltas.
+        for _rows, _events, stored in (enabled, forced):
+            (prof,) = stored
+            kernel = f"plan.kernel.{off[1][0]['shape']}"
+            assert prof.counters.get(kernel) == 1
+            assert prof.rows == len(off[0])
 
 
 class TestServerPath:
@@ -492,6 +535,32 @@ class TestServerPath:
                 assert len(kernel_rows) == 4
                 counters = registry.snapshot()["counters"]
                 assert counters.get("plan.kernel.join", 0) >= 1
+
+    def test_profiled_remote_statement_runs_the_kernel(self, forced_planner):
+        """Profiling on the server keeps the kernel plan, and the framed
+        profile names it through its counter deltas."""
+        with obs.capture(), TipServer(":memory:") as server:
+            host, port = server.address
+            with RemoteTipConnection(host, port) as connection:
+                for table, period in (("L", "{[1999-01-01, 1999-06-01]}"),
+                                      ("R", "{[1999-03-01, 1999-09-01]}")):
+                    connection.execute(
+                        f"CREATE TABLE {table} (k INTEGER, valid ELEMENT)")
+                    for k in range(4):
+                        connection.execute(
+                            f"INSERT INTO {table} VALUES (?, element(?))",
+                            (k, period))
+                connection.set_now(DEMO_NOW)
+                plain = connection.execute(HASH_Q)
+                profile.enable()
+                profiled = connection.execute(HASH_Q)
+            assert profiled.rows == plain.rows and len(plain.rows) == 4
+            assert profiled.profile.counters.get("plan.kernel.join") == 1
+            assert profiled.profile.rows == 4
+            # The server records both runs: one plan, profiled or not.
+            strategies = [event.data["strategy"]
+                          for event in flight.events(kind="plan.kernel")]
+            assert strategies == ["hash", "hash"]
 
 
 # -- pushdown and raw-decode coverage ------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro import obs
-from repro.obs import profile
+from repro.obs import flight, profile
 from repro.obs.export import render_profile, render_prometheus
 from repro.obs.profile import QueryProfile
 from repro.server import RemoteTipConnection, TipServer
@@ -18,7 +18,7 @@ from repro.server import RemoteTipConnection, TipServer
 
 @pytest.fixture
 def captured():
-    """Hermetic obs state (registry, trace buffer, profiler rings)."""
+    """Hermetic obs state (registry, flight ring, profiler switch)."""
     with obs.capture() as registry:
         yield registry
 
@@ -175,11 +175,35 @@ class TestSlowQueryLog:
         rows = connection.execute("SELECT k FROM t").fetchall()
         assert rows and len(profile.slow_log()) == 1
 
-    def test_ring_is_bounded(self, captured):
-        log = profile.SlowQueryLog(capacity=3)
+    def test_ring_is_bounded(self, captured, connection):
+        """The slow log keeps what the flight ring keeps."""
+        profile.enable(slow_threshold=0.0)
+        flight.configure(capacity=3)
         for i in range(5):
-            log.record(QueryProfile(sql=f"S{i}"))
-        assert [p.sql for p in log.entries()] == ["S2", "S3", "S4"]
+            connection.execute(f"SELECT k FROM t WHERE k < {i}").fetchall()
+        assert [p.sql for p in profile.slow_log()] == [
+            f"SELECT k FROM t WHERE k < {i}" for i in (2, 3, 4)
+        ]
+        assert [p.sql for p in profile.slow_log(last=1)] == [
+            "SELECT k FROM t WHERE k < 4"
+        ]
+
+    def test_profiles_are_stmt_profile_events(self, captured, connection):
+        profile.enable()
+        cursor = connection.execute("SELECT k FROM t")
+        (event,) = flight.events(kind="stmt.profile")
+        assert event.trace_id == cursor.profile.trace_id
+        assert event.data["sql"] == "SELECT k FROM t"
+        assert profile.recent_profiles() == [cursor.profile]
+
+    def test_forced_profile_with_the_ring_off_is_not_stored(
+        self, captured, connection
+    ):
+        assert not flight.state.enabled
+        with profile.forced():
+            cursor = connection.execute("SELECT k FROM t")
+        assert cursor.profile is not None
+        assert profile.recent_profiles() == [] and len(flight.get_recorder()) == 0
 
 
 @pytest.fixture
@@ -205,9 +229,9 @@ class TestTracePropagation:
         assert client_prof.trace_id == server_prof.trace_id
         assert server_prof.parent_span_id == client_prof.span_id
         assert client_prof.side == "client" and server_prof.side == "server"
-        # Both spans landed in the shared trace buffer.
-        events = obs.get_trace_buffer().events_for_trace(client_prof.trace_id)
-        sides = sorted(event.meta["side"] for event in events)
+        # Both profiles landed in the shared flight ring, one trace.
+        events = flight.events(kind="stmt.profile", trace_id=client_prof.trace_id)
+        sides = sorted(event.data["side"] for event in events)
         assert sides == ["client", "server"]
 
     def test_server_profile_carries_the_routine_breakdown(self, served):

@@ -24,7 +24,7 @@ import pytest
 
 import repro
 from repro import obs
-from repro.obs import flight
+from repro.obs import flight, profile
 from repro.obs.export import render_prometheus, render_text
 from repro.obs.http import TelemetryServer
 from repro.server import RemoteTipConnection, TipServer
@@ -110,13 +110,21 @@ class TestRoutes:
 
     def test_debug_spans(self, server):
         host, port = server.address
+        profile.enable()
         with RemoteTipConnection(host, port, retry=NO_RETRY) as connection:
-            connection.execute("SELECT 1")
-        status, content_type, body = _get(self._base(server) + "/debug/spans")
+            result = connection.execute("SELECT 1")
+        base = self._base(server)
+        status, content_type, body = _get(base + "/debug/spans")
         assert status == 200 and content_type == "application/x-ndjson"
-        for line in body.splitlines():
-            record = json.loads(line)
+        records = [json.loads(line) for line in body.splitlines()]
+        assert records
+        for record in records:
             assert {"name", "trace_id", "span_id"} <= set(record)
+        _, _, one = _get(base + f"/debug/spans?trace={result.profile.trace_id}")
+        names = sorted(json.loads(line)["name"] for line in one.splitlines())
+        assert names == ["query.client", "query.server"]
+        _, _, tail = _get(base + "/debug/spans?last=1")
+        assert len(tail.splitlines()) == 1
 
     def test_unknown_path_is_a_json_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as caught:
