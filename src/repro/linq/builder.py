@@ -46,41 +46,17 @@ from repro.linq.compile import emit
 from repro.linq.errors import LinqError, LinqTypeError
 from repro.linq.params import ParamSpec
 from repro.tsql import compiled
-from repro.tsql.preprocessor import _split_top_level_commas
 
 __all__ = ["Linq", "Schema", "Table", "Query", "LinqPrepared"]
-
-_CONSTRAINT_STARTERS = frozenset(
-    {"PRIMARY", "FOREIGN", "UNIQUE", "CHECK", "CONSTRAINT"}
-)
 
 
 @dataclass(frozen=True)
 class TableInfo:
-    """One table's declared shape, parsed from its CREATE TABLE text."""
+    """One table's declared shape, as SQLite parsed its DDL."""
 
     name: str
     columns: Tuple[Tuple[str, str], ...]  # (name, type name) in DDL order
     valid_column: Optional[str]  # first ELEMENT column, if any
-
-
-def _parse_columns(ddl: str) -> Tuple[Tuple[str, str], ...]:
-    """``(column, type name)`` pairs from one CREATE TABLE statement."""
-    open_at = ddl.find("(")
-    close_at = ddl.rfind(")")
-    if open_at < 0 or close_at <= open_at:
-        return ()
-    columns: List[Tuple[str, str]] = []
-    for part in _split_top_level_commas(ddl[open_at + 1 : close_at]):
-        tokens = part.split()
-        if not tokens:
-            continue
-        name = tokens[0].strip('"`[]')
-        if name.upper() in _CONSTRAINT_STARTERS:
-            continue
-        decltype = tokens[1] if len(tokens) > 1 else None
-        columns.append((name, _t.decltype_name(decltype)))
-    return tuple(columns)
 
 
 class Schema:
@@ -93,16 +69,11 @@ class Schema:
     def from_connection(cls, connection) -> "Schema":
         """Discover via ``connection.query`` (local or remote alike)."""
         tables: Dict[str, TableInfo] = {}
-        rows = connection.query(
-            "SELECT name, sql FROM sqlite_master "
-            "WHERE type = 'table' AND sql IS NOT NULL"
-        )
-        for name, ddl in rows:
-            columns = _parse_columns(ddl or "")
-            valid = next(
-                (col for col, kind in columns if kind == _t.ELEMENT), None
+        for key, (name, declared, valid) in compiled.declared_columns(connection).items():
+            columns = tuple(
+                (column, _t.decltype_name(decltype)) for column, decltype in declared
             )
-            tables[name.lower()] = TableInfo(name, columns, valid)
+            tables[key] = TableInfo(name, columns, valid)
         return cls(tables)
 
     def valid_columns(self) -> Dict[str, str]:

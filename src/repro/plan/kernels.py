@@ -66,6 +66,7 @@ from repro.codec.binary import element_arrays, merge_pairs
 from repro.core.element import Element
 from repro.core.span import Span
 from repro.plan.shapes import CoalesceShape, Condition, JoinShape
+from repro.tsql.parser import Column
 
 __all__ = ["KernelResult", "execute_join", "execute_coalesce",
            "join_plan", "sql_compare"]
@@ -160,8 +161,8 @@ def _columns_for_side(shape: JoinShape, alias: str) -> List[str]:
         needed.add(left_col if alias == shape.left_alias else right_col)
     for condition in shape.cross:
         for operand in (condition.left, condition.right):
-            if operand.kind == "col" and operand.alias == alias:
-                needed.add(operand.column)
+            if isinstance(operand, Column) and operand.table == alias:
+                needed.add(operand.name)
     return sorted(needed)
 
 
@@ -172,8 +173,8 @@ def _fetch(connection, table: str, columns: List[str], valid: str,
     params: List[object] = []
 
     def sql(operand) -> str:
-        if operand.kind == "col":
-            return operand.column
+        if isinstance(operand, Column):
+            return operand.name
         value = operand.value
         if isinstance(value, int) and not -2**63 <= value < 2**63:
             value = float(value)  # SQLite reads such a literal as REAL
@@ -424,10 +425,10 @@ def execute_join(connection, shape: JoinShape,
 
     # match() normalized cross conditions left-operand-first.
     for condition in shape.cross:
-        left_values = map(itemgetter(left.positions[condition.left.column]),
+        left_values = map(itemgetter(left.positions[condition.left.name]),
                           map(left.rows.__getitem__, lefts.tolist()))
         right_values = map(
-            itemgetter(right.positions[condition.right.column]),
+            itemgetter(right.positions[condition.right.name]),
             map(right.rows.__getitem__, rights.tolist()))
         keep = np.fromiter(map(sql_compare, left_values,
                                repeat(condition.op), right_values),

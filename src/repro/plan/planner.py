@@ -18,7 +18,8 @@ cache stamps the matched shape onto
 cache is generation-keyed, any DDL or registry change that invalidates
 prepared statements invalidates kernel plans with it.  Callers without
 a compiled statement go through a small shape LRU keyed on the same
-generation.  Schema lookups (``PRAGMA table_info``) are cached per
+generation.  Declared column types
+(:func:`repro.tsql.compiled.declared_columns`) are cached per
 connection under the same generation key.
 
 Knobs: ``TIP_KERNEL=0`` disables the planner process-wide, and
@@ -46,6 +47,7 @@ from repro.plan import kernels, shapes
 from repro.plan.kernels import KernelResult
 from repro.plan.shapes import CoalesceShape, JoinShape
 from repro.tsql import compiled
+from repro.tsql.parser import Column
 
 __all__ = [
     "state", "configure", "is_candidate", "maybe_execute_kernel",
@@ -157,20 +159,14 @@ def _table_schema(connection, table: str) -> Optional[Dict[str, str]]:
     generation = compiled.generation()
     cached = _SCHEMA_CACHE.get(connection)
     if cached is None or cached[0] != generation:
-        cached = (generation, {})
-        _SCHEMA_CACHE[connection] = cached
-    tables = cached[1]
-    if table not in tables:
         try:
-            rows = connection.query(f"PRAGMA table_info({table})")
+            declared = compiled.declared_columns(connection)
         except Exception:
-            rows = []
-        tables[table] = {
-            str(row[1]): (str(row[2]) if row[2] is not None else "").upper()
-            for row in rows
-        }
-    schema = tables[table]
-    return schema or None
+            declared = {}
+        schemas = {key: {column: decltype.upper() for column, decltype in columns}
+                   for key, (_name, columns, _valid) in declared.items()}
+        cached = _SCHEMA_CACHE[connection] = (generation, schemas)
+    return cached[1].get(table.lower())
 
 
 def _affinity(decltype: str) -> str:
@@ -211,17 +207,17 @@ def _schema_ok(connection, shape) -> bool:
                       + shape.right_filters)
         for condition in conditions:
             for operand in (condition.left, condition.right):
-                if operand.kind != "col":
+                if not isinstance(operand, Column):
                     continue
-                schema = left if operand.alias == shape.left_alias else right
-                if operand.column not in schema \
-                        or schema[operand.column] in TIP_DECLTYPES:
+                schema = left if operand.table == shape.left_alias else right
+                if operand.name not in schema \
+                        or schema[operand.name] in TIP_DECLTYPES:
                     return False
         # Keys and cross residuals compare in Python, by storage class;
         # SQLite would first convert one side when the affinities differ
         # (2 = '2' between an INTEGER and a TEXT column is true).
         pairs = list(shape.equalities) + [
-            (c.left.column, c.right.column) for c in shape.cross]
+            (c.left.name, c.right.name) for c in shape.cross]
         return all(_affinity(left[left_col]) == _affinity(right[right_col])
                    for left_col, right_col in pairs)
     schema = _table_schema(connection, shape.table)
@@ -234,9 +230,9 @@ def _schema_ok(connection, shape) -> bool:
             return False
     for condition in shape.filters:
         for operand in (condition.left, condition.right):
-            if operand.kind == "col" and (
-                operand.column not in schema
-                or schema[operand.column] in TIP_DECLTYPES
+            if isinstance(operand, Column) and (
+                operand.name not in schema
+                or schema[operand.name] in TIP_DECLTYPES
             ):
                 return False
     return True
@@ -375,8 +371,8 @@ def describe(connection, sql: str) -> Dict[str, object]:
 def _condition_text(condition) -> str:
     """A filter the kernel's bulk fetch hands to SQLite, as SQL text."""
     def operand(op) -> str:
-        if op.kind == "lit":
+        if not isinstance(op, Column):
             return literal(op.value)
-        return f"{op.alias}.{op.column}" if op.alias else op.column
+        return f"{op.table}.{op.name}" if op.table else op.name
     return (f"{operand(condition.left)} {condition.op} "
             f"{operand(condition.right)}")

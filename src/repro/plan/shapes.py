@@ -27,24 +27,24 @@ kernels evaluate with SQLite's own comparison semantics.
 with the aggregate optionally wrapped in ``length(...)`` or
 ``length_seconds(...)`` (Section 2's time-on-medication query).
 
-Matching is deliberately conservative: subqueries, three-way joins,
-ORDER BY / HAVING / LIMIT tails, ``DISTINCT``, OR-connected
-predicates, bind parameters, and anything else unrecognized all yield
-``None`` — the caller falls back to the naive path, which is always
-correct.
+The matcher reads the statement through :func:`repro.tsql.parser.parse`
+and compares IR nodes, so string literals are opaque: a ``?`` or an
+``AND`` inside one is literal text.  Matching is deliberately
+conservative: subqueries, three-way joins, ORDER BY / HAVING / LIMIT
+tails, ``DISTINCT``, OR-connected predicates, placeholder tokens, and
+anything else unrecognized all yield ``None`` — the caller falls back
+to the naive path, which is always correct.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TranslationError
-from repro.tsql.preprocessor import _parse_from_items, split_select
+from repro.tsql.parser import Call, Column, Comparison, Literal, Select, parse
 
 __all__ = [
-    "Operand",
     "Condition",
     "OutputColumn",
     "JoinShape",
@@ -52,66 +52,15 @@ __all__ = [
     "match",
 ]
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_QUALREF_RE = re.compile(rf"^(?P<alias>{_IDENT})\.(?P<column>{_IDENT})$")
-_BARE_RE = re.compile(rf"^{_IDENT}$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_FLOAT_RE = re.compile(r"^[+-]?(?:\d+\.\d*|\.\d+|\d+(?:\.\d*)?[eE][+-]?\d+)$")
-_STRING_RE = re.compile(r"^'(?P<body>(?:[^']|'')*)'$")
-_PERIOD_LIT = r"period\s*\(\s*'\[(?P<period>[^']*)\]'\s*\)"
-_TINTERSECT_RE = re.compile(
-    rf"^tintersect\s*\(\s*(?P<a>{_IDENT}\.{_IDENT})\s*,"
-    rf"\s*(?P<b>{_IDENT}\.{_IDENT})\s*\)$",
-    re.IGNORECASE,
-)
-_RESTRICT_RE = re.compile(
-    rf"^restrict\s*\(\s*(?P<inner>tintersect\s*\([^()]*\))\s*,"
-    rf"\s*{_PERIOD_LIT}\s*\)$",
-    re.IGNORECASE,
-)
-_PAIR_OVERLAP_RE = re.compile(
-    rf"^overlaps\s*\(\s*(?P<a>{_IDENT}\.{_IDENT})\s*,"
-    rf"\s*(?P<b>{_IDENT}\.{_IDENT})\s*\)$",
-    re.IGNORECASE,
-)
-_WINDOW_OVERLAP_RE = re.compile(
-    rf"^overlaps\s*\(\s*(?P<v>{_IDENT}\.{_IDENT})\s*,"
-    rf"\s*to_element\s*\(\s*{_PERIOD_LIT}\s*\)\s*\)$",
-    re.IGNORECASE,
-)
-_GROUP_UNION_RE = re.compile(
-    rf"^(?:(?P<wrapper>length_seconds|length)\s*\(\s*)?"
-    rf"group_union\s*\(\s*(?P<arg>(?:{_IDENT}\.)?{_IDENT})\s*\)"
-    rf"(?(wrapper)\s*\))$",
-    re.IGNORECASE,
-)
-_GROUP_BY_TAIL_RE = re.compile(
-    r"^GROUP\s+BY\s+(?P<keys>.+)$", re.IGNORECASE | re.DOTALL
-)
-#: Comparison operators, longest first so the scanner is greedy.
-_OPERATORS = ("<=", ">=", "<>", "!=", "==", "=", "<", ">")
-#: Words that would change comparison semantics if treated as values.
-_RESERVED_WORDS = frozenset({"null", "true", "false", "not", "in", "is",
-                             "like", "between", "or", "and", "case"})
-
-
-@dataclass(frozen=True)
-class Operand:
-    """One side of a comparison: a column reference or a literal."""
-
-    kind: str                 # "col" | "lit"
-    alias: str = ""           # "" for a bare (unqualified) column
-    column: str = ""
-    value: object = None
-
 
 @dataclass(frozen=True)
 class Condition:
-    """``left <op> right`` with at least one column operand."""
+    """``left <op> right``: a column (IR node; ``table`` holds the alias,
+    "" when bare) against a column or a literal."""
 
-    left: Operand
-    op: str
-    right: Operand
+    left: Column
+    op: str                   # =, !=, <, >, <= or >=
+    right: Union[Column, Literal]
 
 
 @dataclass(frozen=True)
@@ -162,173 +111,45 @@ class CoalesceShape:
     kind: str = field(default="coalesce", init=False)
 
 
-# -- lexical helpers ----------------------------------------------------
+# -- IR helpers ---------------------------------------------------------
 
 
-def _split_top_level_and(text: str) -> List[str]:
-    """Split on the word AND at paren/quote depth zero."""
-    parts: List[str] = []
-    upper = text.upper()
-    depth = 0
-    in_string = False
-    start = 0
-    index = 0
-    while index < len(text):
-        char = text[index]
-        if in_string:
-            if char == "'":
-                in_string = False
-        elif char == "'":
-            in_string = True
-        elif char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif depth == 0 and upper.startswith("AND", index):
-            before_ok = index == 0 or not (text[index - 1].isalnum()
-                                           or text[index - 1] == "_")
-            after = index + 3
-            after_ok = after >= len(text) or not (text[after].isalnum()
-                                                  or text[after] == "_")
-            if before_ok and after_ok:
-                parts.append(text[start:index])
-                start = after
-                index = after
-                continue
-        index += 1
-    parts.append(text[start:])
-    return [part.strip() for part in parts if part.strip()]
+def _call(expr, name: str, arity: int) -> bool:
+    return isinstance(expr, Call) and expr.name == name and len(expr.args) == arity
 
 
-def _strip_parens(text: str) -> str:
-    """Remove enclosing parentheses that wrap the whole expression."""
-    text = text.strip()
-    while text.startswith("(") and text.endswith(")"):
-        depth = 0
-        closes_early = False
-        for index, char in enumerate(text):
-            if char == "'":
-                # A quote inside the candidate parens: bail out of the
-                # cheap scan and keep the text as-is (conjuncts with
-                # strings still strip when the parens pair cleanly,
-                # because quotes cannot hide an unbalanced paren here —
-                # the SQL already parsed).
-                pass
-            if char == "(":
-                depth += 1
-            elif char == ")":
-                depth -= 1
-                if depth == 0 and index < len(text) - 1:
-                    closes_early = True
-                    break
-        if closes_early:
-            break
-        text = text[1:-1].strip()
-    return text
+def _period_literal(expr) -> Optional[str]:
+    """The body of ``period('[<body>]')``, or None."""
+    text = expr.string_arg() if _call(expr, "period", 1) else None
+    return text[1:-1] if text and text[0] == "[" and text[-1] == "]" else None
 
 
-def _conjuncts(where: str) -> List[str]:
-    """Flatten a WHERE clause into top-level AND-ed atoms."""
-    out: List[str] = []
-    for part in _split_top_level_and(where):
-        stripped = _strip_parens(part)
-        if stripped != part or len(_split_top_level_and(stripped)) > 1:
-            out.extend(_conjuncts(stripped))
-        else:
-            out.append(stripped)
-    return out
-
-
-def _split_alias_clause(item: str) -> Tuple[str, Optional[str]]:
-    """``expr [AS name]`` split at the top-level AS; (expr, name|None)."""
-    upper = item.upper()
-    depth = 0
-    in_string = False
-    for index in range(len(item) - 1, -1, -1):
-        char = item[index]
-        if in_string:
-            if char == "'":
-                in_string = False
-        elif char == "'":
-            in_string = True
-        elif char == ")":
-            depth += 1
-        elif char == "(":
-            depth -= 1
-        elif depth == 0 and upper.startswith("AS", index):
-            before_ok = index > 0 and upper[index - 1].isspace()
-            after = index + 2
-            after_ok = after < len(item) and item[after].isspace()
-            if before_ok and after_ok:
-                name = item[after:].strip()
-                if _BARE_RE.match(name):
-                    return item[:index].strip(), name
-                return item, None
-    return item.strip(), None
-
-
-def _parse_operand(text: str, aliases: Sequence[str],
-                   allow_bare: bool) -> Optional[Operand]:
-    text = text.strip()
-    lowered = text.lower()
-    if lowered in _RESERVED_WORDS:
-        return None
-    match = _QUALREF_RE.match(text)
-    if match:
-        if match["alias"] not in aliases:
-            return None
-        return Operand("col", alias=match["alias"], column=match["column"])
-    if allow_bare and _BARE_RE.match(text):
-        return Operand("col", alias="", column=text)
-    if _INT_RE.match(text):
-        return Operand("lit", value=int(text))
-    if _FLOAT_RE.match(text):
-        return Operand("lit", value=float(text))
-    match = _STRING_RE.match(text)
-    if match:
-        return Operand("lit", value=match["body"].replace("''", "'"))
-    return None
+def _qualified(expr) -> bool:
+    """Is *expr* an alias-qualified column reference?"""
+    return isinstance(expr, Column) and bool(expr.table)
 
 
 _FLIPPED = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
-def _parse_comparison(text: str, aliases: Sequence[str],
-                      allow_bare: bool) -> Optional[Condition]:
-    """One ``side <op> side`` comparison, or None."""
-    depth = 0
-    in_string = False
-    index = 0
-    while index < len(text):
-        char = text[index]
-        if in_string:
-            if char == "'":
-                in_string = False
-            index += 1
-            continue
-        if char == "'":
-            in_string = True
-        elif char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif depth == 0:
-            for op in _OPERATORS:
-                if text.startswith(op, index):
-                    left = _parse_operand(text[:index], aliases, allow_bare)
-                    right = _parse_operand(text[index + len(op):], aliases,
-                                           allow_bare)
-                    if left is None or right is None:
-                        return None
-                    canon = {"==": "=", "<>": "!="}.get(op, op)
-                    if left.kind == "lit" and right.kind == "col":
-                        left, right = right, left
-                        canon = _FLIPPED.get(canon, canon)
-                    if left.kind != "col":
-                        return None  # two literals: not worth modeling
-                    return Condition(left, canon, right)
-        index += 1
-    return None
+def _condition(expr, aliases: Sequence[str],
+               allow_bare: bool) -> Optional[Condition]:
+    """One ``side <op> side`` comparison of literals and columns of
+    *aliases* (or bare columns, when *allow_bare*), or None."""
+    def operand(side) -> bool:
+        if isinstance(side, Column):
+            return side.table in aliases if side.table else allow_bare
+        return isinstance(side, Literal)
+
+    if not (isinstance(expr, Comparison) and operand(expr.left) and operand(expr.right)):
+        return None
+    left, right = expr.left, expr.right
+    op = {"==": "=", "<>": "!="}.get(expr.op, expr.op)
+    if isinstance(left, Literal):
+        if isinstance(right, Literal):
+            return None  # two literals: not worth modeling
+        left, right, op = right, left, _FLIPPED.get(op, op)
+    return Condition(left, op, right)
 
 
 # -- the matcher --------------------------------------------------------
@@ -336,70 +157,56 @@ def _parse_comparison(text: str, aliases: Sequence[str],
 
 def match(sql: str) -> Optional[Union[JoinShape, CoalesceShape]]:
     """Recognize *sql* as a kernel-evaluable shape, or return None."""
-    stripped = sql.strip()
-    if not stripped.upper().startswith("SELECT") or "?" in stripped:
-        return None
     try:
-        parts = split_select(stripped)
-        from_items = _parse_from_items(parts.from_list)
+        select = parse(sql)
     except TranslationError:
         return None
-    if parts.select_list.upper().startswith(("DISTINCT", "ALL ")):
+    if select.modifier or select.params or select.distinct:
         return None
-    if len(from_items) == 2:
-        return _match_join(parts, from_items)
-    if len(from_items) == 1:
-        return _match_coalesce(parts, from_items[0])
+    if len(select.from_items) == 2:
+        return _match_join(select)
+    if len(select.from_items) == 1:
+        return _match_coalesce(select)
     return None
 
 
-def _match_join(parts, from_items) -> Optional[JoinShape]:
-    if parts.tail:
+def _match_join(select: Select) -> Optional[JoinShape]:
+    if set(select.clauses) - {"select", "from", "where"}:
         return None
-    (left_table, left_alias), (right_table, right_alias) = from_items
+    left, right = select.from_items
+    left_alias, right_alias = left.alias, right.alias
     if left_alias == right_alias:
         return None
     aliases = (left_alias, right_alias)
 
     outputs: List[OutputColumn] = []
-    valid_at = None
-    valid_name = None
-    validity_refs = None
-    window = None
-    items = _split_select_items(parts.select_list)
-    if items is None:
-        return None
-    for index, item in enumerate(items):
-        expr, name = _split_alias_clause(item)
-        restrict = _RESTRICT_RE.match(expr)
-        inner = restrict["inner"] if restrict else expr
-        tint = _TINTERSECT_RE.match(inner.strip())
-        if tint:
+    valid_at = valid_name = window = None
+    validity_refs = set()
+    for index, item in enumerate(select.items):
+        expr, period = item.expr, None
+        if _call(expr, "restrict", 2):
+            period = _period_literal(expr.args[1])
+            if period is not None:
+                expr = expr.args[0]
+        if _call(expr, "tintersect", 2) and all(map(_qualified, expr.args)):
             if valid_at is not None:
                 return None  # two validity expressions: not our shape
-            valid_at = index
-            valid_name = name if name is not None else expr
-            validity_refs = (tint["a"], tint["b"])
-            window = restrict["period"] if restrict else None
+            valid_at, validity_refs, window = index, set(expr.args), period
+            valid_name = item.name if item.name is not None else item.text
             continue
-        ref = _QUALREF_RE.match(expr)
-        if ref is None or ref["alias"] not in aliases or name == "":
+        column = item.expr
+        if not _qualified(column) or column.table not in aliases:
             return None
         outputs.append(OutputColumn(
-            name=name if name is not None else ref["column"],
-            alias=ref["alias"], column=ref["column"],
+            name=item.name if item.name is not None else column.name,
+            alias=column.table, column=column.name,
         ))
-    if valid_at is None or parts.where is None:
+    if valid_at is None or not select.where:
         return None
 
     # Resolve the validity refs: exactly one per side.
-    by_alias = {}
-    for text in validity_refs:
-        ref = _QUALREF_RE.match(text)
-        if ref is None or ref["alias"] in by_alias:
-            return None
-        by_alias[ref["alias"]] = ref["column"]
-    if set(by_alias) != set(aliases):
+    by_alias = {column.table: column.name for column in validity_refs}
+    if len(validity_refs) != 2 or set(by_alias) != set(aliases):
         return None
     left_valid, right_valid = by_alias[left_alias], by_alias[right_alias]
 
@@ -409,32 +216,31 @@ def _match_join(parts, from_items) -> Optional[JoinShape]:
     cross: List[Condition] = []
     left_filters: List[Condition] = []
     right_filters: List[Condition] = []
-    for conjunct in _conjuncts(parts.where):
-        pair = _PAIR_OVERLAP_RE.match(conjunct)
-        if pair:
-            if pair_seen or {pair["a"], pair["b"]} != set(validity_refs):
-                return None
-            pair_seen = True
-            continue
-        window_match = _WINDOW_OVERLAP_RE.match(conjunct)
-        if window_match:
-            if window is None or window_match["period"] != window:
-                return None
-            if window_match["v"] not in validity_refs:
-                return None
-            window_seen.add(window_match["v"])
-            continue
-        condition = _parse_comparison(conjunct, aliases, allow_bare=False)
+    for conjunct in select.where:
+        if _call(conjunct, "overlaps", 2):
+            first, second = conjunct.args
+            if _qualified(first) and _qualified(second):
+                if pair_seen or {first, second} != validity_refs:
+                    return None
+                pair_seen = True
+                continue
+            if (_qualified(first) and _call(second, "to_element", 1)
+                    and _period_literal(second.args[0]) is not None):
+                if _period_literal(second.args[0]) != window or first not in validity_refs:
+                    return None
+                window_seen.add(first)
+                continue
+        condition = _condition(conjunct, aliases, allow_bare=False)
         if condition is None:
             return None
-        sides = {op.alias for op in (condition.left, condition.right)
-                 if op.kind == "col"}
+        sides = {op.table for op in (condition.left, condition.right)
+                 if isinstance(op, Column)}
         if sides == set(aliases):
             if condition.op == "=":
                 left_op, right_op = condition.left, condition.right
-                if left_op.alias == right_alias:
+                if left_op.table == right_alias:
                     left_op, right_op = right_op, left_op
-                equalities.append((left_op.column, right_op.column))
+                equalities.append((left_op.name, right_op.name))
             else:
                 cross.append(_normalize_cross(condition, left_alias))
         elif sides == {left_alias}:
@@ -443,22 +249,18 @@ def _match_join(parts, from_items) -> Optional[JoinShape]:
             right_filters.append(condition)
     if not pair_seen:
         return None
-    if window is not None and window_seen != set(validity_refs):
+    if window is not None and window_seen != validity_refs:
         return None
 
     # The validity columns take part in overlaps/tintersect only; a
     # validity column also appearing in a comparison would need blob
     # ordering semantics the kernels do not model.
     for condition in cross + left_filters + right_filters:
-        for operand in (condition.left, condition.right):
-            if operand.kind == "col" and (
-                (operand.alias == left_alias and operand.column == left_valid)
-                or (operand.alias == right_alias
-                    and operand.column == right_valid)):
-                return None
+        if {condition.left, condition.right} & validity_refs:
+            return None
     return JoinShape(
-        left_table=left_table, left_alias=left_alias,
-        right_table=right_table, right_alias=right_alias,
+        left_table=left.table, left_alias=left_alias,
+        right_table=right.table, right_alias=right_alias,
         outputs=tuple(outputs), valid_at=valid_at, valid_name=valid_name,
         left_valid=left_valid, right_valid=right_valid, window=window,
         equalities=tuple(equalities), cross=tuple(cross),
@@ -468,102 +270,52 @@ def _match_join(parts, from_items) -> Optional[JoinShape]:
 
 def _normalize_cross(condition: Condition, left_alias: str) -> Condition:
     """Cross-side comparisons with the left table's operand first."""
-    if condition.left.alias == left_alias:
+    if condition.left.table == left_alias:
         return condition
     return Condition(condition.right,
                      _FLIPPED.get(condition.op, condition.op),
                      condition.left)
 
 
-def _match_coalesce(parts, from_item) -> Optional[CoalesceShape]:
-    table, alias = from_item
-    tail_match = _GROUP_BY_TAIL_RE.match(parts.tail or "")
-    if not tail_match:
-        return None
-    group_by: List[str] = []
-    for key in tail_match["keys"].split(","):
-        operand = _parse_operand(key, (alias,), allow_bare=True)
-        if operand is None or operand.kind != "col":
-            return None
-        group_by.append(operand.column)
-    if not group_by:
-        return None
+def _match_coalesce(select: Select) -> Optional[CoalesceShape]:
+    (item,) = select.from_items
+    alias = item.alias
 
+    def own(expr) -> bool:
+        return isinstance(expr, Column) and expr.table in ("", alias)
+
+    if select.tail or not select.group_by or not all(map(own, select.group_by)):
+        return None
+    group_by = [key.name for key in select.group_by]
     outputs: List[OutputColumn] = []
-    agg_at = None
-    agg_name = None
+    agg_at = agg_name = agg_column = None
     agg_wrapper = ""
-    agg_column = None
-    items = _split_select_items(parts.select_list)
-    if items is None:
-        return None
-    for index, item in enumerate(items):
-        expr, name = _split_alias_clause(item)
-        agg = _GROUP_UNION_RE.match(expr)
-        if agg:
-            if agg_at is not None:
+    for index, entry in enumerate(select.items):
+        expr, wrapper = entry.expr, ""
+        if _call(expr, "length", 1) or _call(expr, "length_seconds", 1):
+            expr, wrapper = expr.args[0], expr.name
+        if _call(expr, "group_union", 1):
+            if agg_at is not None or not own(expr.args[0]):
                 return None
-            agg_at = index
-            agg_name = name if name is not None else expr
-            agg_wrapper = (agg["wrapper"] or "").lower()
-            operand = _parse_operand(agg["arg"], (alias,), allow_bare=True)
-            if operand is None or operand.kind != "col":
-                return None
-            agg_column = operand.column
+            agg_at, agg_wrapper, agg_column = index, wrapper, expr.args[0].name
+            agg_name = entry.name if entry.name is not None else entry.text
             continue
-        operand = _parse_operand(expr, (alias,), allow_bare=True)
-        if operand is None or operand.kind != "col" or name == "":
-            return None
-        if operand.column not in group_by:
-            return None  # bare-value select outside GROUP BY: arbitrary row
+        column = entry.expr
+        if not own(column) or column.name not in group_by:
+            return None  # a bare value outside GROUP BY comes from an arbitrary row
         outputs.append(OutputColumn(
-            name=name if name is not None else operand.column,
-            alias=operand.alias, column=operand.column,
+            name=entry.name if entry.name is not None else column.name,
+            alias=column.table, column=column.name,
         ))
-    if agg_at is None:
+    if agg_at is None or agg_column in group_by:
         return None
-
-    filters: List[Condition] = []
-    if parts.where:
-        for conjunct in _conjuncts(parts.where):
-            condition = _parse_comparison(conjunct, (alias,), allow_bare=True)
-            if condition is None:
-                return None
-            filters.append(condition)
-    for condition in filters:
-        for operand in (condition.left, condition.right):
-            if operand.kind == "col" and operand.column == agg_column:
-                return None
-    if agg_column in group_by:
+    filters = [_condition(conjunct, (alias,), allow_bare=True) for conjunct in select.where]
+    if None in filters or any(isinstance(operand, Column) and operand.name == agg_column
+                              for condition in filters
+                              for operand in (condition.left, condition.right)):
         return None
     return CoalesceShape(
-        table=table, alias=alias, outputs=tuple(outputs), agg_at=agg_at,
+        table=item.table, alias=alias, outputs=tuple(outputs), agg_at=agg_at,
         agg_name=agg_name, agg_wrapper=agg_wrapper, agg_column=agg_column,
         group_by=tuple(group_by), filters=tuple(filters),
     )
-
-
-def _split_select_items(select_list: str) -> Optional[List[str]]:
-    """Top-level comma split; None when the list is empty or has ``*``."""
-    items: List[str] = []
-    depth = 0
-    in_string = False
-    start = 0
-    for index, char in enumerate(select_list):
-        if in_string:
-            if char == "'":
-                in_string = False
-            continue
-        if char == "'":
-            in_string = True
-        elif char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif char == "," and depth == 0:
-            items.append(select_list[start:index].strip())
-            start = index + 1
-    items.append(select_list[start:].strip())
-    if not items or any(not item or "*" in item for item in items):
-        return None
-    return items

@@ -19,11 +19,12 @@ actual concurrency model:
   checkpoint** (every :attr:`ConnectionPool.checkpoint_every`-th write),
   so the log never grows without bound.
 
-**Classification** (:func:`classify`) is lexical and fails safe: a
+**Classification** (:func:`classify`) reads tokens and fails safe: a
 statement is a *read* only when its first keyword (after comments) is
-``SELECT``, ``VALUES``, or ``EXPLAIN`` — or ``WITH`` whose body
-contains no write verb.  Everything else, including ``PRAGMA`` and
-anything unrecognized, routes to the writer, which can execute reads
+``SELECT``, ``VALUES``, or ``EXPLAIN`` — or ``WITH`` whose body has no
+write-verb keyword (a literal or comment holds no keyword).  Everything
+else, including ``PRAGMA`` and anything that does not tokenize or is
+unrecognized, routes to the writer, which can execute reads
 too; the only unsafe misclassification (a write sent to a reader) is
 additionally caught by ``query_only``.
 
@@ -49,7 +50,6 @@ interleaves sessions (:mod:`repro.faults.plan`).
 
 from __future__ import annotations
 
-import re
 import threading
 from collections import deque
 from contextlib import contextmanager
@@ -60,9 +60,11 @@ from typing import Iterator, Optional
 import repro
 from repro import obs
 from repro.client.connection import TipConnection
+from repro.errors import TranslationError
 from repro.faults import InjectedFault
 from repro.faults import state as _FAULTS
 from repro.obs import flight as _flight
+from repro.tsql import parser
 
 __all__ = ["classify", "ConnectionPool"]
 
@@ -77,12 +79,9 @@ _READ_VERBS = frozenset(
 )
 
 #: Verbs that make a WITH statement a write when present in its body.
-_WRITE_VERBS_RE = re.compile(
-    r"\b(INSERT|UPDATE|DELETE|REPLACE|CREATE|DROP|ALTER)\b", re.IGNORECASE
+_WRITE_VERBS = frozenset(
+    {"INSERT", "UPDATE", "DELETE", "REPLACE", "CREATE", "DROP", "ALTER"}
 )
-
-_COMMENT_RE = re.compile(r"\s*(?:--[^\n]*\n|/\*.*?\*/)", re.DOTALL)
-_FIRST_WORD_RE = re.compile(r"[A-Za-z_]+")
 
 
 @lru_cache(maxsize=1024)
@@ -96,18 +95,13 @@ def classify(sql: str) -> str:
     write.  Pure in the statement text, so repeated statements (a
     pipelined batch, a prepared-style workload) pay the lexing once.
     """
-    position = 0
-    while True:
-        match = _COMMENT_RE.match(sql, position)
-        if match is None:
-            break
-        position = match.end()
-    match = _FIRST_WORD_RE.search(sql, position)
-    word = match.group(0).upper() if match else ""
-    if word in _READ_VERBS:
-        return "read"
-    if word == "WITH" and not _WRITE_VERBS_RE.search(sql, match.end()):
-        return "read"
+    try:
+        words = parser.words(sql)
+        verb = next(words, "")
+        if verb in _READ_VERBS or (verb == "WITH" and _WRITE_VERBS.isdisjoint(words)):
+            return "read"
+    except TranslationError:
+        pass
     return "write"
 
 

@@ -50,16 +50,18 @@ import os
 import re
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.codec.cache import LRUCache
+from repro.errors import TranslationError
 from repro.faults import state as _FAULTS
 from repro.obs import flight as _flight
+from repro.tsql import parser
 
 __all__ = [
     "CompiledStatement", "StatementCompiler", "state", "CACHE",
     "normalize_statement", "compile_statement", "compile_normalized",
-    "count_params", "discover_valid_columns",
+    "count_params", "declared_columns", "discover_valid_columns",
     "generation", "bump_generation", "configure", "clear_cache",
     "stats", "stats_counters", "DEFAULT_CACHE_SIZE",
 ]
@@ -107,7 +109,7 @@ _WS_RE = re.compile(r"\s+")
 #: (line comments, quoted/bracketed identifiers) — such statements are
 #: compiled per call rather than risk a wrong fingerprint collision.
 _UNCACHEABLE_RE = re.compile(r'--|/\*|["\[`]')
-_DDL_RE = re.compile(r"^\s*(CREATE|DROP|ALTER)\b", re.IGNORECASE)
+_DDL_VERBS = frozenset({"CREATE", "DROP", "ALTER"})
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,7 @@ def _match_kernel_shape(sql: str):
     Goes through the planner's generation-keyed shape LRU, not the raw
     matcher: with the statement cache disabled (or thrashing) every
     call re-compiles, and a candidate-but-unmatched statement would
-    otherwise re-pay the full regex matcher per call.
+    otherwise re-pay the full shape matcher per call.
     """
     global _SHAPE_MATCHER
     if _SHAPE_MATCHER is None:
@@ -227,7 +229,10 @@ def _compile(statement: str, valid_columns: Dict[str, str], gen: int) -> Compile
     from repro.tsql.preprocessor import translate_tsql  # lazy: avoids an import cycle
 
     sql = translate_tsql(statement, valid_columns)
-    ddl = bool(_DDL_RE.match(sql))
+    try:
+        ddl = next(parser.words(sql), "") in _DDL_VERBS
+    except TranslationError:
+        ddl = False  # SQLite reports the statement's error itself
     return CompiledStatement(
         statement=statement,
         sql=sql,
@@ -297,23 +302,31 @@ def compile_normalized(statement: str, valid_columns: Dict[str, str]) -> Compile
     return plan
 
 
-def discover_valid_columns(connection) -> Dict[str, str]:
-    """Validity columns auto-discovered from sqlite_master.
+def declared_columns(connection) -> Dict[str, Tuple[str, List[Tuple[str, str]], Optional[str]]]:
+    """``lower-cased table -> (table, [(column, declared type)], validity)``.
 
-    The first column declared ``ELEMENT`` per table, lower-cased table
-    name as the key — the same rule :class:`TsqlSession` applies.
+    Read through ``pragma_table_info`` — SQLite's own parse of the DDL —
+    so neither a comment nor a DEFAULT literal passes for a column, and
+    the one query works locally and over the wire alike.  The validity
+    column is the first one declared ``ELEMENT`` (case-insensitive).
     """
-    from repro.tsql.preprocessor import _ELEMENT_COLUMN_RE  # lazy: import cycle
+    tables: Dict[str, Tuple[str, List[Tuple[str, str]], Optional[str]]] = {}
+    for table, column, decltype in connection.query(
+        "SELECT m.name, p.name, p.type FROM sqlite_master AS m, "
+        "pragma_table_info(m.name) AS p WHERE m.type = 'table' ORDER BY m.name, p.cid"
+    ):
+        name, columns, valid = tables.get(table.lower(), (table, [], None))
+        columns.append((column, decltype or ""))
+        if valid is None and (decltype or "").upper() == "ELEMENT":
+            valid = column
+        tables[table.lower()] = (name, columns, valid)
+    return tables
 
-    discovered: Dict[str, str] = {}
-    rows = connection.query(
-        "SELECT name, sql FROM sqlite_master WHERE type = 'table' AND sql IS NOT NULL"
-    )
-    for name, ddl in rows:
-        match = _ELEMENT_COLUMN_RE.search(ddl or "")
-        if match:
-            discovered.setdefault(name.lower(), match.group(1))
-    return discovered
+
+def discover_valid_columns(connection) -> Dict[str, str]:
+    """``lower-cased table -> validity column`` for every temporal table."""
+    return {key: valid for key, (_name, _columns, valid)
+            in declared_columns(connection).items() if valid is not None}
 
 
 class StatementCompiler:

@@ -26,7 +26,6 @@ complexity; the report says so instead of guessing.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,28 +41,10 @@ from repro.obs import profile as _profile
 from repro.obs.export import render_profile
 from repro.obs.profile import QueryProfile, StatementRecorder
 from repro.tsql import compiled as _compiled
-from repro.tsql.preprocessor import (
-    TsqlSession,
-    _parse_from_items,
-    split_select,
-    strip_explain,
-)
+from repro.tsql.parser import Call, Column, Select, parse
+from repro.tsql.preprocessor import TsqlSession, strip_explain
 
 __all__ = ["ExplainReport", "EnginePlan", "explain_temporal"]
-
-_GROUP_UNION_RE = re.compile(r"\bgroup_union\s*\(", re.IGNORECASE)
-_OVERLAPS_RE = re.compile(r"\boverlaps\s*\(", re.IGNORECASE)
-_CONTAINS_INSTANT_RE = re.compile(
-    r"\bcontains_instant\s*\([^,]+,\s*instant\s*\(\s*'(?P<at>[^']*)'\s*\)", re.IGNORECASE
-)
-_RANGE_LITERAL_RE = re.compile(
-    r"(?:period|element)\s*\(\s*'\{?\[(?P<lo>[^,\]]+),(?P<hi>[^\]]+)\]\}?'\s*\)",
-    re.IGNORECASE,
-)
-_GROUP_BY_RE = re.compile(
-    r"\bGROUP\s+BY\s+(?P<keys>.+?)(?:\s+(?:ORDER\s+BY|HAVING|LIMIT)\b|$)",
-    re.IGNORECASE | re.DOTALL,
-)
 
 
 @dataclass
@@ -229,18 +210,13 @@ def _query_plan(raw_connection, sql: str, params=()) -> List[str]:
     return [str(row[-1]) for row in rows]
 
 
-def _group_by_keys(tail: str) -> List[str]:
-    match = _GROUP_BY_RE.search(tail)
-    if not match:
-        return []
-    keys = []
-    for part in match["keys"].split(","):
-        name = part.strip()
-        if "." in name:
-            name = name.rsplit(".", 1)[1]
-        if name:
-            keys.append(name)
-    return keys
+def _range_bounds(text: str) -> Optional[Tuple[str, str]]:
+    """``(lo, hi)`` of a one-period literal ``[lo, hi]`` or ``{[lo, hi]}``."""
+    body = text[1:-1] if text[:1] + text[-1:] == "{}" else text
+    lo, comma, hi = body[1:-1].partition(",")
+    if body[:1] + body[-1:] != "[]" or "]" in lo + hi or not (lo.strip() and hi.strip()):
+        return None
+    return lo, hi
 
 
 def _time_point_seconds(text: str, now_seconds: int) -> int:
@@ -324,13 +300,13 @@ def _layered_side(
 ) -> EnginePlan:
     layered = EnginePlan(engine="layered", sql="")
     try:
-        parts = split_select(translated)
-        from_items = _parse_from_items(parts.from_list)
+        select = parse(translated)
     except TranslationError as exc:
         layered.note = f"layered comparison skipped: {exc}"
         return layered
     temporal = session.temporal_tables
-    tables = [(table, alias) for table, alias in from_items if table.lower() in temporal]
+    tables = [(item.table, item.alias) for item in select.from_items
+              if item.table.lower() in temporal]
     if not tables:
         layered.note = "layered comparison skipped: no temporal tables in FROM"
         return layered
@@ -352,7 +328,7 @@ def _layered_side(
         return layered
 
     try:
-        _run_layered(engine, layered, translated, parts, tables, now_seconds)
+        _run_layered(engine, layered, select, tables, now_seconds)
     finally:
         engine.close()
     return layered
@@ -361,27 +337,35 @@ def _layered_side(
 def _run_layered(
     engine: LayeredEngine,
     layered: EnginePlan,
-    translated: str,
-    parts,
+    select: Select,
     tables: Sequence[Tuple[str, str]],
     now_seconds: int,
 ) -> None:
     """Classify the statement, run the layered op, and fill the plan."""
     first = tables[0][0]
     schema = engine.schema(first)
-    keys = _group_by_keys(parts.tail)
-    range_match = _RANGE_LITERAL_RE.search(translated)
-    instant_match = _CONTAINS_INSTANT_RE.search(translated)
+    columns = all(isinstance(key, Column) for key in select.group_by)
+    keys = [key.name for key in select.group_by] if columns else []
+    names = set()
+    instant_at = bounds = None
+    for call in select.calls():
+        names.add(call.name)
+        if call.name == "contains_instant" and len(call.args) == 2:
+            arg = call.args[1]
+            if instant_at is None and isinstance(arg, Call) and arg.name == "instant":
+                instant_at = arg.string_arg()
+        elif call.name in ("period", "element") and bounds is None:
+            bounds = _range_bounds(call.string_arg() or "")
 
     op = None  # (operation name, callable, translated layered SQL, params)
-    if _GROUP_UNION_RE.search(translated) and keys:
+    if "group_union" in names and keys:
         op = (
             f"total_length({first!r}, {keys})",
             lambda: engine.total_length(first, keys),
             translator.translate_total_length(schema, keys),
             {"now": now_seconds},
         )
-    elif len(tables) >= 2 and _OVERLAPS_RE.search(translated):
+    elif len(tables) >= 2 and "overlaps" in names:
         second = tables[1][0]
         op = (
             f"overlap_join({first!r}, {second!r})",
@@ -392,24 +376,24 @@ def _run_layered(
             ),
             {"now": now_seconds},
         )
-    elif instant_match:
-        at = _time_point_seconds(instant_match["at"], now_seconds)
+    elif instant_at is not None:
+        at = _time_point_seconds(instant_at, now_seconds)
         op = (
-            f"snapshot({first!r}, at={instant_match['at'].strip()!r})",
+            f"snapshot({first!r}, at={instant_at.strip()!r})",
             lambda: engine.snapshot(first, at),
             translator.translate_snapshot(schema, schema.column_names()),
             {"now": now_seconds, "at": at},
         )
-    elif range_match:
-        lo = _time_point_seconds(range_match["lo"], now_seconds)
-        hi = _time_point_seconds(range_match["hi"], now_seconds)
+    elif bounds is not None:
+        lo = _time_point_seconds(bounds[0], now_seconds)
+        hi = _time_point_seconds(bounds[1], now_seconds)
         op = (
             f"timeslice({first!r}, ...)",
             lambda: engine.timeslice(first, lo, hi),
             translator.translate_timeslice(schema, schema.column_names()),
             {"now": now_seconds, "lo": lo, "hi": hi},
         )
-    elif _GROUP_UNION_RE.search(translated):
+    elif "group_union" in names:
         op = (
             f"coalesce({first!r})",
             lambda: engine.coalesce(first, schema.column_names()),

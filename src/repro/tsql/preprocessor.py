@@ -22,28 +22,26 @@ AS q)``) — with no subqueries or JOIN syntax, and sequenced
 needs instant-by-instant group semantics that plain SQL cannot express
 (use TIP's ``group_union`` family directly).
 
+The statement is read once through :func:`repro.tsql.parser.parse`,
+and the output is rebuilt from the source spans of its clauses, so the
+user's select list, FROM list, WHERE body and tail reach SQLite
+verbatim.
+
 Temporal tables are detected from the schema: any column declared with
 type ``ELEMENT`` is a validity column (the first one per table is
-used); non-temporal tables in the FROM list simply contribute no
-validity.
+used; :func:`repro.tsql.compiled.discover_valid_columns`);
+non-temporal tables in the FROM list simply contribute no validity.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.client.connection import TipConnection
 from repro.errors import TranslationError
-from repro.tsql import compiled
+from repro.tsql import compiled, parser
 
-__all__ = ["TsqlSession", "translate_tsql", "split_select", "strip_explain"]
-
-_EXPLAIN_RE = re.compile(
-    r"^\s*EXPLAIN\s+TEMPORAL\s+(?P<rest>\S.*)$",
-    re.IGNORECASE | re.DOTALL,
-)
+__all__ = ["TsqlSession", "translate_tsql", "strip_explain"]
 
 
 def strip_explain(statement: str) -> Optional[str]:
@@ -56,162 +54,14 @@ def strip_explain(statement: str) -> Optional[str]:
     (:mod:`repro.tsql.explain`).  This helper only recognizes and
     strips the prefix, so the shell and CLI can route the statement.
     """
-    match = _EXPLAIN_RE.match(statement)
-    return match["rest"].strip() if match else None
-
-_MODIFIER_RE = re.compile(
-    r"""^\s*
-        (?:
-            (?P<nonseq>NONSEQUENCED\s+VALIDTIME)
-          | (?P<validtime>VALIDTIME)(?:\s+PERIOD\s+'(?P<period>[^']*)')?
-          | (?P<snapshot>SNAPSHOT)(?:\s+AT\s+'(?P<at>[^']*)')?
-        )
-        \s+(?P<rest>SELECT\b.*)$""",
-    re.IGNORECASE | re.DOTALL | re.VERBOSE,
-)
-
-_CLAUSE_KEYWORDS = ("FROM", "WHERE", "GROUP BY", "ORDER BY", "HAVING", "LIMIT")
-
-
-def _find_top_level(sql: str, keyword: str) -> int:
-    """Index of *keyword* at paren/quote depth zero, or -1."""
-    upper = sql.upper()
-    target = keyword.upper()
-    depth = 0
-    in_string = False
-    index = 0
-    while index < len(sql):
-        char = sql[index]
-        if in_string:
-            if char == "'":
-                in_string = False
-        elif char == "'":
-            in_string = True
-        elif char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif depth == 0 and upper.startswith(target, index):
-            before_ok = index == 0 or not (sql[index - 1].isalnum() or sql[index - 1] == "_")
-            after = index + len(target)
-            after_ok = after >= len(sql) or not (sql[after].isalnum() or sql[after] == "_")
-            if before_ok and after_ok:
-                return index
-        index += 1
-    return -1
-
-
-@dataclass
-class SelectParts:
-    """A SELECT statement split into its top-level clauses."""
-
-    select_list: str
-    from_list: str
-    where: Optional[str]
-    tail: str  # GROUP BY / ORDER BY / ... onwards, verbatim
-
-
-def split_select(sql: str) -> SelectParts:
-    """Split a single SELECT into clauses at top level."""
-    stripped = sql.strip().rstrip(";")
-    if not stripped.upper().startswith("SELECT"):
-        raise TranslationError("statement must start with SELECT")
-    from_at = _find_top_level(stripped, "FROM")
-    if from_at < 0:
-        raise TranslationError("statement has no FROM clause")
-    select_list = stripped[len("SELECT"):from_at].strip()
-    remainder = stripped[from_at + len("FROM"):]
-
-    boundaries: List[Tuple[int, str]] = []
-    for keyword in ("WHERE", "GROUP BY", "ORDER BY", "HAVING", "LIMIT"):
-        at = _find_top_level(remainder, keyword)
-        if at >= 0:
-            boundaries.append((at, keyword))
-    boundaries.sort()
-
-    from_end = boundaries[0][0] if boundaries else len(remainder)
-    from_list = remainder[:from_end].strip()
-
-    where = None
-    tail_start = from_end
-    if boundaries and boundaries[0][1] == "WHERE":
-        where_start = boundaries[0][0] + len("WHERE")
-        where_end = boundaries[1][0] if len(boundaries) > 1 else len(remainder)
-        where = remainder[where_start:where_end].strip()
-        tail_start = where_end
-    tail = remainder[tail_start:].strip()
-    return SelectParts(select_list, from_list, where, tail)
-
-
-def _split_commas_with_offsets(text: str) -> List[Tuple[str, int]]:
-    """Top-level comma parts of *text* with the offset of each part.
-
-    Offsets point at the first non-space character of the (stripped)
-    part within *text*, so error reports can locate the clause.
-    """
-    parts: List[Tuple[str, int]] = []
-    depth = 0
-    in_string = False
-    start = 0
-    index = 0
-    for index, char in enumerate(text):
-        if in_string:
-            if char == "'":
-                in_string = False
-            continue
-        if char == "'":
-            in_string = True
-        elif char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif char == "," and depth == 0:
-            parts.append((text[start:index], start))
-            start = index + 1
-    parts.append((text[start:], start))
-    stripped: List[Tuple[str, int]] = []
-    for part, at in parts:
-        lead = len(part) - len(part.lstrip())
-        part = part.strip()
-        if part:
-            stripped.append((part, at + lead))
-    return stripped
-
-
-def _split_top_level_commas(text: str) -> List[str]:
-    return [part for part, _ in _split_commas_with_offsets(text)]
-
-
-_FROM_ITEM_RE = re.compile(
-    r"^(?P<table>[A-Za-z_][A-Za-z0-9_]*)(?:\s+(?:AS\s+)?(?P<alias>[A-Za-z_][A-Za-z0-9_]*))?$",
-    re.IGNORECASE,
-)
-
-
-def _parse_from_items(from_list: str, *, base: int = 0) -> List[Tuple[str, str]]:
-    """``(table, alias)`` pairs; alias defaults to the table name.
-
-    Items may be grouped in parentheses — ``(a AS x, b AS y)``, nested
-    arbitrarily — which is how the linq compiler spells a join's FROM
-    list.  *base* offsets error positions into the caller's statement.
-    """
-    items = []
-    for part, at in _split_commas_with_offsets(from_list):
-        if part.startswith("(") and part.endswith(")"):
-            items.extend(_parse_from_items(part[1:-1], base=base + at + 1))
-            continue
-        match = _FROM_ITEM_RE.match(part)
-        if not match:
-            raise TranslationError(
-                f"unsupported FROM item {part!r} at offset {base + at} "
-                "(plain 'table [AS] alias' items, optionally parenthesized)",
-                clause=part,
-                offset=base + at,
-            )
-        table = match["table"]
-        alias = match["alias"] or table
-        items.append((table, alias))
-    return items
+    head = (token for token in parser.tokens(statement) if token.kind != "comment")
+    try:
+        first, second, rest = next(head, None), next(head, None), next(head, None)
+    except TranslationError:
+        return None
+    if rest is None or (first.key, second.key) != ("EXPLAIN", "TEMPORAL"):
+        return None
+    return statement[rest.start:].strip()
 
 
 def translate_tsql(
@@ -224,39 +74,41 @@ def translate_tsql(
     validity column.  A statement without a modifier passes through
     unchanged.
     """
-    match = _MODIFIER_RE.match(statement)
-    if not match:
+    mode = parser.statement_mode(statement)
+    if mode is None:
         return statement.strip()
-    if match["nonseq"]:
-        return match["rest"].strip()
+    if mode[0] == "NONSEQUENCED":
+        return statement[mode[2]:].strip()
 
-    parts = split_select(match["rest"])
-    from_base = statement.find(parts.from_list) if parts.from_list else 0
-    from_items = _parse_from_items(parts.from_list, base=max(from_base, 0))
+    select = parser.parse(statement)
     validities = [
-        f"{alias}.{valid_columns[table.lower()]}"
-        for table, alias in from_items
-        if table.lower() in valid_columns
+        f"{item.alias}.{valid_columns[item.table.lower()]}"
+        for item in select.from_items
+        if item.table.lower() in valid_columns
     ]
+    # GROUP BY / HAVING / ORDER BY / LIMIT onwards, verbatim.
+    rest = [span for name, span in select.clauses.items()
+            if name not in ("select", "from", "where")]
+    tail = statement[rest[0].start:rest[-1].end] if rest else ""
 
-    if match["snapshot"]:
-        at = match["at"] or "NOW"
+    if select.modifier == "SNAPSHOT":
+        at = select.argument or "NOW"
         conjuncts = [f"contains_instant({v}, instant('{at}'))" for v in validities]
-        return _reassemble(parts, parts.select_list, conjuncts)
+        return _reassemble(select, select.body("select"), conjuncts, tail)
 
     # VALIDTIME (sequenced).
-    if "GROUP BY" in parts.tail.upper() or "HAVING" in parts.tail.upper():
+    if "group_by" in select.clauses or "having" in select.clauses:
         raise TranslationError(
             "sequenced (VALIDTIME) aggregation is not expressible in this subset; "
             "use TIP's group_union/group_intersect aggregates directly",
-            clause=parts.tail,
-            offset=max(statement.find(parts.tail), 0) if parts.tail else None,
+            clause=tail,
+            offset=rest[0].start,
         )
     if not validities:
         raise TranslationError(
             "VALIDTIME requires at least one temporal table in FROM",
-            clause=parts.from_list,
-            offset=max(from_base, 0),
+            clause=select.body("from"),
+            offset=select.clauses["from"].body,
         )
 
     validity_expr = validities[0]
@@ -267,31 +119,27 @@ def translate_tsql(
         for i, a in enumerate(validities)
         for b in validities[i + 1:]
     ]
-    if match["period"]:
-        validity_expr = f"restrict({validity_expr}, period('[{match['period']}]'))"
-        conjuncts.extend(
-            f"overlaps({v}, to_element(period('[{match['period']}]')))" for v in validities
-        )
-    select_list = f"{parts.select_list}, {validity_expr} AS valid"
-    return _reassemble(parts, select_list, conjuncts)
+    if select.argument:
+        window = f"period('[{select.argument}]')"
+        validity_expr = f"restrict({validity_expr}, {window})"
+        conjuncts.extend(f"overlaps({v}, to_element({window}))" for v in validities)
+    select_list = f"{select.body('select')}, {validity_expr} AS valid"
+    return _reassemble(select, select_list, conjuncts, tail)
 
 
-def _reassemble(parts: SelectParts, select_list: str, conjuncts: Sequence[str]) -> str:
-    where = parts.where
+def _reassemble(select: parser.Select, select_list: str,
+                conjuncts: Sequence[str], tail: str) -> str:
+    where = select.body("where")
     if conjuncts:
         extra = " AND ".join(conjuncts)
         where = f"({where}) AND {extra}" if where else extra
-    sql = f"SELECT {select_list} FROM {parts.from_list}"
+    sql = f"SELECT {select_list} FROM {select.body('from')}"
     if where:
         sql += f" WHERE {where}"
-    if parts.tail:
-        sql += f" {parts.tail}"
+    if tail:
+        sql += f" {tail}"
     return sql
 
-
-_ELEMENT_COLUMN_RE = re.compile(
-    r"([A-Za-z_][A-Za-z0-9_]*)\s+ELEMENT\b", re.IGNORECASE
-)
 
 class TsqlSession:
     """Execute TSQL2-modified statements on a TIP connection.

@@ -90,6 +90,16 @@ class TestExplainTemporal:
         )
         assert "timeslice" in report.layered.operation
 
+    def test_call_names_inside_literals_are_not_operations(self, connection):
+        report = explain_temporal(
+            connection,
+            "SELECT patient, COUNT(*) FROM rx WHERE drug <> 'group_union(x)' "
+            "GROUP BY patient",
+        )
+        assert report.layered.operation == ""
+        assert report.layered.profile is None
+        assert "no layered equivalent" in report.layered.note
+
     def test_untranslatable_shape_reports_static_complexity_only(self, connection):
         report = explain_temporal(connection, "SELECT patient FROM rx")
         assert report.layered.profile is None

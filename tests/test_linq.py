@@ -130,6 +130,15 @@ class TestSchemaDiscovery:
         with pytest.raises(LinqError, match="no ELEMENT validity column"):
             d.valid
 
+    def test_columns_come_from_declared_types(self, conn):
+        """A comment inside the DDL is neither a column nor a type."""
+        conn.execute("CREATE TABLE Lab (test TEXT, -- an ELEMENT, the validity\n"
+                     "  valid ELEMENT)")
+        lab = conn.linq().table("Lab")
+        assert [name for name, _ in lab.info.columns] == ["test", "valid"]
+        assert lab.info.valid_column == "valid"
+        assert lab.test.type_name == "text"
+
     def test_refresh_sees_new_tables(self, conn, front):
         conn.execute("CREATE TABLE Lab (test TEXT, valid ELEMENT)")
         with pytest.raises(LinqError):

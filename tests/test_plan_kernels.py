@@ -364,6 +364,111 @@ class TestPlannerDecisions:
         assert second.get("plan.cache.miss") == 2
 
 
+_JOIN = ("SELECT e1.src, e2.dst, tintersect(e1.valid, e2.valid) AS valid "
+         "FROM edges AS e1, edges AS e2")
+_PAIR = "overlaps(e1.valid, e2.valid)"
+_WINDOWED = (
+    "SELECT e1.src, e1.dst, e2.dst, restrict(tintersect(e1.valid, e2.valid), "
+    "period('[1997-01-01, 1997-06-30]')) AS valid FROM edges AS e1, edges AS e2 "
+    f"WHERE (e1.dst = e2.src) AND {_PAIR} "
+    "AND overlaps(e1.valid, to_element(period('[1997-01-01, 1997-06-30]'))) "
+    "AND overlaps(e2.valid, to_element(period('[1997-01-01, 1997-06-30]')))"
+)
+
+#: (translated SQL, the shape kind ``plan.match`` decides, or None).
+SHAPE_DECISIONS = [
+    (f"{_JOIN} WHERE (e1.dst = e2.src) AND {_PAIR}", "join"),
+    (_WINDOWED, "join"),
+    (f"SELECT DISTINCT e1.src, e2.dst, tintersect(e1.valid, e2.valid) AS valid "
+     f"FROM edges AS e1, edges AS e2 WHERE (e1.dst = e2.src) AND {_PAIR}", None),
+    (f"{_JOIN} WHERE (e1.dst = e2.src OR e1.src = 1) AND {_PAIR}", None),
+    (f"{_JOIN} WHERE (e1.dst IN (SELECT src FROM edges)) AND {_PAIR}", None),
+    (f"{_JOIN}, edges AS e3 WHERE (e1.dst = e2.src) AND {_PAIR}", None),
+    (f"{_JOIN} WHERE (e1.dst = e2.src) AND {_PAIR} ORDER BY e1.src", None),
+    (f"{_JOIN} WHERE (e1.dst = e2.src) AND {_PAIR} LIMIT 10", None),
+    (f"SELECT e1.src AS a, e2.dst AS b, tintersect(e1.valid, e2.valid) AS v "
+     f"FROM edges AS e1, edges AS e2 WHERE (e1.dst = e2.src) AND {_PAIR}", "join"),
+    (f"SELECT e1.src, e2.dst, tintersect(e1.valid, e2.valid) "
+     f"FROM edges AS e1, edges AS e2 WHERE (e1.dst = e2.src) AND {_PAIR}", "join"),
+    (f"SELECT src, tintersect(e1.valid, e2.valid) AS valid "
+     f"FROM edges AS e1, edges AS e2 WHERE (e1.dst = e2.src) AND {_PAIR}", None),
+    (f"{_JOIN} WHERE ((e1.dst = e2.src)) AND ({_PAIR})", "join"),
+    (f"{_JOIN} WHERE (e1.label = 'a AND b') AND {_PAIR}", "join"),
+    (f"{_JOIN} WHERE (e1.label = 'a, b' AND e2.label <> 'GROUP BY') AND {_PAIR}",
+     "join"),
+    (f"{_JOIN} WHERE (e1.dst = e2.src AND e1.src = ?) AND {_PAIR}", None),
+    # Literal text is opaque: a ``?`` or ``) AND (`` inside a string is
+    # neither a placeholder nor a clause boundary.
+    (f"{_JOIN} WHERE (e1.label = 'Why?') AND {_PAIR}", "join"),
+    (f"{_JOIN} WHERE (e1.label = 'x) AND (y') AND {_PAIR}", "join"),
+    (f"SELECT e1.src, tintersect(e1.valid, e2.valid), "
+     f"tintersect(e1.valid, e2.valid) AS v2 FROM edges AS e1, edges AS e2 "
+     f"WHERE {_PAIR}", None),
+    # An equality on the validity columns is a join key (the planner's
+    # type check then keeps it off the kernel); other comparisons on a
+    # validity column are not the shape.
+    (f"{_JOIN} WHERE (e1.valid = e2.valid) AND {_PAIR}", "join"),
+    (f"{_JOIN} WHERE (e1.valid < e2.valid) AND {_PAIR}", None),
+    (f"{_JOIN} WHERE (e1.valid = 'x') AND {_PAIR}", None),
+    (f"{_JOIN} WHERE (e1.dst = e2.src)", None),
+    (f"{_JOIN} WHERE (3 < e1.src AND e2.dst <= 7.5) AND {_PAIR}", "join"),
+    (f"{_JOIN} WHERE (e1.src < e2.dst) AND {_PAIR}", "join"),
+    (f"SELECT e1.*, tintersect(e1.valid, e2.valid) AS valid "
+     f"FROM edges AS e1, edges AS e2 WHERE {_PAIR}", None),
+    ("SELECT src, length_seconds(group_union(valid)) AS uptime FROM edges "
+     "GROUP BY src", "coalesce"),
+    ("SELECT src, length(group_union(valid)) FROM edges GROUP BY src", "coalesce"),
+    ("SELECT e.src, group_union(e.valid) FROM edges AS e GROUP BY e.src",
+     "coalesce"),
+    ("SELECT src, length_seconds(group_union(valid)) FROM edges GROUP BY src "
+     "HAVING COUNT(*) > 1", None),
+    ("SELECT src, length_seconds(group_union(valid)) FROM edges GROUP BY src "
+     "ORDER BY src", None),
+    ("SELECT src, group_union(valid) FROM edges WHERE label = 'GROUP BY x' "
+     "GROUP BY src", "coalesce"),
+    ("SELECT src, group_union(valid) FROM edges WHERE label = 'a, b' AND dst > 2 "
+     "GROUP BY src", "coalesce"),
+    ("SELECT src, dst, group_union(valid) FROM edges GROUP BY src", None),
+    ("SELECT src, COUNT(*), group_union(valid) FROM edges GROUP BY src", None),
+    ("SELECT src, group_union(valid) FROM edges WHERE dst = ? GROUP BY src", None),
+    ("SELECT src, group_union(valid) FROM edges", None),
+    ("SELECT DISTINCT src, group_union(valid) FROM edges GROUP BY src", None),
+    ("SELECT src, group_union(valid) FROM edges WHERE dst = 1 OR dst = 2 "
+     "GROUP BY src", None),
+    ("SELECT src, group_union(valid) FROM edges WHERE valid = 1 GROUP BY src", None),
+    ("SELECT src, group_union(valid) FROM (SELECT * FROM edges) GROUP BY src", None),
+    ("INSERT INTO edges VALUES (1, 2, 'a', NULL)", None),
+]
+
+
+class TestShapeDecisions:
+    @pytest.mark.parametrize("sql, kind", SHAPE_DECISIONS)
+    def test_match_decides(self, sql, kind):
+        shape = plan.match(sql)
+        assert (shape.kind if shape is not None else None) == kind
+
+    @pytest.mark.parametrize("label", ["Why?", "x) AND (y"])
+    def test_literal_text_does_not_block_the_kernel(
+        self, conn, forced_planner, label
+    ):
+        """A ``?`` or ``) AND (`` inside a string literal is literal
+        text: the join takes the kernel and agrees with the naive path."""
+        early, late = E("{[1999-01-01, 1999-06-01]}"), E("{[1999-03-01, 1999-09-01]}")
+        for table in ("L", "R"):
+            conn.execute(f"CREATE TABLE {table} (k INTEGER, label TEXT, valid ELEMENT)")
+            conn.executemany(f"INSERT INTO {table} VALUES (?, ?, ?)", [
+                (1, label, early), (1, "other", late), (2, label, late)])
+        conn.commit()
+        session = TsqlSession(conn)
+        query = ("VALIDTIME SELECT l.k, r.label FROM L AS l, R AS r "
+                 f"WHERE l.k = r.k AND l.label = '{label}'")
+        naive, kernel = _both_ways(session, query)
+        assert len(naive) == 3
+        assert _canon(kernel, elem_at=2) == _canon(naive, elem_at=2)
+        assert plan.describe(
+            conn, session.translate(query))["strategy"] == "kernel"
+
+
 class TestObservability:
     def test_kernel_counters_and_prometheus(self, conn, forced_planner):
         _load(conn, "L", [

@@ -26,6 +26,7 @@ import pytest
 from repro import faults
 from repro.server import RemoteTipConnection, TipServer
 from repro.server.client import RemoteError, RetryPolicy
+from repro.server.pool import classify
 
 #: Fixed retry policy: no jitter, no sleeps — chaos runs stay seeded.
 NO_RETRY = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0)
@@ -49,6 +50,35 @@ def _run_threads(target, count):
     for thread in threads:
         thread.join()
     return failures
+
+
+class TestClassify:
+    """Read/write routing is decided by the statement's tokens."""
+
+    @pytest.mark.parametrize("sql, kind", [
+        ("SELECT 1", "read"),
+        ("  select * FROM t", "read"),
+        ("-- a note\nSELECT 1", "read"),
+        ("/* DELETE */ SELECT 1", "read"),
+        ("/* a */ -- b\n VALUES (1)", "read"),
+        ("EXPLAIN QUERY PLAN SELECT 1", "read"),
+        ("VALIDTIME SELECT a FROM t", "read"),
+        ("NONSEQUENCED VALIDTIME SELECT a FROM t", "read"),
+        ("SNAPSHOT AT '1999-01-01' SELECT a FROM t", "read"),
+        ("WITH x AS (SELECT 1) SELECT * FROM x", "read"),
+        ("WITH x AS (SELECT 'DELETE') SELECT * FROM x", "read"),
+        ("WITH x AS (SELECT 1) SELECT * FROM x -- then DROP it", "read"),
+        ("WITH x AS (SELECT 1) DELETE FROM t WHERE a IN x", "write"),
+        ("WITH x AS (SELECT 1) INSERT INTO t SELECT * FROM x", "write"),
+        ("INSERT INTO t VALUES ('SELECT')", "write"),
+        ("-- SELECT\nDELETE FROM t", "write"),
+        ("PRAGMA journal_mode", "write"),
+        ("CREATE TABLE t (a)", "write"),
+        ("", "write"),
+        ("'unterminated", "write"),
+    ])
+    def test_classify(self, sql, kind):
+        assert classify(sql) == kind
 
 
 class TestReadOverlap:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.core.chronon import Chronon
 from repro.core.element import Element
 from repro.errors import TranslationError
 from repro.tsql import TsqlSession, translate_tsql
-from repro.tsql.preprocessor import split_select
+from repro.tsql.parser import Column, Comparison, Literal, Raw, parse
+from repro.workload import graphs
 from tests.conftest import C, E
 
 
@@ -19,30 +21,40 @@ def session(demo_prescriptions):
 
 class TestClauseSplitting:
     def test_basic(self):
-        parts = split_select("SELECT a, b FROM t WHERE x = 1 ORDER BY a")
-        assert parts.select_list == "a, b"
-        assert parts.from_list == "t"
-        assert parts.where == "x = 1"
-        assert parts.tail == "ORDER BY a"
+        select = parse("SELECT a, b FROM t WHERE x = 1 ORDER BY a")
+        assert select.body("select") == "a, b"
+        assert select.body("from") == "t"
+        assert select.body("where") == "x = 1"
+        assert select.tail == "ORDER BY a"
 
     def test_no_where(self):
-        parts = split_select("SELECT a FROM t GROUP BY a")
-        assert parts.where is None
-        assert parts.tail == "GROUP BY a"
+        select = parse("SELECT a FROM t GROUP BY a")
+        assert select.where == () and "where" not in select.clauses
+        assert select.group_by == (Column("", "a"),)
+        assert select.tail == ""
 
     def test_keywords_inside_strings_ignored(self):
-        parts = split_select("SELECT a FROM t WHERE name = 'WHERE FROM'")
-        assert parts.where == "name = 'WHERE FROM'"
+        select = parse("SELECT a FROM t WHERE name = 'WHERE FROM'")
+        assert select.body("where") == "name = 'WHERE FROM'"
 
     def test_keywords_inside_parens_ignored(self):
-        parts = split_select("SELECT length(group_union(v)) FROM t")
-        assert parts.select_list == "length(group_union(v))"
+        select = parse("SELECT length(group_union(v)) FROM t")
+        assert select.body("select") == "length(group_union(v))"
+
+    def test_conjuncts_flatten_but_keep_between_and_case_whole(self):
+        select = parse("SELECT a FROM t WHERE ((a = 1) AND (b BETWEEN 1 AND 2)) "
+                       "AND CASE WHEN c AND d THEN 1 END")
+        assert select.where == (
+            Comparison(Column("", "a"), "=", Literal(1)),
+            Raw("b BETWEEN 1 AND 2"),
+            Raw("CASE WHEN c AND d THEN 1 END"),
+        )
 
     def test_requires_select_and_from(self):
         with pytest.raises(TranslationError):
-            split_select("DELETE FROM t")
+            parse("DELETE FROM t")
         with pytest.raises(TranslationError):
-            split_select("SELECT 1")
+            parse("SELECT 1")
 
 
 class TestDiscovery:
@@ -52,6 +64,17 @@ class TestDiscovery:
     def test_register_override(self, session):
         session.register("Other", "vt")
         assert session.temporal_tables["other"] == "vt"
+
+    def test_discovery_reads_declared_types_not_ddl_text(self):
+        """Words in a DEFAULT literal or a comment are not column types."""
+        with repro.connect() as conn:
+            conn.execute("CREATE TABLE t (note TEXT DEFAULT 'see ELEMENT', valid ELEMENT)")
+            conn.execute("CREATE TABLE c (x INTEGER, -- an ELEMENT, the validity\n"
+                         "  valid ELEMENT)")
+            session = TsqlSession(conn)
+            assert session.temporal_tables == {"t": "valid", "c": "valid"}
+            assert session.translate("VALIDTIME SELECT note FROM t") == (
+                "SELECT note, t.valid AS valid FROM t")
 
 
 class TestSnapshot:
@@ -194,6 +217,12 @@ class TestTranslateFunction:
             "SELECT a FROM t WHERE contains_instant(t.vt, instant('1999-01-01'))"
         )
 
+    @pytest.mark.parametrize("suffix", [" ", "\n", " ;", ";  ", "\t;\n"])
+    def test_trailing_whitespace_and_semicolons_ignored(self, suffix):
+        statement = "VALIDTIME SELECT a FROM t WHERE b = 1"
+        assert translate_tsql(statement + suffix, {"t": "vt"}) == translate_tsql(
+            statement, {"t": "vt"})
+
     def test_validtime_two_tables_translation(self):
         sql = translate_tsql(
             "VALIDTIME SELECT a.x FROM t a, t b WHERE a.k = b.k",
@@ -268,7 +297,157 @@ class TestTranslationErrorMetadata:
             translate_tsql("VALIDTIME SELECT a FROM plain", {"t": "vt"})
         assert info.value.clause == "plain"
 
+    def test_untokenizable_input_reports_its_offset(self):
+        statement = "VALIDTIME SELECT a FROM t WHERE b = 'unterminated"
+        with pytest.raises(TranslationError) as info:
+            translate_tsql(statement, {"t": "vt"})
+        assert info.value.offset == statement.index("'")
+        assert info.value.clause == "'unterminated"
+
     def test_metadata_defaults_to_none(self):
         error = TranslationError("boom")
         assert error.clause is None
         assert error.offset is None
+
+
+#: Validity registry for the golden corpus below.
+_GOLDEN_VALID = {"prescription": "valid", "edges": "valid", "t": "vt"}
+
+#: (tSQL, exact translated SQL): the graph workload queries, the
+#: analytics and serving statements with fixed literals, the paper's
+#: queries, and every modifier / FROM-list spelling the translator
+#: accepts.  Pinned byte for byte: statement-cache keys, prepared
+#: handles and EXPLAIN output all depend on the exact text.
+GOLDEN_TRANSLATIONS = [
+    (graphs.path_query(),
+     'SELECT e1.src, e1.dst, e2.dst, tintersect(e1.valid, e2.valid) AS valid FROM edges '
+     'AS e1, edges AS e2 WHERE (e1.dst = e2.src) AND overlaps(e1.valid, e2.valid)'),
+    (graphs.windowed_path_query("1997-01-01, 1997-06-30"),
+     'SELECT e1.src, e1.dst, e2.dst, restrict(tintersect(e1.valid, e2.valid), '
+     "period('[1997-01-01, 1997-06-30]')) AS valid FROM edges AS e1, edges AS e2 WHERE "
+     '(e1.dst = e2.src) AND overlaps(e1.valid, e2.valid) AND overlaps(e1.valid, '
+     "to_element(period('[1997-01-01, 1997-06-30]'))) AND overlaps(e2.valid, "
+     "to_element(period('[1997-01-01, 1997-06-30]')))"),
+    (graphs.coalesce_query(),
+     'SELECT src, length_seconds(group_union(valid)) AS uptime FROM edges GROUP BY src'),
+    ('VALIDTIME SELECT p1.patient, p1.drug, p2.drug FROM Prescription AS p1, '
+     "Prescription AS p2 WHERE p1.patient = p2.patient AND p1.drug = 'Tylenol' AND "
+     "p2.drug = 'Prozac'",
+     'SELECT p1.patient, p1.drug, p2.drug, tintersect(p1.valid, p2.valid) AS valid FROM '
+     'Prescription AS p1, Prescription AS p2 WHERE (p1.patient = p2.patient AND p1.drug '
+     "= 'Tylenol' AND p2.drug = 'Prozac') AND overlaps(p1.valid, p2.valid)"),
+    (graphs.windowed_path_query("1996-03-04, 1996-06-02"),
+     'SELECT e1.src, e1.dst, e2.dst, restrict(tintersect(e1.valid, e2.valid), '
+     "period('[1996-03-04, 1996-06-02]')) AS valid FROM edges AS e1, edges AS e2 WHERE "
+     '(e1.dst = e2.src) AND overlaps(e1.valid, e2.valid) AND overlaps(e1.valid, '
+     "to_element(period('[1996-03-04, 1996-06-02]'))) AND overlaps(e2.valid, "
+     "to_element(period('[1996-03-04, 1996-06-02]')))"),
+    ('SELECT patient, length_seconds(group_union(valid)) AS covered FROM Prescription '
+     "WHERE patient <> 'Ms.Info' GROUP BY patient",
+     'SELECT patient, length_seconds(group_union(valid)) AS covered FROM Prescription '
+     "WHERE patient <> 'Ms.Info' GROUP BY patient"),
+    ("SELECT patient, drug FROM Prescription WHERE drug = 'Tylenol' AND CASE WHEN "
+     "is_empty(valid) THEN 0 ELSE tlt(tsub(start(valid), patientdob), tmul(span('7'), "
+     '812)) END',
+     "SELECT patient, drug FROM Prescription WHERE drug = 'Tylenol' AND CASE WHEN "
+     "is_empty(valid) THEN 0 ELSE tlt(tsub(start(valid), patientdob), tmul(span('7'), "
+     '812)) END'),
+    ('SNAPSHOT SELECT drug, dosage, frequency FROM Prescription WHERE patient = ?',
+     'SELECT drug, dosage, frequency FROM Prescription WHERE (patient = ?) AND '
+     "contains_instant(Prescription.valid, instant('NOW'))"),
+    ('SELECT drug, dosage, valid FROM Prescription WHERE patient = ? AND '
+     'overlaps(valid, ?)',
+     'SELECT drug, dosage, valid FROM Prescription WHERE patient = ? AND '
+     'overlaps(valid, ?)'),
+    ('VALIDTIME SELECT e1.src, e1.dst, e2.dst FROM edges AS e1, edges AS e2 WHERE '
+     'e1.dst = e2.src AND e1.src = ?',
+     'SELECT e1.src, e1.dst, e2.dst, tintersect(e1.valid, e2.valid) AS valid FROM edges '
+     'AS e1, edges AS e2 WHERE (e1.dst = e2.src AND e1.src = ?) AND overlaps(e1.valid, '
+     'e2.valid)'),
+    ('INSERT INTO Prescription VALUES (?, ?, ?, ?, ?, ?, ?)',
+     'INSERT INTO Prescription VALUES (?, ?, ?, ?, ?, ?, ?)'),
+    ("SELECT patient FROM Prescription WHERE drug = 'Tylenol' AND "
+     "tlt(tsub(start(valid), patientdob), tmul(span('7'), ?))",
+     "SELECT patient FROM Prescription WHERE drug = 'Tylenol' AND "
+     "tlt(tsub(start(valid), patientdob), tmul(span('7'), ?))"),
+    ('SELECT p1.patient, p2.patient, tintersect(p1.valid, p2.valid) FROM Prescription '
+     "p1, Prescription p2 WHERE p1.drug = 'Diabeta' AND p2.drug = 'Aspirin' AND "
+     'overlaps(p1.valid, p2.valid)',
+     'SELECT p1.patient, p2.patient, tintersect(p1.valid, p2.valid) FROM Prescription '
+     "p1, Prescription p2 WHERE p1.drug = 'Diabeta' AND p2.drug = 'Aspirin' AND "
+     'overlaps(p1.valid, p2.valid)'),
+    ('SELECT patient, length_seconds(group_union(valid)) FROM Prescription GROUP BY '
+     'patient',
+     'SELECT patient, length_seconds(group_union(valid)) FROM Prescription GROUP BY '
+     'patient'),
+    ('SELECT patient, SUM(length_seconds(valid)) FROM Prescription GROUP BY patient',
+     'SELECT patient, SUM(length_seconds(valid)) FROM Prescription GROUP BY patient'),
+    ("SELECT length_seconds(ground(valid)) FROM Prescription WHERE drug = 'Diabeta'",
+     "SELECT length_seconds(ground(valid)) FROM Prescription WHERE drug = 'Diabeta'"),
+    ("SNAPSHOT AT '1999-08-10' SELECT patient, drug FROM Prescription",
+     'SELECT patient, drug FROM Prescription WHERE contains_instant(Prescription.valid, '
+     "instant('1999-08-10'))"),
+    ("SNAPSHOT SELECT p.patient FROM Prescription p WHERE p.drug = 'Tylenol'",
+     "SELECT p.patient FROM Prescription p WHERE (p.drug = 'Tylenol') AND "
+     "contains_instant(p.valid, instant('NOW'))"),
+    ("SNAPSHOT AT '1999-08-10' SELECT patient FROM Prescription WHERE drug = 'WHERE "
+     "FROM'",
+     "SELECT patient FROM Prescription WHERE (drug = 'WHERE FROM') AND "
+     "contains_instant(Prescription.valid, instant('1999-08-10'))"),
+    ('SNAPSHOT SELECT patient, COUNT(*) FROM Prescription GROUP BY patient HAVING '
+     'COUNT(*) > 1 ORDER BY patient',
+     'SELECT patient, COUNT(*) FROM Prescription WHERE '
+     "contains_instant(Prescription.valid, instant('NOW')) GROUP BY patient HAVING "
+     'COUNT(*) > 1 ORDER BY patient'),
+    ("VALIDTIME PERIOD '1999-08-05, 1999-08-10' SELECT patient FROM Prescription WHERE "
+     "drug = 'Tylenol'",
+     "SELECT patient, restrict(Prescription.valid, period('[1999-08-05, 1999-08-10]')) "
+     "AS valid FROM Prescription WHERE (drug = 'Tylenol') AND "
+     "overlaps(Prescription.valid, to_element(period('[1999-08-05, 1999-08-10]')))"),
+    ("VALIDTIME PERIOD '1997-01-01, NOW' SELECT a.x FROM t a, t b",
+     "SELECT a.x, restrict(tintersect(a.vt, b.vt), period('[1997-01-01, NOW]')) AS "
+     'valid FROM t a, t b WHERE overlaps(a.vt, b.vt) AND overlaps(a.vt, '
+     "to_element(period('[1997-01-01, NOW]'))) AND overlaps(b.vt, "
+     "to_element(period('[1997-01-01, NOW]')))"),
+    ('VALIDTIME SELECT a.x FROM (t a, t b) WHERE a.k = b.k',
+     'SELECT a.x, tintersect(a.vt, b.vt) AS valid FROM (t a, t b) WHERE (a.k = b.k) AND '
+     'overlaps(a.vt, b.vt)'),
+    ('SNAPSHOT SELECT a.x FROM ((t AS a), (t AS b, t AS c))',
+     'SELECT a.x FROM ((t AS a), (t AS b, t AS c)) WHERE contains_instant(a.vt, '
+     "instant('NOW')) AND contains_instant(b.vt, instant('NOW')) AND "
+     "contains_instant(c.vt, instant('NOW'))"),
+    ("SNAPSHOT SELECT p.drug FROM (Prescription AS p) WHERE p.patient = 'Ms.Info' ORDER "
+     'BY p.drug',
+     "SELECT p.drug FROM (Prescription AS p) WHERE (p.patient = 'Ms.Info') AND "
+     "contains_instant(p.valid, instant('NOW')) ORDER BY p.drug"),
+    ('VALIDTIME SELECT a.x FROM t a, t b, t c WHERE a.k = b.k AND b.k = c.k',
+     'SELECT a.x, tintersect(tintersect(a.vt, b.vt), c.vt) AS valid FROM t a, t b, t c '
+     'WHERE (a.k = b.k AND b.k = c.k) AND overlaps(a.vt, b.vt) AND overlaps(a.vt, c.vt) '
+     'AND overlaps(b.vt, c.vt)'),
+    ('VALIDTIME SELECT p.patient, q.n FROM Prescription p, plain q WHERE p.patient = '
+     'q.name',
+     'SELECT p.patient, q.n, p.valid AS valid FROM Prescription p, plain q WHERE '
+     'p.patient = q.name'),
+    ('VALIDTIME SELECT DISTINCT patient FROM Prescription ORDER BY patient LIMIT 3',
+     'SELECT DISTINCT patient, Prescription.valid AS valid FROM Prescription ORDER BY '
+     'patient LIMIT 3'),
+    ('NONSEQUENCED VALIDTIME SELECT patient, valid FROM Prescription WHERE drug = '
+     "'Tylenol';",
+     "SELECT patient, valid FROM Prescription WHERE drug = 'Tylenol';"),
+    ("validtime   select patient from Prescription where drug = 'x'  ;",
+     "SELECT patient, Prescription.valid AS valid FROM Prescription WHERE drug = 'x'"),
+    ('VALIDTIME\nSELECT a.x\nFROM t a,\n  t b\nWHERE a.k = b.k\nORDER BY a.x',
+     'SELECT a.x, tintersect(a.vt, b.vt) AS valid FROM t a,\n  t b WHERE (a.k = b.k) '
+     'AND overlaps(a.vt, b.vt) ORDER BY a.x'),
+    ("SNAPSHOT SELECT f(a.x, ',') FROM t AS a WHERE a.y = '(' OR a.z = ')' LIMIT 5",
+     "SELECT f(a.x, ',') FROM t AS a WHERE (a.y = '(' OR a.z = ')') AND "
+     "contains_instant(a.vt, instant('NOW')) LIMIT 5"),
+    ('SELECT COUNT(*) FROM Prescription  ',
+     'SELECT COUNT(*) FROM Prescription'),
+]
+
+
+class TestGoldenTranslations:
+    @pytest.mark.parametrize("statement, expected", GOLDEN_TRANSLATIONS)
+    def test_translation_is_byte_identical(self, statement, expected):
+        assert translate_tsql(statement, _GOLDEN_VALID) == expected

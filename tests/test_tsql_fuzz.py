@@ -1,8 +1,8 @@
-"""Fuzz/property tests for the TSQL2 preprocessor's SQL handling.
+"""Fuzz/property tests for the statement parser behind the preprocessor.
 
-The clause splitter and FROM-list parser see arbitrary user SQL, so
-they must never mis-split on keywords hiding inside strings or
-parentheses, and must reject (not mangle) what they cannot handle.
+:func:`repro.tsql.parser.parse` sees arbitrary user SQL, so it must
+never mis-split on keywords hiding inside strings or parentheses, and
+must reject (not mangle) what it cannot handle.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.errors import TranslationError
 from repro.tsql import translate_tsql
-from repro.tsql.preprocessor import _parse_from_items, split_select
+from repro.tsql.parser import parse
 
 _KEYWORDS = {"select", "from", "where", "group", "order", "by", "having",
              "limit", "as", "and", "or", "not", "join", "on"}
@@ -50,15 +50,20 @@ def select_statements(draw):
     return sql, select_list, from_list, where, tail
 
 
+def _from_items(from_list):
+    return [(item.table, item.alias)
+            for item in parse(f"SELECT x FROM {from_list}").from_items]
+
+
 class TestSplitterProperties:
     @given(select_statements())
     def test_split_recovers_the_clauses(self, parts):
         sql, select_list, from_list, where, tail = parts
-        split = split_select(sql)
-        assert split.select_list == select_list
-        assert split.from_list == from_list
-        assert split.where == where
-        assert split.tail == tail
+        select = parse(sql)
+        assert select.body("select") == select_list
+        assert select.body("from") == from_list
+        assert (select.body("where") or None) == where
+        assert select.tail == tail
 
     @given(select_statements())
     def test_translation_is_idempotent_for_plain_sql(self, parts):
@@ -67,22 +72,22 @@ class TestSplitterProperties:
 
     @given(st.text(max_size=40))
     def test_splitter_never_crashes_unexpectedly(self, text):
-        """Arbitrary input either splits or raises TranslationError."""
+        """Arbitrary input either parses or raises TranslationError."""
         try:
-            split_select("SELECT x FROM t WHERE " + text.replace("'", ""))
+            parse("SELECT x FROM t WHERE " + text.replace("'", ""))
         except TranslationError:
             pass
 
     def test_semicolon_stripped(self):
-        assert split_select("SELECT a FROM t;").from_list == "t"
+        assert parse("SELECT a FROM t;").body("from") == "t"
 
 
 class TestFromListParsing:
     def test_alias_forms(self):
-        assert _parse_from_items("t") == [("t", "t")]
-        assert _parse_from_items("t a") == [("t", "a")]
-        assert _parse_from_items("t AS a") == [("t", "a")]
-        assert _parse_from_items("t1 a, t2 AS b") == [("t1", "a"), ("t2", "b")]
+        assert _from_items("t") == [("t", "t")]
+        assert _from_items("t a") == [("t", "a")]
+        assert _from_items("t AS a") == [("t", "a")]
+        assert _from_items("t1 a, t2 AS b") == [("t1", "a"), ("t2", "b")]
 
     @pytest.mark.parametrize(
         "bad",
@@ -90,9 +95,9 @@ class TestFromListParsing:
     )
     def test_unsupported_items_rejected(self, bad):
         with pytest.raises(TranslationError):
-            _parse_from_items(bad)
+            _from_items(bad)
 
     @given(st.lists(st.tuples(identifiers, identifiers), min_size=1, max_size=4))
     def test_round_trip_property(self, items):
         text = ", ".join(f"{table} AS {alias}" for table, alias in items)
-        assert _parse_from_items(text) == list(items)
+        assert _from_items(text) == list(items)
