@@ -141,23 +141,23 @@ class TipConnection:
         """Execute and fetch the first row, type-mapped."""
         return self.execute(sql, parameters).fetchone()
 
-    def query_stored_last(
+    def query_stored_columns(
         self, sql: str, parameters: Sequence = ()
-    ) -> Tuple[List[Tuple], List[object]]:
-        """All rows of *sql* split as (type-mapped leading columns, last
-        column exactly as stored).
+    ) -> List[Sequence]:
+        """All rows of *sql*, column by column, exactly as stored.
 
-        The planner kernels' bulk fetch: they select the validity
-        column last as an expression (``+valid``), so neither its
-        declared-type converter nor the type map decodes it, and ground
-        the stored blobs themselves.  Runs on the raw connection under
-        the caller's ``NOW`` binding.
+        The planner kernels' bulk fetch: no type map runs, so their
+        hash keys, residuals and group keys compare the values SQLite
+        stored (the kernels map only the projected columns that hold
+        blobs), and the validity column, selected last as an
+        expression (``+valid``), reaches them undecoded.  Runs on the
+        raw connection under the caller's ``NOW`` binding.
         """
         if _FAULTS.plan is not None:
             _FAULTS.plan.apply("conn.execute")
-        fetched = self._raw.execute(sql, parameters).fetchall()
-        return (self.type_map.map_rows([row[:-1] for row in fetched]),
-                [row[-1] for row in fetched])
+        cursor = self._raw.execute(sql, parameters)
+        fetched = cursor.fetchall()
+        return list(zip(*fetched)) or [()] * len(cursor.description)
 
     # -- transactions and lifecycle ---------------------------------------
 

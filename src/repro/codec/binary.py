@@ -58,6 +58,7 @@ __all__ = [
     "element_pairs",
     "element_arrays",
     "merge_pairs",
+    "stamp_elements",
     "is_tip_blob",
     "tip_type_of",
     "TAG_BY_TYPE",
@@ -414,14 +415,17 @@ def element_arrays(values: Sequence, now_seconds: int, mismatch: str):
     ones.
     """
     armed = _FAULTS.plan is not None
-    at = [] if armed else [
-        i for i, value in enumerate(values) if type(value) is bytes
-    ]
-    slow = [i for i, value in enumerate(values)
-            if value is not None and (armed or type(value) is not bytes)]
+    if not armed and set(map(type, values)) <= {bytes}:
+        at, slow = range(len(values)), []  # the common all-blob column
+    else:
+        at = [] if armed else [
+            i for i, value in enumerate(values) if type(value) is bytes
+        ]
+        slow = [i for i, value in enumerate(values)
+                if value is not None and (armed or type(value) is not bytes)]
     row = lo = hi = np.empty(0, np.int64)
     if at:
-        blobs = [values[i] for i in at]
+        blobs = list(map(values.__getitem__, at))
         sizes = np.fromiter(map(len, blobs), np.int64, len(blobs))
         starts = np.cumsum(sizes) - sizes
         # Padded so every header gather stays in bounds; short blobs
@@ -461,6 +465,39 @@ def element_arrays(values: Sequence, now_seconds: int, mismatch: str):
         lo = np.concatenate((lo, flat[0::2]))[order]
         hi = np.concatenate((hi, flat[1::2]))[order]
     return row, lo, hi, len(slow)
+
+
+def stamp_elements(elements: Sequence[Element], counts, lo, hi) -> None:
+    """Stamp freshly built canonical Elements with their blobs.
+
+    Element ``k`` of *elements* owns the next ``counts[k]`` of the flat
+    canonical ``(lo, hi)`` pair arrays.  Every period is determinate,
+    so the blob is the header, the count and one ``_PERIOD`` record per
+    pair; all of them are packed in one numpy pass and sliced apart.
+    Like :func:`encode`, this stamps only while the codec cache is on.
+    The objects must be fresh: the slot is set, never read.
+    """
+    if not _CACHE.state.enabled or not len(elements):
+        return
+    counts = np.asarray(counts, np.int64)
+    periods = np.zeros(len(lo), _PERIOD)
+    periods["lo"] = np.asarray(lo, np.int64) + _BIAS_SECONDS
+    periods["hi"] = np.asarray(hi, np.int64) + _BIAS_SECONDS
+    sizes = _HEADER_LEN + counts * _PERIOD.itemsize
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    header = np.empty((len(counts), _HEADER_LEN), np.uint8)
+    header[:, :3] = _HEADER_ARRAY
+    header[:, 3:] = counts.astype(">u4").view(np.uint8).reshape(-1, 4)
+    data = np.empty(int(ends[-1]), np.uint8)
+    in_header = np.zeros(len(data), bool)
+    at = (starts[:, None] + np.arange(_HEADER_LEN)).ravel()
+    data[at] = header.ravel()
+    in_header[at] = True
+    data[~in_header] = periods.view(np.uint8)
+    packed = data.tobytes()
+    for element, start, end in zip(elements, starts.tolist(), ends.tolist()):
+        element._tip_blob = packed[start:end]
 
 
 def _build(tip_type: Type[TipValue], seconds: int) -> TipValue:

@@ -1,15 +1,16 @@
-"""Set-based evaluation kernels for matched temporal shapes.
+"""Set-based kernels for matched temporal shapes.
 
-These are the paper's "integrated evaluation" made concrete: instead of
-letting SQLite grind ``overlaps(a.valid, b.valid)`` over the full cross
-product (one UDF call and two blob decodes per candidate tuple), the
-planner bulk-fetches both sides once and joins them with interval
-algorithms:
+These are the paper's integrated temporal support made concrete:
+instead of letting SQLite grind ``overlaps(a.valid, b.valid)`` over the
+full cross product (one UDF call and two blob decodes per candidate
+tuple), the planner bulk-fetches both sides once and joins them with
+interval algorithms:
 
 ``hash``
     Cross-alias equality conjuncts become hash-join keys (the
-    temporal-graph path query joins on ``e1.dst = e2.src``); the
-    overlap test runs only within each hash bucket.
+    temporal-graph path query joins on ``e1.dst = e2.src``), numbered
+    by one dict and bucketed by one stable sort; the overlap test runs
+    only within each bucket.
 ``merge``
     No equalities: two periods overlap exactly when one starts inside
     the other, so two ``np.searchsorted`` passes over the sorted
@@ -28,41 +29,53 @@ window.  The strategy depends on the shape and on the window grounded
 at the statement ``NOW`` alone (:func:`join_plan`), so ``EXPLAIN
 TEMPORAL`` names the plan that runs.
 
-The bulk fetch reads only what a kernel uses.  Single-side filters
-(``p1.drug = 'X'``, a coalesce's ``WHERE``) go into its SQL ``WHERE``
-with the literals bound as parameters, so SQLite applies its own NULL,
-storage-class, affinity and collation rules to them.  ``NOT INDEXED``
-keeps the fetch in table order whatever indexes the filters could use,
-so the emit order never depends on the schema.  The validity column is
-selected as ``+valid``, which no converter or type map touches, and
-:func:`repro.codec.binary.element_arrays` turns it into flat int64
-``(row, lo, hi)`` arrays grounded at the statement ``NOW`` in one
-vectorized pass, NOW-relative and non-canonical blobs included; only
-values the per-blob decoder would reject (and non-blob values) decode
-one at a time (counted as ``fallback_decodes``).  The emit shares one
-Element per distinct intersection, so equal validities encode once.
+The bulk fetch reads only what a kernel uses, column by column.
+Single-side filters (``p1.drug = 'X'``, a coalesce's ``WHERE``) go
+into its SQL ``WHERE`` with the literals bound as parameters, so SQLite
+applies its own NULL, storage-class, affinity and collation rules to
+them.  ``NOT INDEXED`` keeps the fetch in table order whatever indexes
+the filters could use, so the emit order never depends on the schema.
+The validity column is selected as ``+valid``, which no converter
+touches, and :func:`repro.codec.binary.element_arrays` turns it into
+flat int64 ``(row, lo, hi)`` arrays grounded at the statement ``NOW``
+in one vectorized pass, NOW-relative and non-canonical blobs included;
+only values the per-blob decoder would reject (and non-blob values)
+decode one at a time (counted as ``fallback_decodes``).
+
+A kernel result is a :class:`repro.columns.ColumnTable`.  The emit gathers each
+projected column by row index from its side's fetched values, and
+builds the validity column from one Element per distinct intersection:
+single-pair intersections are deduplicated in one vectorized pass
+(``np.lexsort`` and run boundaries), the rest through a dict, so equal
+validities encode once.  The server frames the columns as they are,
+packing the fresh Elements' canonical blobs in one numpy pass first
+(:meth:`ColumnTable.stamp_blobs`); only an embedded caller builds row
+tuples.
 
 Every kernel grounds elements at one statement ``NOW`` and produces
 rows value-identical to the naive path — the differential suite
-(``tests/test_plan_kernels.py``) holds them equal as multisets.  Hash
-keys (dict hashing) and the cross-side residuals in ``JoinShape.cross``
-(:func:`sql_compare`) are compared in Python with SQLite's
+(``tests/test_plan_kernels.py``) holds them equal as multisets.  Keys,
+residuals and group keys compare the values SQLite stored (the type
+map runs only over the projected columns that hold blobs): hash keys
+and group keys by dict hashing, the cross-side residuals in
+``JoinShape.cross`` through :func:`sql_compare`, both with SQLite's
 storage-class semantics (NULL never matches; numeric < text < blob
-across classes; ``1 = 1.0``); the planner keeps a statement off the
-kernels when SQLite would first convert between two compared columns'
-affinities.
+across classes; ``1 = 1.0``; blobs by bytes); the planner keeps a
+statement off the kernels when SQLite would first convert between two
+compared columns' affinities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import chain, compress, repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.codec.binary import element_arrays, merge_pairs
+from repro.codec.binary import element_arrays, merge_pairs, stamp_elements
+from repro.columns import ColumnTable
 from repro.core.element import Element
 from repro.core.span import Span
 from repro.plan.shapes import CoalesceShape, Condition, JoinShape
@@ -78,7 +91,7 @@ Pair = Tuple[int, int]
 class KernelResult:
     """What a kernel hands back to the planner."""
 
-    rows: List[Tuple]
+    rows: ColumnTable
     columns: List[str]
     strategy: str                  # join_plan()'s strategy, or "sweep"
     now_seconds: int
@@ -130,23 +143,36 @@ def sql_compare(left: object, op: str, right: object) -> bool:
 
 # -- side preparation ---------------------------------------------------
 
+_BYTES = frozenset((bytes, bytearray, memoryview))
+
+
+def _map_output(connection, values: Sequence) -> Sequence:
+    """*values* through the connection's type map, when any is a blob
+    (the map transforms nothing else)."""
+    if _BYTES.isdisjoint(map(type, values)):
+        return values
+    map_value = connection.type_map.map_value
+    return [map_value(value) if type(value) in _BYTES else value
+            for value in values]
+
 
 class _Side:
-    """One fetched, grounded join input: its validity pairs as flat
-    int64 arrays, row-major (``row`` ascending, canonical per row)."""
+    """One fetched, grounded join input: its surviving rows' stored
+    columns, and its validity pairs as flat int64 arrays, row-major
+    (``row`` ascending, canonical per row)."""
 
-    __slots__ = ("rows", "row", "lo", "hi", "counts", "offsets",
-                 "positions", "fetched", "fallbacks")
+    __slots__ = ("cols", "outs", "n", "row", "lo", "hi", "counts",
+                 "offsets", "fetched", "fallbacks")
 
-    def __init__(self, rows: List[Tuple], row, lo, hi,
-                 positions: Dict[str, int], fetched: int,
-                 fallbacks: int) -> None:
-        self.rows = rows            # surviving rows, fetch order
+    def __init__(self, cols: Dict[str, Sequence], outs: Dict[str, Sequence],
+                 n: int, row, lo, hi, fetched: int, fallbacks: int) -> None:
+        self.cols = cols            # column name -> stored values
+        self.outs = outs            # projected column -> type-mapped values
+        self.n = n                  # surviving rows, fetch order
         self.row, self.lo, self.hi = row, lo, hi  # one entry per pair
-        self.counts = np.bincount(row, minlength=len(rows))
-        self.offsets = np.zeros(len(rows) + 1, np.int64)
+        self.counts = np.bincount(row, minlength=n)
+        self.offsets = np.zeros(n + 1, np.int64)
         np.cumsum(self.counts, out=self.offsets[1:])
-        self.positions = positions  # column name -> tuple position
         self.fetched = fetched      # rows SQLite returned (post-pushdown)
         self.fallbacks = fallbacks  # blobs decoded one at a time
 
@@ -167,9 +193,9 @@ def _columns_for_side(shape: JoinShape, alias: str) -> List[str]:
 
 
 def _fetch(connection, table: str, columns: List[str], valid: str,
-           filters: Sequence[Condition]) -> Tuple[List[Tuple], List]:
-    """*columns* (type-mapped) and the stored *valid* values of the rows
-    of *table* that pass *filters*, in table order."""
+           filters: Sequence[Condition]) -> List[Sequence]:
+    """The stored *columns* and *valid* values (last) of the rows of
+    *table* that pass *filters*, column by column, in table order."""
     params: List[object] = []
 
     def sql(operand) -> str:
@@ -184,17 +210,18 @@ def _fetch(connection, table: str, columns: List[str], valid: str,
     where = " AND ".join(
         f"{sql(c.left)} {c.op} {sql(c.right)}" for c in filters
     )
-    return connection.query_stored_last(
+    return connection.query_stored_columns(
         f"SELECT {', '.join(columns + ['+' + valid])} "
         f"FROM {table} NOT INDEXED" + (f" WHERE {where}" if where else ""),
         params,
     )
 
 
-def _prepare_side(connection, table: str, columns: List[str], valid: str,
+def _prepare_side(connection, table: str, columns: List[str],
+                  outputs: Sequence[str], valid: str,
                   filters: Sequence[Condition], now_seconds: int,
                   window_pair: Optional[Pair]) -> _Side:
-    fetched, stored = _fetch(connection, table, columns, valid, filters)
+    *fetched, stored = _fetch(connection, table, columns, valid, filters)
     row, lo, hi, fallbacks = element_arrays(
         stored, now_seconds, f"expected Element in {table}.{valid}")
     # NULL and empty elements overlap nothing; under a VALIDTIME PERIOD
@@ -202,55 +229,61 @@ def _prepare_side(connection, table: str, columns: List[str], valid: str,
     # kept).
     hit = row if window_pair is None else \
         row[(lo <= window_pair[1]) & (hi >= window_pair[0])]
-    keep = np.zeros(len(fetched), bool)
+    keep = np.zeros(len(stored), bool)
     keep[hit] = True
-    kept = keep[row]
-    renumber = np.cumsum(keep) - 1
-    positions = {name: at for at, name in enumerate(columns)}
-    return _Side(list(compress(fetched, keep.tolist())),
-                 renumber[row[kept]], lo[kept], hi[kept],
-                 positions, len(fetched), fallbacks)
+    if not keep.all():
+        kept = keep[row]
+        row, lo, hi = (np.cumsum(keep) - 1)[row[kept]], lo[kept], hi[kept]
+        keep_list = keep.tolist()
+        fetched = [list(compress(values, keep_list)) for values in fetched]
+    cols = dict(zip(columns, fetched))
+    outs = {name: _map_output(connection, cols[name]) for name in outputs}
+    return _Side(cols, outs, int(np.count_nonzero(keep)), row, lo, hi,
+                 len(stored), fallbacks)
 
 
 # -- candidate generation ----------------------------------------------
 
 
 def _hash_candidates(shape: JoinShape, left: _Side,
-                     right: _Side) -> Tuple[List[int], List[int]]:
-    """Equality-bucketed candidates as parallel ``(i, j)`` index lists.
+                     right: _Side) -> Tuple[np.ndarray, np.ndarray]:
+    """Equality-bucketed candidates as parallel ``(i, j)`` index arrays.
 
-    Each left row hits exactly one bucket and buckets hold ``j`` in
-    fetch order, so the pairs come out unique and in (i, j) order with
-    no dedup or sort — and the two flat lists feed numpy directly.
+    Keys are numbered by one dict (``None``, a NULL key, gets no
+    number: ``NULL = anything`` is never true); Python's dict groups 1
+    with 1.0 exactly as SQLite's `=` does, and text, blob, and numeric
+    values never collide across classes (the planner vetoes key pairs
+    SQLite would convert between).  A stable sort of the right rows by
+    key number makes each bucket one run in fetch order, so every left
+    row expands to its bucket's run and the pairs come out unique and
+    in (i, j) order with no dedup.
     """
-    left_key = _key_getter([left.positions[col]
-                            for col, _ in shape.equalities])
-    right_key = _key_getter([right.positions[col]
-                             for _, col in shape.equalities])
-    buckets: Dict[object, List[int]] = {}
-    for j, key in enumerate(map(right_key, right.rows)):
-        # Python's dict groups 1 with 1.0 exactly as SQLite's `=` does;
-        # text, blob, and numeric values never collide across classes
-        # (the planner vetoes key pairs SQLite would convert between).
-        if key is not None:
-            buckets.setdefault(key, []).append(j)
-    i_list: List[int] = []
-    j_list: List[int] = []
-    for i, key in enumerate(map(left_key, left.rows)):
-        bucket = buckets.get(key)  # a NULL key (None) is in no bucket
-        if bucket:
-            j_list.extend(bucket)
-            i_list.extend(repeat(i, len(bucket)))
-    return i_list, j_list
+    right_keys = _keys([right.cols[col] for _, col in shape.equalities])
+    left_keys = _keys([left.cols[col] for col, _ in shape.equalities])
+    number = {key: at for at, key in enumerate(dict.fromkeys(right_keys))}
+    number[None] = -1
+    right_codes = np.fromiter(map(number.__getitem__, right_keys), np.int64,
+                              right.n)
+    left_codes = np.fromiter(map(number.get, left_keys, repeat(-1)),
+                             np.int64, left.n)
+    order = np.argsort(right_codes, kind="stable")
+    bucket_size = np.bincount(right_codes + 1, minlength=len(number) + 1)
+    bucket_at = np.cumsum(bucket_size) - bucket_size
+    bucket_size[0] = 0  # NULL keys (first in order) match nothing
+    counts = bucket_size[left_codes + 1]
+    # Run k lists order[bucket_at[code] : bucket_at[code] + counts[k]].
+    runs_at = np.cumsum(counts) - counts
+    rights = order[np.arange(counts.sum())
+                   + np.repeat(bucket_at[left_codes + 1] - runs_at, counts)]
+    return np.repeat(np.arange(left.n), counts), rights
 
 
-def _key_getter(positions: List[int]) -> Callable:
-    """Row -> hash-join key, or None when a key column is NULL
+def _keys(columns: List[Sequence]) -> Sequence:
+    """Per-row hash-join keys, None where a key column is NULL
     (``NULL = anything`` is never true)."""
-    get = itemgetter(*positions)
-    if len(positions) == 1:
-        return get
-    return lambda row: None if None in (key := get(row)) else key
+    if len(columns) == 1:
+        return columns[0]
+    return [None if None in key else key for key in zip(*columns)]
 
 
 def _overlap_candidates(left: _Side, right: _Side) -> Tuple[np.ndarray,
@@ -276,7 +309,7 @@ def _overlap_candidates(left: _Side, right: _Side) -> Tuple[np.ndarray,
         found = order[np.arange(counts.sum())
                       + np.repeat(first - runs_at, counts)]
         halves.append((np.repeat(probe.row, counts), build.row[found]))
-    n = len(right.rows)
+    n = right.n
     keys = np.unique(np.concatenate((halves[0][0] * n + halves[0][1],
                                      halves[1][1] * n + halves[1][0])))
     return keys // n, keys % n
@@ -288,27 +321,80 @@ def _overlap_candidates(left: _Side, right: _Side) -> Tuple[np.ndarray,
 _VECTOR_CHUNK = 1 << 18
 
 
-def _row_builder(slots: Sequence[Tuple[int, int]]) -> Callable:
-    """Compile ``(left_row, right_row, element) -> output tuple`` once.
+class _Validities:
+    """The validity column under construction: one shared Element per
+    distinct intersection (its canonical pairs), and each row's slot in
+    that table."""
 
-    *slots* only contains trusted integers from the shape matcher, and
-    a dedicated lambda beats a generic per-slot loop run per row.
-    """
-    parts = []
-    for side, position in slots:
-        if side == 2:
-            parts.append("e")
-        else:
-            parts.append(f"{'l' if side == 0 else 'r'}[{position}]")
-    spec = ", ".join(parts) + ("," if len(parts) == 1 else "")
-    return eval(f"lambda l, r, e: ({spec})")  # noqa: S307
+    def __init__(self) -> None:
+        self.slot_of: Dict[Tuple[Pair, ...], int] = {}  # table order
+        self.table: List[Element] = []
+        self.slots: List[np.ndarray] = []
+
+    def _intern(self, keys: List[Tuple[Pair, ...]]) -> List[int]:
+        """Table slots of the distinct pair tuples *keys*."""
+        slots = list(map(self.slot_of.get, keys))
+        if None in slots:
+            fresh = [key for key, slot in zip(keys, slots) if slot is None]
+            start = len(self.table)
+            self.slot_of.update(zip(fresh, range(start, start + len(fresh))))
+            self.table.extend(map(Element._from_canonical_pairs, fresh))
+            slots = list(map(self.slot_of.__getitem__, keys))
+        return slots
+
+    def add(self, slice_from: np.ndarray, slice_to: np.ndarray,
+            lo: np.ndarray, hi: np.ndarray) -> None:
+        """Slots for survivors whose pairs are ``lo/hi[from:to]``."""
+        counts = slice_to - slice_from
+        slots = np.empty(len(counts), np.int64)
+        single = np.flatnonzero(counts == 1)
+        if len(single):
+            first = slice_from[single]
+            pair_lo, pair_hi = lo[first], hi[first]
+            order = np.lexsort((pair_hi, pair_lo))
+            pair_lo, pair_hi = pair_lo[order], pair_hi[order]
+            starts = np.ones(len(order), bool)
+            starts[1:] = (pair_lo[1:] != pair_lo[:-1]) \
+                | (pair_hi[1:] != pair_hi[:-1])
+            distinct = self._intern(list(zip(zip(
+                pair_lo[starts].tolist(), pair_hi[starts].tolist()))))
+            slots[single[order]] = \
+                np.asarray(distinct, np.int64)[np.cumsum(starts) - 1]
+        empty = counts == 0  # the window clipped every pair away
+        if empty.any():
+            slots[empty] = self._intern([()])[0]
+        several = np.flatnonzero(counts > 1)
+        if len(several):
+            pairs = list(zip(lo.tolist(), hi.tolist()))
+            keys = list(map(tuple, map(pairs.__getitem__, map(
+                slice, slice_from[several].tolist(),
+                slice_to[several].tolist()))))
+            distinct = list(dict.fromkeys(keys))
+            slot_of = dict(zip(distinct, self._intern(distinct)))
+            slots[several] = list(map(slot_of.__getitem__, keys))
+        self.slots.append(slots)
+
+    def stamp(self) -> None:
+        """Stamp the table's Elements with their canonical blobs."""
+        keys = list(self.slot_of)
+        counts = list(map(len, keys))
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(keys)),
+                           np.int64, 2 * sum(counts))
+        stamp_elements(self.table, counts, flat[0::2], flat[1::2])
+
+    def column(self) -> List[Element]:
+        if not self.slots:
+            return []
+        return list(map(self.table.__getitem__,
+                        np.concatenate(self.slots).tolist()))
 
 
 def _vector_emit(left: _Side, right: _Side,
                  all_lefts: np.ndarray, all_rights: np.ndarray,
                  window_pair: Optional[Pair],
-                 build_row: Callable) -> List[Tuple]:
-    """Rows for the candidate ``(i, j)`` row pairs, in candidate order.
+                 slots: Sequence[Tuple[int, str]]) -> ColumnTable:
+    """The output columns for the candidate ``(i, j)`` row pairs, in
+    candidate order.
 
     Every candidate row pair expands to its period×period combinations;
     one vectorized max/min pass intersects them all, and the surviving
@@ -316,16 +402,12 @@ def _vector_emit(left: _Side, right: _Side,
     order — become each output row's validity element.  Window
     clipping happens after the survival test, so a pair whose shared
     time misses the window still emits (with empty validity), exactly
-    like ``restrict(tintersect(...), window)``.
+    like ``restrict(tintersect(...), window)``.  *slots* name each
+    output column as ``(side, column)``; side 2 is the validity.
     """
-    rows: List[Tuple] = []
-    left_rows, right_rows = left.rows, right.rows
-    # One Element per distinct intersection, so identical validities
-    # encode once downstream.
-    elements: Dict[Tuple[Pair, ...], Element] = {
-        (): Element._from_canonical_pairs(())}
-    from_canonical = Element._from_canonical_pairs
-    append = rows.append
+    validities = _Validities()
+    survivor_lefts: List[np.ndarray] = []
+    survivor_rights: List[np.ndarray] = []
     for chunk_at in range(0, len(all_lefts), _VECTOR_CHUNK):
         lefts = all_lefts[chunk_at:chunk_at + _VECTOR_CHUNK]
         rights = all_rights[chunk_at:chunk_at + _VECTOR_CHUNK]
@@ -361,23 +443,24 @@ def _vector_emit(left: _Side, right: _Side,
             which_kept = which_kept[inside]
             lo_kept = lo_kept[inside]
             hi_kept = hi_kept[inside]
-        slice_from = np.searchsorted(which_kept, survivors, "left").tolist()
-        slice_to = np.searchsorted(which_kept, survivors, "right").tolist()
-        lo_list = lo_kept.tolist()
-        hi_list = hi_kept.tolist()
-        survivor_rows = zip(lefts[survivors].tolist(),
-                            rights[survivors].tolist(),
-                            slice_from, slice_to)
-        for i, j, s, e in survivor_rows:
-            if e - s == 1:  # by far the common case
-                pairs: Tuple[Pair, ...] = ((lo_list[s], hi_list[s]),)
-            else:  # several pairs, or none once the window clipped them
-                pairs = tuple(zip(lo_list[s:e], hi_list[s:e]))
-            element = elements.get(pairs)
-            if element is None:
-                element = elements[pairs] = from_canonical(pairs)
-            append(build_row(left_rows[i], right_rows[j], element))
-    return rows
+        validities.add(np.searchsorted(which_kept, survivors, "left"),
+                       np.searchsorted(which_kept, survivors, "right"),
+                       lo_kept, hi_kept)
+        survivor_lefts.append(lefts[survivors])
+        survivor_rights.append(rights[survivors])
+
+    def rows_of(parts: List[np.ndarray]) -> List[int]:
+        return np.concatenate(parts).tolist() if parts else []
+
+    at = {0: rows_of(survivor_lefts), 1: rows_of(survivor_rights)}
+    columns: List[Sequence] = []
+    for side, name in slots:
+        if side == 2:
+            columns.append(validities.column())
+        else:
+            values = (left if side == 0 else right).outs[name]
+            columns.append(list(map(values.__getitem__, at[side])))
+    return ColumnTable(columns, len(at[0]), validities.stamp)
 
 
 # -- the kernels --------------------------------------------------------
@@ -386,9 +469,16 @@ def _vector_emit(left: _Side, right: _Side,
 def execute_join(connection, shape: JoinShape,
                  now_seconds: int) -> KernelResult:
     strategy, window_pair = join_plan(shape, now_seconds)
+    names = _join_columns(shape)
     if strategy == "empty-window":
-        return KernelResult([], _join_columns(shape), strategy, now_seconds,
+        return KernelResult(ColumnTable([[] for _ in names], 0), names,
+                            strategy, now_seconds,
                             {"candidates": 0, "fallback_decodes": 0})
+
+    def projected(alias: str) -> List[str]:
+        return [output.column for output in shape.outputs
+                if output.alias == alias]
+
     left_columns = _columns_for_side(shape, shape.left_alias)
     right_columns = _columns_for_side(shape, shape.right_alias)
     if (shape.left_table == shape.right_table
@@ -396,26 +486,26 @@ def execute_join(connection, shape: JoinShape,
             and not shape.left_filters and not shape.right_filters):
         # Unfiltered self-join (the temporal-graph path query): fetch
         # and decode the table once, share it between both sides.
-        shared_columns = sorted(set(left_columns) | set(right_columns))
         left = right = _prepare_side(
-            connection, shape.left_table, shared_columns,
+            connection, shape.left_table,
+            sorted(set(left_columns) | set(right_columns)),
+            set(projected(shape.left_alias) + projected(shape.right_alias)),
             shape.left_valid, (), now_seconds, window_pair,
         )
     else:
         left = _prepare_side(
             connection, shape.left_table, left_columns,
-            shape.left_valid, shape.left_filters, now_seconds, window_pair,
+            set(projected(shape.left_alias)), shape.left_valid,
+            shape.left_filters, now_seconds, window_pair,
         )
         right = _prepare_side(
             connection, shape.right_table, right_columns,
-            shape.right_valid, shape.right_filters, now_seconds,
-            window_pair,
+            set(projected(shape.right_alias)), shape.right_valid,
+            shape.right_filters, now_seconds, window_pair,
         )
 
     if shape.equalities:
-        i_list, j_list = _hash_candidates(shape, left, right)
-        lefts = np.asarray(i_list, np.int64)
-        rights = np.asarray(j_list, np.int64)
+        lefts, rights = _hash_candidates(shape, left, right)
     else:
         lefts, rights = _overlap_candidates(left, right)
     stats = {"candidates": len(lefts), "left_rows": left.fetched,
@@ -425,33 +515,21 @@ def execute_join(connection, shape: JoinShape,
 
     # match() normalized cross conditions left-operand-first.
     for condition in shape.cross:
-        left_values = map(itemgetter(left.positions[condition.left.name]),
-                          map(left.rows.__getitem__, lefts.tolist()))
-        right_values = map(
-            itemgetter(right.positions[condition.right.name]),
-            map(right.rows.__getitem__, rights.tolist()))
+        left_values = map(left.cols[condition.left.name].__getitem__,
+                          lefts.tolist())
+        right_values = map(right.cols[condition.right.name].__getitem__,
+                           rights.tolist())
         keep = np.fromiter(map(sql_compare, left_values,
                                repeat(condition.op), right_values),
                            bool, len(lefts))
         lefts, rights = lefts[keep], rights[keep]
 
-    # slots: (side, position) per output slot; side 2 is the validity.
-    slots: List[Tuple[int, int]] = []
-    cursor = 0
-    for at in range(len(shape.outputs) + 1):
-        if at == shape.valid_at:
-            slots.append((2, 0))
-            continue
-        output = shape.outputs[cursor]
-        cursor += 1
-        side = 0 if output.alias == shape.left_alias else 1
-        positions = left.positions if side == 0 else right.positions
-        slots.append((side, positions[output.column]))
-
-    rows = _vector_emit(left, right, lefts, rights, window_pair,
-                        _row_builder(slots))
-    return KernelResult(rows, _join_columns(shape), strategy, now_seconds,
-                        stats)
+    slots = [(0 if output.alias == shape.left_alias else 1, output.column)
+             for output in shape.outputs]
+    slots.insert(shape.valid_at, (2, ""))
+    return KernelResult(
+        _vector_emit(left, right, lefts, rights, window_pair, slots),
+        names, strategy, now_seconds, stats)
 
 
 def join_plan(shape: JoinShape,
@@ -483,42 +561,40 @@ def _join_columns(shape: JoinShape) -> List[str]:
 
 
 def _order_key(value: object):
-    """A total order over mixed-type values for deterministic output."""
+    """A total order over stored values for deterministic output."""
     if value is None:
         return (0, "")
-    if isinstance(value, bool):
-        return (1, float(value))
     if isinstance(value, (int, float)):
         return (1, float(value))
     if isinstance(value, str):
         return (2, value)
-    if isinstance(value, bytes):
-        return (3, value)
-    return (4, repr(value))
+    return (3, value)  # blob
 
 
 def execute_coalesce(connection, shape: CoalesceShape,
                      now_seconds: int) -> KernelResult:
-    # The fetched rows hold exactly the GROUP BY columns, in key order,
-    # so each row is its own group key.
+    # The fetched columns are exactly the GROUP BY columns, in key
+    # order, so each fetched row is its own group key.
     columns = list(dict.fromkeys(shape.group_by))
     positions = {name: at for at, name in enumerate(columns)}
-    fetched, stored = _fetch(connection, shape.table, columns,
-                             shape.agg_column, shape.filters)
+    *fetched, stored = _fetch(connection, shape.table, columns,
+                              shape.agg_column, shape.filters)
 
     # A group's key hashes 1 and 1.0 together (dict semantics == SQLite
     # GROUP BY) and keeps NULLs in one group, also like SQLite; the
     # first row of a group stays its key and supplies its outputs.
     # NULL validities add no periods, but their group still exists.
-    keys = sorted(dict.fromkeys(fetched),
-                  key=lambda k: tuple(_order_key(v) for v in k))
+    group_keys = list(zip(*fetched))
+    keys = sorted(dict.fromkeys(group_keys),
+                  key=lambda k: tuple(map(_order_key, k)))
     rank = {key: at for at, key in enumerate(keys)}
-    group_of = np.fromiter(map(rank.__getitem__, fetched), np.int64,
-                           len(fetched))
+    group_of = np.fromiter(map(rank.__getitem__, group_keys), np.int64,
+                           len(group_keys))
     row, lo, hi, fallbacks = element_arrays(
         stored, now_seconds, "group_union expects Elements")
     group, lo, hi = merge_pairs(group_of[row], lo, hi)
 
+    stamp = None
     if shape.agg_wrapper in ("length", "length_seconds"):
         totals = np.zeros(len(keys), np.int64)
         np.add.at(totals, group, hi - lo + 1)
@@ -526,23 +602,23 @@ def execute_coalesce(connection, shape: CoalesceShape,
         if shape.agg_wrapper == "length_seconds":
             aggregates = [span.seconds for span in aggregates]
     else:  # the coalesced element itself
-        bounds = np.searchsorted(group, np.arange(len(keys) + 1)).tolist()
-        lo_list, hi_list = lo.tolist(), hi.tolist()
+        bounds = np.searchsorted(group, np.arange(len(keys) + 1))
+        bound_list, lo_list, hi_list = bounds.tolist(), lo.tolist(), hi.tolist()
         aggregates = [
             Element._from_canonical_pairs(tuple(zip(lo_list[a:b],
                                                     hi_list[a:b])))
-            for a, b in zip(bounds, bounds[1:])]
+            for a, b in zip(bound_list, bound_list[1:])]
+        stamp = partial(stamp_elements, aggregates, np.diff(bounds), lo, hi)
 
-    slots = [positions[output.column] for output in shape.outputs]
-    rows: List[Tuple] = []
-    for key, aggregate in zip(keys, aggregates):
-        out: List[object] = [key[at] for at in slots]
-        out.insert(shape.agg_at, aggregate)
-        rows.append(tuple(out))
-    columns_out = [output.name for output in shape.outputs]
-    columns_out.insert(shape.agg_at, shape.agg_name)
+    key_columns = list(zip(*keys)) if keys else [()] * len(columns)
+    out: List[Sequence] = [
+        _map_output(connection, key_columns[positions[output.column]])
+        for output in shape.outputs]
+    out.insert(shape.agg_at, aggregates)
+    names = [output.name for output in shape.outputs]
+    names.insert(shape.agg_at, shape.agg_name)
     return KernelResult(
-        rows, columns_out, "sweep", now_seconds,
-        {"groups": len(keys), "input_rows": len(fetched),
+        ColumnTable(out, len(keys), stamp), names, "sweep", now_seconds,
+        {"groups": len(keys), "input_rows": len(stored),
          "fallback_decodes": fallbacks},
     )

@@ -17,10 +17,11 @@ Requests::
     {"op": "ping"}
     {"op": "close"}
 
-Responses (``values`` and ``refs`` only when a column needs them; see
-*Result value table* below)::
+Responses carry their rows column-major in ``cols`` (``n`` only when
+the result has no columns; ``values`` and ``refs`` only when a column
+needs them; see *Result frames* below)::
 
-    {"ok": true, "rows": [...], "values": [...], "refs": [...],
+    {"ok": true, "cols": [[...], ...], "values": [...], "refs": [...],
      "columns": [...], "rowcount": n, "statement_now": "..."}
     {"ok": false, "error": "message", "kind": "OperationalError"}
 
@@ -28,7 +29,7 @@ Responses (``values`` and ``refs`` only when a column needs them; see
 trip; the response carries one execute-shaped result per statement, in
 order, and a failed statement never aborts the rest::
 
-    {"ok": true, "results": [{"ok": true, "rows": [...], ...},
+    {"ok": true, "results": [{"ok": true, "cols": [...], ...},
                              {"ok": false, "error": "...", "kind": "..."},
                              ...]}
 
@@ -37,7 +38,7 @@ order, and a failed statement never aborts the rest::
 answers with zero or more ``ROWS`` continuation frames followed by one
 ``DONE`` frame::
 
-    {"ok": true, "cont": "rows", "rows": [...]}        # <= chunk rows
+    {"ok": true, "cont": "rows", "cols": [...]}        # <= chunk rows
                                     # (+ "values", "refs" as below)
     {"ok": true, "cont": "done", "columns": [...],
      "rowcount": n, "rows_streamed": n, "statement_now": "..."}
@@ -157,34 +158,44 @@ TIP values (in params and in result rows) are framed as
 carry one envelope per value (:func:`dump_value` / :func:`load_value`);
 :func:`dump_row` is the same encoding for a whole row.
 
-**Result value table.**  Every frame that carries result rows — an
-execute or prepared result, each BATCH sub-result, each ``ROWS``
-chunk — is marshalled a frame at a time and column by column
-(:func:`dump_result` / :func:`load_result`).  Plain columns pass
-through untouched.  A column whose non-NULL cells are all TIP values
-or byte strings carries integer indices into the frame's ``values``
-list, which holds each distinct object's envelope once, and the
-column's position is listed in ``refs``::
+**Result frames.**  Every frame that carries result rows — an execute
+or prepared result, each BATCH sub-result, each ``ROWS`` chunk — has
+one format, written and read a frame at a time (:func:`dump_result` /
+:func:`load_result`).  ``cols`` holds one JSON list per column, all of
+the same length.  A frame without columns to carry its length — a
+write, or an empty result transposed from rows — sends ``"cols": []``
+and its row count as ``n``.  A kernel result is already a column
+table and the server frames it as it is; any other result is
+transposed once.
 
-    {"ok": true, "rows": [[1, 0], [2, 0], [3, null], [4, 1]],
+*Result value table.*  Plain columns pass through untouched.  A
+column whose non-NULL cells are all TIP values or byte strings carries
+integer indices into the frame's ``values`` list, which holds each
+distinct object's envelope once, and the column's position is listed
+in ``refs``::
+
+    {"ok": true, "cols": [[1, 2, 3, 4], [0, 0, null, 1]],
      "values": [{"$tip": "VAEF..."}, {"$tip": "VAEF..."}], "refs": [1],
      "columns": ["k", "valid"], ...}
 
-The client decodes each entry of ``values`` once and shares the value
-among the rows that refer to it.  A column mixing plain and enveloped
-cells keeps its envelopes in place, and a frame without reference
-columns has neither field.
+The client decodes each entry of ``values`` once (through
+:func:`load_value` and its decode cache), shares the value among the
+rows that refer to it, and rebuilds the row tuples with one ``zip``.
+A column mixing plain and enveloped cells keeps its envelopes in
+place, and a frame without reference columns has neither field.
+Ragged columns, an ``n`` that disagrees with them and an out-of-range
+slot are malformed: :func:`load_result` raises :class:`ProtocolError`.
 """
 
 from __future__ import annotations
 
-import base64
 import json
-from itertools import chain
+from binascii import a2b_base64, b2a_base64
 from typing import Any, List, Sequence
 
 from repro import codec
 from repro.errors import TipError
+from repro.columns import ColumnTable
 
 __all__ = [
     "dump_value", "load_value", "dump_row", "dump_result", "load_result",
@@ -206,12 +217,16 @@ class FrameTooLarge(ProtocolError):
     """A frame exceeded the configured size bound."""
 
 
+def _b64encode(data: bytes) -> str:
+    return b2a_base64(data, newline=False).decode("ascii")
+
+
 def dump_value(value: Any) -> Any:
     """Encode one value for a JSON frame."""
     if isinstance(value, _TIP_TYPES):
-        return {"$tip": base64.b64encode(codec.encode(value)).decode("ascii")}
+        return {"$tip": _b64encode(codec.encode(value))}
     if isinstance(value, (bytes, bytearray, memoryview)):
-        return {"$bytes": base64.b64encode(bytes(value)).decode("ascii")}
+        return {"$bytes": _b64encode(bytes(value))}
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     raise ProtocolError(f"value of type {type(value).__name__} is not transportable")
@@ -221,9 +236,9 @@ def load_value(value: Any) -> Any:
     """Decode one value from a JSON frame."""
     if isinstance(value, dict):
         if "$tip" in value:
-            return codec.decode(base64.b64decode(value["$tip"]))
+            return codec.decode(a2b_base64(value["$tip"]))
         if "$bytes" in value:
-            return base64.b64decode(value["$bytes"])
+            return a2b_base64(value["$bytes"])
         raise ProtocolError(f"unknown value envelope: {sorted(value)}")
     return value
 
@@ -241,41 +256,61 @@ def dump_row(row: Sequence) -> List[Any]:
 _PLAIN = frozenset((type(None), bool, int, float, str))
 
 
-def dump_result(rows: Sequence[Sequence]) -> dict:
-    """One frame's result rows as its ``rows`` / ``values`` / ``refs`` fields.
+def dump_result(rows: "Sequence[Sequence] | ColumnTable") -> dict:
+    """One frame's result as its ``cols`` / ``values`` / ``refs`` fields.
 
-    Plain columns are copied untouched, and a frame without reference
-    columns carries only ``rows``.  ``values`` holds the envelope of
-    each distinct TIP or bytes object (by identity) once, as
-    :func:`dump_value` writes it.  A column whose non-NULL cells are all
-    such objects holds indices into ``values`` and is listed in
-    ``refs``; a column mixing plain and enveloped cells writes each
-    envelope in place.
+    *rows* is a list of rows (transposed here, once) or a kernel's
+    :class:`~repro.columns.ColumnTable` (framed as it is).  ``cols``
+    holds one list per column; a result without columns carries its row
+    count as ``n`` instead.  Plain columns are copied untouched, and a
+    frame without reference columns carries only ``cols``.  ``values``
+    holds the envelope of each distinct TIP or bytes object (by
+    identity) once, as :func:`dump_value` writes it.  A column whose
+    non-NULL cells are all such objects holds indices into ``values``
+    and is listed in ``refs``; a column mixing plain and enveloped
+    cells writes each envelope in place.
     """
-    out = list(map(list, rows))
-    if _PLAIN.issuperset(map(type, chain.from_iterable(rows))):
-        return {"rows": out}
+    if isinstance(rows, ColumnTable):
+        rows.stamp_blobs()  # its fresh Elements, in one numpy pass
+        columns, count = rows.cols, rows.n
+    else:
+        columns, count = list(zip(*rows)), len(rows)
+    if not columns:
+        return {"cols": [], "n": count}
+    out: list = []
     values: list = []
     slots: dict = {}  # id(object) -> index of its envelope in values
     refs = []
-    for at, column in enumerate(zip(*rows)):
+    for at, column in enumerate(columns):
         kinds = set(map(type, column))
         kinds.discard(type(None))
         if _PLAIN.issuperset(kinds):
+            out.append(list(column))
             continue
-        by_ref = _PLAIN.isdisjoint(kinds)
-        if by_ref:
+        if _PLAIN.isdisjoint(kinds):
+            ids = list(map(id, column))
+            distinct = dict(zip(ids, column))  # first-seen order
+            distinct.pop(id(None), None)
+            for key, value in distinct.items():
+                if key not in slots:
+                    slots[key] = len(values)
+                    values.append(dump_value(value))
             refs.append(at)
-        for line, value in zip(out, column):
+            out.append(list(map(slots.get, ids)))  # NULL -> None
+            continue
+        line = []
+        for value in column:
             if type(value) not in _PLAIN:
                 slot = slots.get(id(value))
                 if slot is None:
                     slot = slots[id(value)] = len(values)
                     values.append(dump_value(value))
-                line[at] = slot if by_ref else values[slot]
+                value = values[slot]
+            line.append(value)
+        out.append(line)
     if not refs:
-        return {"rows": out}
-    return {"rows": out, "values": values, "refs": refs}
+        return {"cols": out}
+    return {"cols": out, "values": values, "refs": refs}
 
 
 def load_result(frame: dict) -> List[tuple]:
@@ -283,24 +318,35 @@ def load_result(frame: dict) -> List[tuple]:
 
     Each entry of ``values`` goes through :func:`load_value` once and
     every row referring to it shares the decoded value (TIP values are
-    immutable); envelopes written in place decode one by one.
+    immutable); envelopes written in place decode one by one.  The
+    rows are rebuilt with one ``zip``.  A malformed frame raises
+    :class:`ProtocolError`.
     """
-    rows = frame.get("rows", [])
+    columns = frame.get("cols", [])
     refs = frame.get("refs") or ()
-    if not refs and dict not in set(map(type, chain.from_iterable(rows))):
-        return list(map(tuple, rows))
-    columns = list(zip(*rows))
     try:
+        if not columns:
+            count = frame.get("n", 0)
+            if type(count) is not int or count < 0:
+                raise ProtocolError(f"bad row count {count!r}")
+            return [()] * count
+        lengths = set(map(len, columns))
+        if len(lengths) != 1 or set(map(type, columns)) != {list} \
+                or frame.get("n", len(columns[0])) not in lengths:
+            raise ProtocolError("result columns are not lists of one length")
+        columns = list(columns)
         if refs:
-            values = [load_value(value) for value in frame["values"]]
+            table = list(map(load_value, frame["values"]))
             for at in refs:
-                columns[at] = [None if slot is None else values[slot]
-                               for slot in columns[at]]
-        for at, column in enumerate(columns):
+                slots = columns[at]
+                columns[at] = (
+                    [None if slot is None else table[slot] for slot in slots]
+                    if None in slots else list(map(table.__getitem__, slots)))
+        for at, column in enumerate(columns):  # envelopes in place
             if at not in refs and dict in set(map(type, column)):
                 columns[at] = [load_value(value) for value in column]
     except (KeyError, IndexError, TypeError) as exc:
-        raise ProtocolError(f"malformed result rows: {exc!r}") from exc
+        raise ProtocolError(f"malformed result columns: {exc!r}") from exc
     return list(zip(*columns))
 
 

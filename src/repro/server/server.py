@@ -483,8 +483,10 @@ class _SessionHandler(socketserver.StreamRequestHandler):
 
         The temporal planner may take the whole statement (set-based
         kernel over the cursor's checked-out connection, shape matched
-        at compile time), profiled or not; otherwise the cursor runs it
-        and the columns come from its description (``None`` here).
+        at compile time), profiled or not, and its rows stay the
+        kernel's column table all the way into the frame; otherwise the
+        cursor runs it and the columns come from its description
+        (``None`` here).
         """
         if not params and plan is not None and plan.shape is not None:
             result = cursor.execute_kernel(sql, plan.shape)
@@ -631,7 +633,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 owner.pool.after_write_commit(self.fault_key)
                 if plan.ddl:
                     _compiled.bump_generation()
-                return {"ok": True, "rows": [], "columns": [],
+                return {"ok": True, **protocol.dump_result([]), "columns": [],
                         "rowcount": cursor.rowcount, "count": len(rows),
                         "statement_now": cursor.statement_now_text}
             except Exception as exc:

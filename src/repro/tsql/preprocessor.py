@@ -220,7 +220,7 @@ class TsqlSession:
                 plan.sql, plan.shape
             )
             if result is not None:
-                return result.rows
+                return result.rows.tuples()
         rows = self._connection.query(plan.sql, parameters)
         if plan.ddl:
             self.rescan()

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import repro
 from repro import codec, faults, obs
 from repro.codec import cache as marshal_cache
-from repro.codec.binary import MAGIC, VERSION
+from repro.codec.binary import MAGIC, VERSION, stamp_elements
 from repro.core import use_now
 from repro.core.chronon import Chronon
 from repro.core.element import Element
@@ -144,7 +144,30 @@ class TestEncodeStamp:
         assert codec.encode(value) is first
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 10**9),
+                                       st.integers(0, 10**6)),
+                             max_size=4), max_size=6))
+    def test_batch_stamp_writes_the_encoded_bytes(self, raw):
+        """``stamp_elements`` packs exactly what ``encode`` writes, for
+        empty, single- and multi-period elements alike."""
+        pairs = [Element.from_pairs([(lo, lo + width) for lo, width in item])
+                 ._pairs for item in raw]
+        fresh = [Element._from_canonical_pairs(tuple(p)) for p in pairs]
+        flat = [pair for p in pairs for pair in p]
+        stamp_elements(fresh, [len(p) for p in pairs],
+                       [lo for lo, _ in flat], [hi for _, hi in flat])
+        for element, p in zip(fresh, pairs):
+            assert element._tip_blob == codec.encode(
+                Element._from_canonical_pairs(tuple(p)))
+
+
 class TestDisabledInertness:
+    def test_batch_stamp_is_inert(self, disabled_caches):
+        element = Element._from_canonical_pairs(((0, 10),))
+        stamp_elements([element], [1], [0], [10])
+        assert not hasattr(element, "_tip_blob")
+
     def test_caches_stay_empty_and_unstamped(self, disabled_caches):
         value = Element.parse("{[1999-01-01, NOW]}")
         blob = codec.encode(value)

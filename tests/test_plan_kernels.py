@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import repro
 from repro import codec, faults, obs, plan
 from repro.client.typemap import TypeMap
+from repro.columns import ColumnTable
 from repro.core import granularity
 from repro.core.chronon import Chronon
 from repro.core.element import Element
@@ -35,6 +36,7 @@ from repro.obs import flight, profile
 from repro.obs.export import render_prometheus
 from repro.plan import kernels
 from repro.server import RemoteTipConnection, TipServer
+from repro.server import protocol
 from repro.tsql import TsqlSession
 from repro.tsql import compiled as stmt_cache
 from repro.tsql.explain import explain_temporal
@@ -238,7 +240,7 @@ class TestDifferential:
                 connection, shape, connection.statement_now_seconds()
             )
             assert result.strategy == "empty-window"
-            assert result.rows == []
+            assert result.rows.tuples() == []
 
 
 class TestPlannerDecisions:
@@ -1045,6 +1047,178 @@ class TestPushdownObservability:
             flight.disable()
         assert [event["data"]["fallback_decodes"] for event
                 in flight.snapshot(kind="plan.kernel")] == [0, 0]
+
+
+# -- edge cases: blob keys, mixed classes, remote == embedded -----------
+
+
+def _blob_key_tables(connection, rows=60):
+    """``t`` and ``u`` with an undeclared key ``k``: two thirds of the
+    keys are Element blobs, the rest integers."""
+    for table, shift in (("t", 0), ("u", 1)):
+        connection.execute(f"CREATE TABLE {table} (k, valid ELEMENT)")
+        connection.executemany(f"INSERT INTO {table} VALUES (?, ?)", [
+            (n % 7 if n % 3 == 0 else
+             Element.from_pairs([(n % 10 * 86_400, n % 10 * 86_400 + 3_600)]),
+             Element.from_pairs([(C("1999-01-01").seconds + (n + shift) * 3_600,
+                                  C("1999-03-01").seconds + n * 7_200)]))
+            for n in range(rows)])
+    connection.commit()
+
+
+class TestBlobKeys:
+    """Undeclared key columns holding TIP blobs: keys and group keys
+    compare the stored bytes, as SQLite does, and the type map runs on
+    the output only (before, the kernels hashed the decoded Elements
+    and raised ``TypeError: unhashable type``)."""
+
+    @pytest.mark.parametrize("query, kind", [
+        ("SELECT k, length_seconds(group_union(valid)) FROM t GROUP BY k",
+         "coalesce"),
+        ("VALIDTIME SELECT t.k, u.k FROM t, u WHERE t.k = u.k", "join"),
+    ])
+    def test_kernel_equals_naive(self, conn, forced_planner, query, kind):
+        _blob_key_tables(conn)
+        session = TsqlSession(conn)
+        plan.configure(enabled=False)
+        naive = session.query(query)
+        plan.configure(enabled=True, min_rows=0)
+        kernel = _kernel_taken(session, query, kind)
+        assert naive and _multiset(naive) == _multiset(kernel)
+        # The output keys went through the type map: Elements, not bytes.
+        assert any(isinstance(row[0], Element) for row in kernel)
+
+
+#: Keys of every storage class, equal across classes only where SQLite
+#: says so (1 = 1.0, never 1 = '1'), plus NULL and a plain blob.
+_edge_keys = st.sampled_from([None, 1, 1.0, "1", 2, 2.0, "a", b"\x01"])
+_edge_seconds = st.integers(C("1999-01-01").seconds, C("1999-12-31").seconds)
+#: Canonical, multi-period and NOW-relative elements near the demo NOW,
+#: so rows overlap often; NULL validities too.
+_edge_validities = st.one_of(
+    st.none(), elements(seconds=_edge_seconds, max_periods=3),
+    st.sampled_from([E("{[NOW - 30, NOW + 30]}"),
+                     E("{[1999-06-01, NOW], [NOW + 10, 1999-12-01]}"),
+                     E("{[NOW, NOW - 1]}")]))
+
+
+@st.composite
+def _edge_tables(draw):
+    """Rows with NULL and mixed-class keys, some rows duplicated."""
+    rows = draw(st.lists(st.tuples(_edge_keys, _edge_validities),
+                         min_size=1, max_size=8))
+    return rows + draw(st.lists(st.sampled_from(rows), max_size=3))
+
+
+#: No window, windows that empty many intersections, a NOW-relative one.
+_edge_windows = st.sampled_from([None, "1999-02-01, 1999-02-03",
+                                 "1999-06-01, 1999-06-01",
+                                 "NOW - 30, NOW + 30"])
+_edge_queries = st.sampled_from([
+    "SELECT l.k, r.k, l.valid FROM L AS l, R AS r WHERE l.k = r.k",
+    "SELECT l.k, r.k FROM L AS l, R AS r WHERE l.k < r.k",
+    "SELECT l.k, r.valid FROM L AS l, L AS r WHERE l.k = r.k",
+    "SELECT k, length_seconds(group_union(valid)) FROM L GROUP BY k",
+    "SELECT k, group_union(valid) FROM L GROUP BY k",
+])
+
+
+def _edge_statement(query, window):
+    if "GROUP BY" in query:
+        return query
+    return (f"VALIDTIME PERIOD '{window}' " if window else "VALIDTIME ") \
+        + query
+
+
+def _typed_rows(rows):
+    """Rows compared by type and wire form, in order."""
+    tip = tuple(codec.binary.TAG_BY_TYPE)
+    return [tuple((type(value).__name__,
+                   codec.encode(value) if isinstance(value, tip) else value)
+                  for value in row) for row in rows]
+
+
+@pytest.fixture(scope="class")
+def remote():
+    with TipServer(":memory:", observability=False) as server:
+        host, port = server.address
+        with RemoteTipConnection(host, port) as connection:
+            connection.set_now(DEMO_NOW)
+            yield connection
+
+
+class TestEdgeDifferential:
+    """The generator reaches the edges: NULL and mixed storage-class
+    keys, duplicate rows, NOW-relative elements and windows that empty
+    intersections.  Kernel rows equal naive rows, and a remote session
+    (column-major frames) returns exactly the embedded kernel rows."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(left=_edge_tables(), right=_edge_tables(), query=_edge_queries,
+           window=_edge_windows)
+    def test_kernel_naive_and_remote_agree(self, forced_planner, remote,
+                                           left, right, query, window):
+        statement = _edge_statement(query, window)
+        kind = "coalesce" if "GROUP BY" in query else "join"
+        with repro.connect(now=DEMO_NOW) as connection:
+            for table, rows in (("L", left), ("R", right)):
+                connection.execute(f"CREATE TABLE {table} (k, valid ELEMENT)")
+                connection.executemany(
+                    f"INSERT INTO {table} VALUES (?, ?)", rows)
+            connection.commit()
+            session = TsqlSession(connection)
+            plan.configure(enabled=False)
+            naive = session.query(statement)
+            plan.configure(enabled=True, min_rows=0)
+            kernel = _kernel_taken(session, statement, kind)
+        assert _multiset(naive) == _multiset(kernel)
+        for table, rows in (("L", left), ("R", right)):
+            remote.execute(f"DROP TABLE IF EXISTS {table}")
+            remote.execute(f"CREATE TABLE {table} (k, valid ELEMENT)")
+            for row in rows:
+                remote.execute(f"INSERT INTO {table} VALUES (?, ?)", row)
+        assert _typed_rows(remote.query(statement)) == _typed_rows(kernel)
+
+
+class TestRowCounts:
+    """A kernel result reaches the frame as its column table: the row
+    count comes from ``len()``, and no row tuples are built."""
+
+    def test_flight_profile_and_client_agree(self, forced_planner,
+                                             monkeypatch):
+        framed = []
+        dump_result = protocol.dump_result
+
+        def spy(rows):
+            framed.append(type(rows))
+            return dump_result(rows)
+
+        def no_tuples(self):
+            raise AssertionError("row tuples built on the server path")
+
+        monkeypatch.setattr(protocol, "dump_result", spy)
+        monkeypatch.setattr(ColumnTable, "tuples", no_tuples)
+        with obs.capture(), TipServer(":memory:") as server:
+            host, port = server.address
+            with RemoteTipConnection(host, port) as connection:
+                for table, period in (("L", "{[1999-01-01, 1999-06-01]}"),
+                                      ("R", "{[1999-03-01, 1999-09-01]}")):
+                    connection.execute(
+                        f"CREATE TABLE {table} (k INTEGER, valid ELEMENT)")
+                    for k in range(6):
+                        connection.execute(
+                            f"INSERT INTO {table} VALUES (?, element(?))",
+                            (k % 4, period))
+                connection.set_now(DEMO_NOW)
+                profile.enable()
+                for query in (HASH_Q, WINDOW_Q, COALESCE_Q):
+                    framed.clear()
+                    result = connection.execute(query)
+                    event = flight.events(kind="plan.kernel")[-1]
+                    assert framed == [ColumnTable]
+                    assert event.data["rows"] == result.profile.rows \
+                        == len(result.rows) > 0
 
 
 # -- the batch validity decoder ------------------------------------------

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro import codec, obs
 from repro.codec.binary import TAG_BY_TYPE
 from repro.core.element import Element
+from repro.columns import ColumnTable
 from repro.server import RemoteTipConnection, TipServer
 from repro.server import protocol
 from repro.server.client import RemoteError, RemoteResult
@@ -84,9 +85,13 @@ def _await_sessions_closed(registry, timeout=5.0):
     raise AssertionError("a session leaked: opened > closed after timeout")
 
 
-def _ok(rows, columns, rowcount) -> dict:
-    """An execute-shaped success result under the pinned NOW."""
-    return {"ok": True, "rows": rows, "columns": columns,
+def _ok(cols, columns, rowcount) -> dict:
+    """An execute-shaped success result under the pinned NOW.
+
+    *cols* is the column-major ``cols`` field; a result without
+    columns (no rows, or not a query) carries ``"n": 0`` instead."""
+    table = {"cols": cols} if cols else {"cols": [], "n": 0}
+    return {"ok": True, **table, "columns": columns,
             "rowcount": rowcount, "statement_now": NOW}
 
 
@@ -123,7 +128,7 @@ class TestBatchGoldenFrames:
             wire.close()
 
     def test_tip_columns_exact_response(self):
-        """A TIP column travels by reference: indices in ``rows``, each
+        """A TIP column travels by reference: indices in ``cols``, each
         distinct value once in ``values``, its position in ``refs`` —
         in an execute result and in a batch sub-result alike."""
         element = Element.from_pairs([(0, 86_399)])
@@ -138,7 +143,7 @@ class TestBatchGoldenFrames:
                 wire.round_trip({"op": "execute", "params": [n, value],
                                  "sql": "INSERT INTO g VALUES (?, ?)"})
             select = {"sql": "SELECT n, v FROM g ORDER BY n", "params": []}
-            expected = {**_ok([[1, 0], [2, 0], [3, None]], ["n", "v"], 3),
+            expected = {**_ok([[1, 2, 3], [0, 0, None]], ["n", "v"], 3),
                         "values": [envelope], "refs": [1]}
             assert wire.round_trip({"op": "execute", **select}) == expected
             assert wire.round_trip({"op": "batch", "statements": [select]}) \
@@ -160,7 +165,7 @@ class TestBatchGoldenFrames:
             assert first == {"ok": False,
                              "error": "batch entry must be an object",
                              "kind": "ProtocolError"}
-            assert second["rows"] == [[1]]
+            assert second["cols"] == [[1]]
             wire.close()
 
     def test_client_surface_returns_results_and_errors_in_order(self):
@@ -199,17 +204,17 @@ class TestStreamGoldenFrames:
             wire.send({"op": "execute", "sql": "SELECT n FROM s ORDER BY n",
                        "params": [], "stream": True, "chunk": 2, "window": 1})
             assert wire.recv() == {"ok": True, "cont": "rows",
-                                   "rows": [[0], [1]]}
+                                   "cols": [[0, 1]]}
             # The window is exhausted: nothing arrives until a credit.
             assert wire.quiet()
             wire.send({"op": "credit", "n": 1})
             assert wire.recv() == {"ok": True, "cont": "rows",
-                                   "rows": [[2], [3]]}
+                                   "cols": [[2, 3]]}
             assert wire.quiet()
             wire.send({"op": "credit", "n": 1})
             # The last (short) chunk, then DONE rides out unprompted —
             # end-of-stream needs no credit.
-            assert wire.recv() == {"ok": True, "cont": "rows", "rows": [[4]]}
+            assert wire.recv() == {"ok": True, "cont": "rows", "cols": [[4]]}
             assert wire.recv() == {"ok": True, "cont": "done",
                                    "columns": ["n"], "rowcount": 5,
                                    "rows_streamed": 5, "statement_now": NOW}
@@ -404,7 +409,8 @@ def _wire_round_trip(rows):
 
 
 class TestRowCodec:
-    """``dump_result``/``load_result``: the per-frame value table."""
+    """``dump_result``/``load_result``: column-major frames and the
+    per-frame value table."""
 
     @settings(max_examples=150, deadline=None)
     @given(rows=_result_rows())
@@ -414,7 +420,12 @@ class TestRowCodec:
         refs = frame.get("refs", [])
         plain = (type(None), bool, int, float, str)
         distinct = set()
-        for at, column in enumerate(zip(*rows)):
+        columns = list(zip(*rows))
+        # One list per column; a frame without columns counts its rows.
+        assert len(frame["cols"]) == len(columns)
+        assert frame.get("n") == (None if columns else len(rows))
+        for at, column in enumerate(columns):
+            assert len(frame["cols"][at]) == len(rows)
             enveloped = [v for v in column if not isinstance(v, plain)]
             everywhere = len(enveloped) == sum(v is not None for v in column)
             # A column of only TIP/bytes cells (and NULLs) is by
@@ -423,20 +434,32 @@ class TestRowCodec:
             distinct.update(map(id, enveloped))
             if at in refs:
                 assert all(isinstance(slot, int)
-                           for line in frame["rows"]
-                           for slot in [line[at]] if slot is not None)
+                           for slot in frame["cols"][at] if slot is not None)
         # One entry per distinct enveloped object, when any column
         # refers to the table.
         assert len(frame.get("values", [])) == (len(distinct) if refs else 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_result_rows())
+    def test_column_tables_frame_like_rows(self, rows):
+        """A kernel's column table and the same rows write one frame."""
+        table = ColumnTable(list(map(list, zip(*rows))), len(rows))
+        assert protocol.dump_result(table) == protocol.dump_result(rows)
+
     def test_empty_frames(self):
-        assert protocol.dump_result([]) == {"rows": []}
-        assert protocol.load_result({"rows": []}) == []
+        assert protocol.dump_result([]) == {"cols": [], "n": 0}
+        assert protocol.load_result({"cols": [], "n": 0}) == []
         assert protocol.load_result({}) == []
+        # Columns without rows, and rows without columns.
+        assert protocol.dump_result(ColumnTable([[], []], 0)) \
+            == {"cols": [[], []]}
+        assert protocol.load_result({"cols": [[], []]}) == []
+        assert protocol.dump_result([(), ()]) == {"cols": [], "n": 2}
+        assert protocol.load_result({"cols": [], "n": 2}) == [(), ()]
 
     def test_plain_frames_carry_no_table(self):
         assert protocol.dump_result([(1, "a", None), (2.5, True, "b")]) == {
-            "rows": [[1, "a", None], [2.5, True, "b"]]}
+            "cols": [[1, 2.5], ["a", True], [None, "b"]]}
 
     def test_each_distinct_value_is_marshalled_once(self, monkeypatch):
         """One object repeated encodes once and decodes once; equal but
@@ -451,7 +474,7 @@ class TestRowCodec:
                             lambda v: calls.append("load") or load_value(v))
         rows = [(1, element), (2, element), (3, None), (4, twin), (5, element)]
         frame, loaded = _wire_round_trip(rows)
-        assert frame["rows"] == [[1, 0], [2, 0], [3, None], [4, 1], [5, 0]]
+        assert frame["cols"] == [[1, 2, 3, 4, 5], [0, 0, None, 1, 0]]
         assert frame["refs"] == [1] and len(frame["values"]) == 2
         assert calls == ["dump", "dump", "load", "load"]
         assert loaded[0][1] is loaded[1][1] is loaded[4][1]
@@ -468,8 +491,8 @@ class TestRowCodec:
         envelope = {"$tip": base64.b64encode(codec.encode(element))
                     .decode("ascii")}
         assert frame["refs"] == [1]
-        assert frame["rows"] == [[envelope, 1, 1], ["text", None, 2],
-                                 [envelope, 1, 3]]
+        assert frame["cols"] == [[envelope, "text", envelope], [1, None, 1],
+                                 [1, 2, 3]]
         # The same object twice is one entry; two distinct bytes
         # objects (as SQLite hands them out) are two.
         assert frame["values"] == [envelope, {"$bytes": "AAE="}]
@@ -478,9 +501,19 @@ class TestRowCodec:
         assert len(frame["values"]) == 2
 
     def test_malformed_tables_fail_typed(self):
-        for frame in ({"rows": [[0]], "refs": [0], "values": []},
-                      {"rows": [[0]], "refs": [0]},
-                      {"rows": [["x"]], "refs": [0], "values": [1]}):
+        for frame in (
+            {"cols": [[0]], "refs": [0], "values": []},      # slot past end
+            {"cols": [[0]], "refs": [0]},                    # no table
+            {"cols": [["x"]], "refs": [0], "values": [1]},   # not an index
+            {"cols": [[2]], "refs": [0], "values": [1, 2]},  # slot past end
+            {"cols": [[1]], "refs": [3], "values": []},      # ref past end
+            {"cols": [[1, 2], [3]]},                         # ragged columns
+            {"cols": [[1, 2], "ab"]},                        # not a list
+            {"cols": [[1, 2]], "n": 3},                      # n disagrees
+            {"cols": [], "n": -1},                           # negative count
+            {"cols": [], "n": "2"},                          # count not int
+            {"cols": {"0": [1]}},                            # cols not a list
+        ):
             with pytest.raises(protocol.ProtocolError):
                 protocol.load_result(frame)
 
@@ -554,7 +587,7 @@ class TestRowCodec:
         assert len(frames) > 1  # the single 40-row chunk was split
         for frame in frames:
             assert frame["refs"] == [1]
-            assert len(frame["values"]) == min(20, len(frame["rows"]))
+            assert len(frame["values"]) == min(20, len(frame["cols"][0]))
         rows = [row for frame in frames
                 for row in protocol.load_result(frame)]
         assert _typed(rows) == _typed(

@@ -92,8 +92,8 @@ class TestGoldenFrames:
             assert wire.round_trip({
                 "op": "execute_prepared", "handle": handle,
                 "many": [[1], [2], [3]],
-            }) == {"ok": True, "rows": [], "columns": [], "rowcount": 3,
-                   "count": 3, "statement_now": NOW}
+            }) == {"ok": True, "cols": [], "n": 0, "columns": [],
+                   "rowcount": 3, "count": 3, "statement_now": NOW}
             assert wire.round_trip({
                 "op": "execute", "sql": "SELECT COUNT(*) FROM t", "params": [],
             }) == _ok([[3]], ["COUNT(*)"], 1)
