@@ -39,11 +39,25 @@ def _type_defs():
         )
 
 
+#: Generic operators whose result never depends on NOW: they only add,
+#: scale or divide spans and shift instants (a NOW-relative instant
+#: stays NOW-relative).  The comparisons and ``tsub`` ground NOW.
+_NOW_INDEPENDENT_OPS = frozenset({"tadd", "tmul", "tdiv"})
+
+
 def _doc(fn) -> str:
     return (fn.__doc__ or "").strip().splitlines()[0]
 
 
 def _routine_defs():
+    # A routine is declared deterministic exactly when its result (or
+    # its error) is the same under every NOW binding
+    # (``tests/test_fusion.py`` checks this property): SQLite then
+    # evaluates a call with constant arguments once per statement.
+    # Routines that read NOW must stay non-deterministic, since SQLite
+    # admits deterministic functions in indexes, CHECK constraints and
+    # generated columns.
+    #
     # Constructors: one per type, parsing the paper's literal syntax.
     # The parser runs through the literal cache: constructor arguments
     # are usually constant literals repeated for every row of a
@@ -102,7 +116,7 @@ def _routine_defs():
     yield RoutineDef("restrict", ("Element", "Period"), "Element",
                      r.element_restrict, _doc(r.element_restrict))
     yield RoutineDef("shift", ("Element", "Span"), "Element",
-                     r.element_shift, _doc(r.element_shift))
+                     r.element_shift, _doc(r.element_shift), True)
     yield RoutineDef("overlaps", ("Element", "Element"), "boolean",
                      r.element_overlaps, _doc(r.element_overlaps))
     yield RoutineDef("contains", ("Element", "Element"), "boolean",
@@ -134,7 +148,8 @@ def _routine_defs():
     # Generic operators and comparisons.
     for sql_name in r.GENERIC_OPS:
         yield RoutineDef(sql_name, ("any", "any"), "any",
-                         r.generic_operator(sql_name), r.GENERIC_OPS[sql_name][1])
+                         r.generic_operator(sql_name), r.GENERIC_OPS[sql_name][1],
+                         sql_name in _NOW_INDEPENDENT_OPS)
     yield RoutineDef("tcmp", ("any", "any"), "integer", r.tcmp, _doc(r.tcmp))
 
     # Calendar-aware chronon arithmetic.

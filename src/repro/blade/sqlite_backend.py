@@ -16,33 +16,50 @@ Marshalling rules, mirroring the engine behaviour the paper describes:
 * SQL ``NULL`` anywhere yields ``NULL`` (strict routines);
 * booleans surface as SQLite integers 0/1.
 
-Each installation keeps a memo of the TIP values its routines just
-returned, keyed by result blob, so ``tsub(start(valid), dob)`` gets
-``start``'s value back without a decode.  A connection runs on one
-thread at a time, so the memo needs no lock; it is bypassed while a
-fault plan is armed or the marshalling caches are off, and its hits
-count as the decode cache's ``memo_hits``.
+Nested calls run as fused trees (:mod:`repro.blade.fusion`): a TIP
+cursor hands SQLite ``tip_eval('tlt(tsub(start(?),?),?)', valid, dob,
+k)`` instead of the nested calls, and the installation's variadic
+``tip_eval`` runs the whole tree in one SQLite callback per row.  Each
+routine has one call plan: a *node* that applies the ``blade.routine``
+fault hook, coerces its arguments left to right NULL-strictly, runs the
+implementation and hands the result on as SQLite would (booleans as
+0/1, non-TIP blade values encoded) — except that a TIP value stays an
+object, which the next node accepts like its decoded blob, since
+``decode(encode(v)) == v``.  A direct SQL call of the routine is the
+same plan with the result encoded.  ``tip_eval`` compiles each template
+once per installation (a bounded map) into arity-specialized closures
+over the nodes; it evaluates every child left to right before its
+parent, even after a NULL, because SQLite evaluates every argument of
+a call.  Nodes and ``tip_eval`` are instrumented like every routine, so
+``blade.routine.<name>.calls`` counts the same calls either way, plus
+one ``blade.routine.tip_eval`` call per fused tree.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro import codec, obs
 from repro.blade.datablade import TIP_TYPES, build_tip_blade
+from repro.blade.fusion import EVAL_ROUTINE, parse_template
 from repro.faults import state as _FAULTS
 from repro.blade.registry import AggregateDef, DataBlade, RoutineDef
 from repro.errors import TipError, TipTypeError
 
-__all__ = ["install_blade", "install_tip", "tip_blade"]
+__all__ = ["install_blade", "install_tip", "tip_blade", "BladeConnection"]
 
 _TIP_BLADE: Optional[DataBlade] = None
 
-#: Routine results one connection remembers for the calls around them.
-MEMO_SIZE = 64
-_DECODE_CACHE = codec.cache.DECODE
-_CACHE_STATE = codec.cache.state
+#: Compiled ``tip_eval`` templates one installation keeps.
+TEMPLATE_CACHE_SIZE = 256
+
+
+class BladeConnection(sqlite3.Connection):
+    """A :class:`sqlite3.Connection` that can remember (as
+    ``blade_routines``) the routines every blade installed into it, so
+    ``tip_eval`` resolves a routine name to the routine SQLite itself
+    would call: the last installed."""
 
 
 def tip_blade() -> DataBlade:
@@ -152,20 +169,14 @@ def _coerce_scalar(value, type_name: str):
     raise TipTypeError(f"unknown scalar type {type_name!r}")
 
 
-def _encode_result(value, blade: DataBlade, memo=None):
-    """Marshal a routine result back to a SQLite storage class; a TIP
-    result is remembered in *memo* under its blob."""
+def _encode_result(value, blade: DataBlade):
+    """Marshal a routine result back to a SQLite storage class."""
     if value is None:
         return None
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, TIP_TYPES):
-        blob = codec.encode(value)
-        if memo is not None and _FAULTS.plan is None and _CACHE_STATE.enabled:
-            if len(memo) >= MEMO_SIZE:
-                del memo[next(iter(memo))]
-            memo[blob] = value
-        return blob
+        return codec.encode(value)
     if isinstance(value, (int, float, str, bytes)):
         return value
     type_def = blade.type_for_class(type(value))
@@ -174,34 +185,26 @@ def _encode_result(value, blade: DataBlade, memo=None):
     raise TipTypeError(f"routine returned unsupported type {type(value).__name__}")
 
 
-def _recall(memo) -> Callable:
-    """``codec.decode`` behind a connection's result *memo*."""
-    decode = codec.decode
-
-    def recall(blob):
-        if type(blob) is bytes and _FAULTS.plan is None:
-            value = memo.get(blob)
-            if value is not None:
-                _DECODE_CACHE.memo_hit()
-                return value
-        return decode(blob)
-
-    return recall
+def _inner_result(value, blade: DataBlade):
+    """A routine result as SQLite would hand it to the call around it,
+    except that a TIP value stays an object."""
+    if value is None or isinstance(value, TIP_TYPES):
+        return value
+    return _encode_result(value, blade)
 
 
-def _compile_coercer(type_name: str, blade: DataBlade, memo: dict) -> Callable:
+def _compile_coercer(type_name: str, blade: DataBlade) -> Callable:
     """A specialized argument coercer for one declared signature slot.
 
-    Compiled once per routine at :func:`install_blade` time, replacing
-    the per-call branch ladder of :func:`_coerce_argument` with a
-    closure that inlines the overwhelmingly common paths — an exact
-    TIP blob (through the connection's result *memo*, then the decode
-    cache), an already-correct Python value, or a literal string
-    (through the parse cache) — and defers everything else (widening
-    casts, blade-specific encodings, bytearray/memoryview arguments) to
-    the generic branch chain.
+    Compiled once per call plan, replacing the per-call branch ladder
+    of :func:`_coerce_argument` with a closure that inlines the
+    overwhelmingly common paths — an exact TIP blob (through the decode
+    cache), an already-correct Python value (a fused tree's inner TIP
+    result), or a literal string (through the parse cache) — and defers
+    everything else (widening casts, blade-specific encodings,
+    bytearray/memoryview arguments) to the generic branch chain.
     """
-    decode = _recall(memo)
+    decode = codec.decode
     is_tip_blob = codec.is_tip_blob
     if type_name == "any":
 
@@ -226,6 +229,8 @@ def _compile_coercer(type_name: str, blade: DataBlade, memo: dict) -> Callable:
     parse_cached = codec.cache.parse_cached
 
     def coerce(value):
+        if type(value) is python_type:  # a fused tree's inner result
+            return value
         if type(value) is bytes:  # the SQLite marshaller hands exact bytes
             if is_tip_blob(value):
                 decoded = decode(value)
@@ -244,7 +249,7 @@ def _compile_coercer(type_name: str, blade: DataBlade, memo: dict) -> Callable:
     return coerce
 
 
-def _make_sql_function(routine: RoutineDef, blade: DataBlade, memo: dict) -> Callable:
+def _call_plan(routine: RoutineDef, blade: DataBlade, finish: Callable) -> Callable:
     """Compile the specialized call plan for one routine.
 
     The plan is specialized twice: per *argument* (the coercers from
@@ -252,36 +257,37 @@ def _make_sql_function(routine: RoutineDef, blade: DataBlade, memo: dict) -> Cal
     binary routines run without the generic zip/loop/isinstance ladder.
     NULL handling keeps the engine's strict left-to-right semantics: a
     type error in an earlier argument still wins over a NULL in a later
-    one, exactly as the generic path coerced them in order.
+    one, exactly as the generic path coerced them in order.  *finish*
+    marshals the result: :func:`_encode_result` for a direct SQL call,
+    :func:`_inner_result` for a node of a fused tree.
     """
     implementation = routine.implementation
-    coercers = tuple(_compile_coercer(type_name, blade, memo)
-                     for type_name in routine.arg_types)
+    coercers = tuple(_compile_coercer(type_name, blade) for type_name in routine.arg_types)
 
     if len(coercers) == 0:
 
-        def sql_function():
+        def plan():
             if _FAULTS.plan is not None:
                 # Chaos hook: an injected routine failure must surface
                 # as a typed engine error on this statement, leaving
                 # the session and the connection usable.
                 _FAULTS.plan.apply("blade.routine")
-            return _encode_result(implementation(), blade, memo)
+            return finish(implementation(), blade)
 
     elif len(coercers) == 1:
         (coerce0,) = coercers
 
-        def sql_function(raw0):
+        def plan(raw0):
             if _FAULTS.plan is not None:
                 _FAULTS.plan.apply("blade.routine")
             if raw0 is None:
                 return None
-            return _encode_result(implementation(coerce0(raw0)), blade, memo)
+            return finish(implementation(coerce0(raw0)), blade)
 
     elif len(coercers) == 2:
         coerce0, coerce1 = coercers
 
-        def sql_function(raw0, raw1):
+        def plan(raw0, raw1):
             if _FAULTS.plan is not None:
                 _FAULTS.plan.apply("blade.routine")
             if raw0 is None:
@@ -289,11 +295,11 @@ def _make_sql_function(routine: RoutineDef, blade: DataBlade, memo: dict) -> Cal
             arg0 = coerce0(raw0)
             if raw1 is None:
                 return None
-            return _encode_result(implementation(arg0, coerce1(raw1)), blade, memo)
+            return finish(implementation(arg0, coerce1(raw1)), blade)
 
     else:
 
-        def sql_function(*raw_args):
+        def plan(*raw_args):
             if _FAULTS.plan is not None:
                 _FAULTS.plan.apply("blade.routine")
             args = []
@@ -301,11 +307,84 @@ def _make_sql_function(routine: RoutineDef, blade: DataBlade, memo: dict) -> Cal
                 if raw is None:
                     return None
                 args.append(coerce(raw))
-            return _encode_result(implementation(*args), blade, memo)
+            return finish(implementation(*args), blade)
 
-    sql_function.__name__ = f"tip_sql_{routine.name}"
-    sql_function.__doc__ = routine.doc
-    return sql_function
+    plan.__name__ = f"tip_sql_{routine.name}"
+    plan.__doc__ = routine.doc
+    return plan
+
+
+def _compile_tree(tree, node_for: Callable) -> Callable:
+    """A closure evaluating one parsed template *tree* over a tuple of
+    leaf values, specialized by arity and by leaf/subtree children."""
+    name, children = tree
+    node = node_for(name, len(children))
+    if len(children) == 1:
+        (child0,) = children
+        if type(child0) is int:
+            return lambda leaves: node(leaves[child0])
+        tree0 = _compile_tree(child0, node_for)
+        return lambda leaves: node(tree0(leaves))
+    if len(children) == 2:
+        child0, child1 = children
+        if type(child0) is int:
+            if type(child1) is int:
+                return lambda leaves: node(leaves[child0], leaves[child1])
+            tree1 = _compile_tree(child1, node_for)
+            return lambda leaves: node(leaves[child0], tree1(leaves))
+        tree0 = _compile_tree(child0, node_for)
+        if type(child1) is int:
+            return lambda leaves: node(tree0(leaves), leaves[child1])
+        tree1 = _compile_tree(child1, node_for)
+        return lambda leaves: node(tree0(leaves), tree1(leaves))
+    parts = tuple((lambda leaves, index=child: leaves[index]) if type(child) is int
+                  else _compile_tree(child, node_for) for child in children)
+    return lambda leaves: node(*[part(leaves) for part in parts])
+
+
+def _make_eval(routines: Dict) -> Callable:
+    """The variadic ``tip_eval(template, leaf, ...)`` of one installation.
+
+    *routines* maps ``(name, arity)`` to ``(routine, blade)``; nodes are
+    built on first use and templates compiled once, at most
+    :data:`TEMPLATE_CACHE_SIZE` of them.
+    """
+    nodes: Dict = {}
+    compiled: Dict = {}
+
+    def node_for(name: str, arity: int) -> Callable:
+        key = (name, arity)
+        node = nodes.get(key)
+        if node is None:
+            if key not in routines:
+                raise TipError(f"{EVAL_ROUTINE}: no routine {name} taking {arity} argument(s)")
+            routine, blade = routines[key]
+            node = nodes[key] = obs.instrumented(
+                f"blade.routine.{name}", _call_plan(routine, blade, _inner_result))
+        return node
+
+    def compile_template(template) -> tuple:
+        if not isinstance(template, str):
+            raise TipTypeError(f"{EVAL_ROUTINE} expects a text template first")
+        tree, width = parse_template(template)
+        entry = (_compile_tree(tree, node_for), width)
+        if len(compiled) >= TEMPLATE_CACHE_SIZE:
+            del compiled[next(iter(compiled))]
+        compiled[template] = entry
+        return entry
+
+    def tip_eval(template, *leaves):
+        entry = compiled.get(template)
+        if entry is None:
+            entry = compile_template(template)
+        evaluate, width = entry
+        if len(leaves) != width:
+            raise TipError(f"{EVAL_ROUTINE} template {template!r} takes {width} "
+                           f"argument(s), got {len(leaves)}")
+        value = evaluate(leaves)
+        return codec.encode(value) if isinstance(value, TIP_TYPES) else value
+
+    return tip_eval
 
 
 def _make_sql_aggregate(aggregate: AggregateDef, blade: DataBlade) -> type:
@@ -313,7 +392,7 @@ def _make_sql_aggregate(aggregate: AggregateDef, blade: DataBlade) -> type:
     steps_name = f"blade.aggregate.{aggregate.name}.steps"
     # The same specialized coercion plan as scalar routines: compiled
     # once here, then run per input row.
-    coerce = _compile_coercer(aggregate.arg_type, blade, {})
+    coerce = _compile_coercer(aggregate.arg_type, blade)
 
     class SqlAggregate:
         def __init__(self) -> None:
@@ -346,18 +425,33 @@ def install_blade(connection: sqlite3.Connection, blade: DataBlade) -> sqlite3.C
     with per-name call-count/latency/error instrumentation here, at
     ``create_function`` time; the wrappers are inert pass-throughs
     until :func:`repro.obs.enable` flips the process-wide switch.  The
-    routines share one result memo per installation.
+    installation also (re)registers ``tip_eval``, which evaluates fused
+    trees over every routine installed so far on a connection that
+    takes attributes, such as a :class:`BladeConnection` (over *blade*'s
+    alone on a plain :class:`sqlite3.Connection`).
     """
-    memo: dict = {}
-    for (name, arity), routine in blade.routines.items():
+    routines = getattr(connection, "blade_routines", None)
+    if routines is None:
+        routines = {}
+        try:
+            connection.blade_routines = routines
+        except AttributeError:
+            pass  # a plain sqlite3.Connection takes no attributes
+    for key, routine in blade.routines.items():
+        name, arity = key
+        routines[key] = (routine, blade)
         connection.create_function(
             name,
             arity,
             obs.instrumented(
-                f"blade.routine.{name}", _make_sql_function(routine, blade, memo)
+                f"blade.routine.{name}", _call_plan(routine, blade, _encode_result)
             ),
             deterministic=routine.deterministic,
         )
+    connection.create_function(
+        EVAL_ROUTINE, -1,
+        obs.instrumented(f"blade.routine.{EVAL_ROUTINE}", _make_eval(routines)),
+    )
     for name, aggregate in blade.aggregates.items():
         connection.create_aggregate(name, 1, _make_sql_aggregate(aggregate, blade))
     return connection

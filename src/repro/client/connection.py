@@ -16,6 +16,11 @@ behaviours a temporal client needs beyond DB-API:
 Result values pass through a :class:`~repro.client.typemap.TypeMap`,
 so TIP values come back as their datatype classes whether they arrive
 from declared columns or from expressions.
+
+A cursor's ``execute`` and ``execute_fetchall`` hand SQLite the
+statement with its nested TIP routine calls fused into one call per
+tree (:mod:`repro.blade.fusion`); the rows, their column names and the
+per-routine call counts are those of the statement as written.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from __future__ import annotations
 import sqlite3
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.blade.sqlite_backend import install_tip
+from repro.blade.fusion import executed_sql
+from repro.blade.sqlite_backend import BladeConnection, install_tip
 from repro.client.typemap import TypeMap
 from repro.core.chronon import Chronon
 from repro.core.formatter import chronon_text
@@ -56,6 +62,7 @@ def connect(
         database,
         detect_types=sqlite3.PARSE_DECLTYPES,
         check_same_thread=check_same_thread,
+        factory=BladeConnection,
     )
     install_tip(raw)
     return TipConnection(raw, now=now, type_map=type_map)
@@ -229,7 +236,7 @@ class TipCursor:
         # every fetch, so it skips use_now's generator + dispatch cost.
         token = bind_now_seconds(self._stmt_now)
         try:
-            self._raw.execute(sql, parameters)
+            self._raw.execute(executed_sql(sql), parameters)
         finally:
             reset_now(token)
         return self
@@ -258,7 +265,7 @@ class TipCursor:
         token = bind_now_seconds(self._stmt_now)
         try:
             raw = self._raw
-            raw.execute(sql, parameters)
+            raw.execute(executed_sql(sql), parameters)
             if raw.description is None:
                 return None
             return self._connection.type_map.map_rows(raw.fetchall(), None)
@@ -271,7 +278,7 @@ class TipCursor:
         recorder = StatementRecorder(sql).start()
         try:
             with use_now(self._stmt_now):
-                self._raw.execute(sql, parameters)
+                self._raw.execute(executed_sql(sql), parameters)
         except Exception as exc:
             recorder.finish(
                 ok=False, error=str(exc),

@@ -86,12 +86,9 @@ class LRUCache:
 
     Stats are plain attribute increments under the same lock that
     orders the map itself, so a snapshot is always self-consistent.
-    ``memo_hits`` counts lookups a memo in front of the cache answered
-    (the blade's routine-result memo, in front of :data:`DECODE`).
     """
 
-    __slots__ = ("name", "maxsize", "hits", "misses", "evictions", "memo_hits",
-                 "_data", "_lock")
+    __slots__ = ("name", "maxsize", "hits", "misses", "evictions", "_data", "_lock")
 
     def __init__(self, name: str, maxsize: int) -> None:
         self.name = name
@@ -99,7 +96,6 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.memo_hits = 0
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
@@ -113,10 +109,6 @@ class LRUCache:
             self._data.move_to_end(key)
             self.hits += 1
             return value
-
-    def memo_hit(self) -> None:
-        with self._lock:
-            self.memo_hits += 1
 
     def put(self, key, value) -> None:
         if self.maxsize <= 0:
@@ -134,7 +126,7 @@ class LRUCache:
         with self._lock:
             self._data.clear()
             if reset_stats:
-                self.hits = self.misses = self.evictions = self.memo_hits = 0
+                self.hits = self.misses = self.evictions = 0
 
     def resize(self, maxsize: int) -> None:
         with self._lock:
@@ -148,8 +140,8 @@ class LRUCache:
             return len(self._data)
 
     def stats(self) -> Dict[str, float]:
-        """Entries, capacity, hit/miss/eviction/memo-hit counts, and the
-        cache's own hit ratio."""
+        """Entries, capacity, hit/miss/eviction counts, and the hit
+        ratio."""
         with self._lock:
             hits, misses = self.hits, self.misses
             looked_up = hits + misses
@@ -159,7 +151,6 @@ class LRUCache:
                 "hits": hits,
                 "misses": misses,
                 "evictions": self.evictions,
-                "memo_hits": self.memo_hits,
                 "hit_ratio": (hits / looked_up) if looked_up else 0.0,
             }
 
@@ -233,7 +224,6 @@ def stats_counters() -> Dict[str, int]:
         flat[prefix + "hits"] = snap["hits"]
         flat[prefix + "misses"] = snap["misses"]
         flat[prefix + "evictions"] = snap["evictions"]
-        flat[prefix + "memo_hits"] = snap["memo_hits"]
     return flat
 
 

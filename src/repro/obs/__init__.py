@@ -27,6 +27,7 @@ response and to render via :mod:`repro.obs.export`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import contextmanager
 from time import monotonic, perf_counter
 from typing import Dict
@@ -41,7 +42,7 @@ from repro.obs.export import (
     span_entries,
     span_records,
 )
-from repro.obs.instruments import Counter, Histogram
+from repro.obs.instruments import DEFAULT_BOUNDS, Counter, Histogram
 from repro.obs.registry import (
     MetricsRegistry,
     disable,
@@ -52,6 +53,7 @@ from repro.obs.registry import (
     state,
 )
 from repro.obs import flight, profile
+from repro.obs import registry as _registry
 
 __all__ = [
     "Counter", "Histogram", "MetricsRegistry",
@@ -193,39 +195,58 @@ def span(name: str, **meta):
     return _Span(name, meta)
 
 
+class _Owner:
+    """The weakly referenced token that ties a wrapper's shards to the
+    wrapper's lifetime."""
+
+    __slots__ = ("__weakref__",)
+
+
 def instrumented(name: str, fn):
-    """Wrap *fn* with ``<name>.calls`` / ``.seconds`` / ``.errors``.
+    """Wrap *fn* (called with positional arguments only, as SQLite calls
+    routines) with ``<name>.calls`` / ``.seconds`` / ``.errors``.
 
     The wrapper is a straight pass-through while observability is
-    disabled; the instruments only come into existence on the first
-    call with it enabled.  The ``.calls`` counter and ``.seconds``
-    histogram are looked up once per registry epoch (a new registry or
-    a reset), not on every call.
+    disabled — one attribute load, nothing allocated — and the
+    instruments only come into existence on the first call with it
+    enabled.  A wrapper belongs to one connection, and one thread uses
+    a connection at a time, so a call records without a lock: into the
+    wrapper's own shard of the ``.calls`` counter and ``.seconds``
+    histogram (:class:`~repro.obs.instruments.Shard`), which every read
+    of those instruments adds in.  The shard is looked up once per
+    registry epoch (a new registry or a reset), not on every call.
+    The rare ``.errors`` count goes through the locked counter.
     """
     calls_name = name + ".calls"
     errors_name = name + ".errors"
     seconds_name = name + ".seconds"
-    bound = [(None, None, None)]  # (epoch, calls, seconds), swapped whole
+    owner = _Owner()
+    bounds = DEFAULT_BOUNDS
+    current = None  # the shard in the registry recorded into last
 
-    def wrapper(*args, **kwargs):
+    def wrapper(*args):
+        nonlocal current
         if not state.enabled:
-            return fn(*args, **kwargs)
-        registry = get_registry()
-        epoch, calls, seconds = bound[0]
-        if epoch is not registry.epoch:
-            epoch = registry.epoch
-            calls = registry.counter(calls_name)
-            seconds = registry.histogram(seconds_name)
-            bound[0] = (epoch, calls, seconds)
+            return fn(*args)
+        registry = _registry._default_registry
+        shard = current
+        if shard is None or shard.epoch is not registry.epoch:
+            shard = current = registry.shard(calls_name, seconds_name, owner)
         started = perf_counter()
         try:
-            return fn(*args, **kwargs)
+            return fn(*args)
         except Exception:
             registry.counter(errors_name).inc()
             raise
         finally:
-            calls.inc()
-            seconds.observe(perf_counter() - started)
+            elapsed = perf_counter() - started
+            shard.count += 1
+            shard.sum += elapsed
+            if elapsed < shard.min:
+                shard.min = elapsed
+            if elapsed > shard.max:
+                shard.max = elapsed
+            shard.buckets[bisect_left(bounds, elapsed)] += 1
 
     wrapper.__name__ = getattr(fn, "__name__", name)
     wrapper.__doc__ = getattr(fn, "__doc__", None)

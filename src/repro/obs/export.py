@@ -91,7 +91,6 @@ def render_text(snapshot: Dict) -> str:
                     f"  {which}: {entry.get('entries', 0)}/{entry.get('capacity', 0)} entries, "
                     f"hits={entry.get('hits', 0)} misses={entry.get('misses', 0)} "
                     f"evictions={entry.get('evictions', 0)} "
-                    f"memo_hits={entry.get('memo_hits', 0)} "
                     f"({entry.get('hit_ratio', 0.0) * 100:.1f}% hit)"
                 )
             sections.append("\n".join(lines))

@@ -11,9 +11,10 @@ proof that the disabled path is inert (see
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Dict
 
-from repro.obs.instruments import Counter, Histogram
+from repro.obs.instruments import Counter, Histogram, Shard
 
 __all__ = [
     "ObsState", "state", "MetricsRegistry",
@@ -56,7 +57,8 @@ class MetricsRegistry:
     """A named bag of lazily created instruments.
 
     ``epoch`` is replaced on every :meth:`reset`, so a caller holding
-    instruments it looked up earlier can tell when they were dropped.
+    instruments (or a shard) it got earlier can tell when they were
+    dropped.
     """
 
     def __init__(self, name: str = "default") -> None:
@@ -64,6 +66,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._shards: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self.epoch = object()
 
     # -- instrument access (lazy creation) ----------------------------
@@ -81,6 +84,25 @@ class MetricsRegistry:
             with self._lock:
                 instrument = self._histograms.setdefault(name, Histogram(name))
         return instrument
+
+    def shard(self, counter_name: str, histogram_name: str, owner) -> Shard:
+        """*owner*'s shard of the named counter and histogram.
+
+        Created and attached to both instruments on first request in
+        this epoch, then returned again, so an owner that records into
+        several registries in turn keeps one shard in each.
+        """
+        shard = self._shards.get(owner)
+        if shard is not None:
+            return shard
+        with self._lock:
+            counter = self._counters.setdefault(counter_name, Counter(counter_name))
+            histogram = self._histograms.setdefault(histogram_name, Histogram(histogram_name))
+            shard = Shard(self.epoch, weakref.ref(owner), len(histogram.bounds) + 1)
+            self._shards[owner] = shard
+            counter.attach(shard)
+            histogram.attach(shard)
+        return shard
 
     # -- inspection ---------------------------------------------------
 
@@ -109,6 +131,7 @@ class MetricsRegistry:
         with self._lock:
             self._counters.clear()
             self._histograms.clear()
+            self._shards = weakref.WeakKeyDictionary()
             self.epoch = object()
 
 

@@ -331,6 +331,9 @@ class RemoteTipConnection:
             )
 
     def _send(self, frame: dict) -> None:
+        if self._socket is None:
+            # A reconnect failed earlier: retryable like any lost socket.
+            raise ConnectionError("not connected")
         payload = protocol.dump_frame(frame)
         if _FAULTS.plan is not None:
             payload = _FAULTS.plan.apply("client.send", payload)

@@ -56,6 +56,7 @@ chaos plans fire deterministically per connection.
 from __future__ import annotations
 
 import itertools
+import socket
 import socketserver
 import threading
 from contextlib import nullcontext
@@ -87,6 +88,8 @@ _SWALLOW: dict = {}
 #: window (in chunks) when the client does not size one.
 DEFAULT_STREAM_CHUNK = 256
 DEFAULT_STREAM_WINDOW = 4
+#: How long :meth:`TipServer.stop` waits for open sessions to end.
+STOP_JOIN_SECONDS = 5.0
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
@@ -811,12 +814,49 @@ class _SessionHandler(socketserver.StreamRequestHandler):
 
 
 class _InnerServer(socketserver.ThreadingTCPServer):
+    """The listener: one daemon handler thread per session, each
+    registered with its socket so :meth:`close_sessions` can end them."""
+
     daemon_threads = True
     allow_reuse_address = True
 
     def __init__(self, address: Tuple[str, int], owner: "TipServer") -> None:
         super().__init__(address, _SessionHandler)
         self.owner = owner
+        self._sessions: dict = {}   # request socket -> handler thread
+        self._sessions_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address),
+            daemon=True,
+        )
+        with self._sessions_lock:
+            self._sessions[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._sessions_lock:
+            self._sessions.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_sessions(self, timeout: float) -> None:
+        """Shut down every open session socket, then join the handler
+        threads for at most *timeout* seconds in all.
+
+        A handler blocked on a read sees end-of-file and leaves its
+        frame loop, recording ``session.close`` on the way out.
+        """
+        with self._sessions_lock:
+            sessions = list(self._sessions.items())
+        for request, _ in sessions:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer already closed it
+        deadline = perf_counter() + timeout
+        for _, thread in sessions:
+            thread.join(max(0.0, deadline - perf_counter()))
 
 
 class TipServer:
@@ -932,7 +972,14 @@ class TipServer:
         return self.telemetry.address if self.telemetry is not None else None
 
     def stop(self) -> None:
-        """Shut down the listener and the engine connections."""
+        """Shut down the listener, end every open session, then close
+        the engine connections.
+
+        Sessions end before the pool closes: their sockets are shut
+        down and their handler threads joined (for at most
+        :data:`STOP_JOIN_SECONDS`), so no handler runs a statement on
+        a closed connection and a client gets a connection error.
+        """
         if self.telemetry is not None:
             self.telemetry.stop()
             self.telemetry = None
@@ -941,6 +988,7 @@ class TipServer:
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
+        self._inner.close_sessions(STOP_JOIN_SECONDS)
         self.pool.close()
 
     def __enter__(self) -> "TipServer":

@@ -37,6 +37,7 @@ from repro.errors import TipError, TranslationError
 from repro.layered import translator
 from repro.layered.engine import LayeredEngine
 from repro.layered.migrate import flatten_from_tip
+from repro.blade.fusion import executed_sql
 from repro.obs import profile as _profile
 from repro.obs.export import render_profile
 from repro.obs.profile import QueryProfile, StatementRecorder
@@ -81,11 +82,14 @@ class ExplainReport:
     layered: EnginePlan
     statement_cache: Dict = field(default_factory=dict)
     plan_strategy: Dict = field(default_factory=dict)
+    #: The SQL SQLite ran when routine fusion rewrote the statement.
+    executed: str = ""
 
     def as_dict(self) -> Dict:
         return {
             "statement": self.statement,
             "translated": self.translated,
+            "executed": self.executed,
             "blade": self.blade.as_dict(),
             "layered": self.layered.as_dict(),
             "statement_cache": dict(self.statement_cache),
@@ -98,6 +102,8 @@ class ExplainReport:
         lines = [f"EXPLAIN TEMPORAL {self.statement}"]
         if self.translated != self.statement:
             lines.append(f"translated: {self.translated}")
+        if self.executed:
+            lines.append(f"executed: {self.executed}")
         if self.statement_cache:
             entries = self.statement_cache.get("entries", 0)
             capacity = self.statement_cache.get("capacity", 0)
@@ -273,6 +279,7 @@ def explain_temporal(
     metrics_were_on = _obs.is_enabled()
     if not metrics_were_on:
         _obs.enable()
+    executed = ""
     try:
         with _profile.forced():
             cursor = connection.cursor()
@@ -280,8 +287,10 @@ def explain_temporal(
                 cursor.execute(translated)
                 if cursor.description is not None:
                     cursor.fetchall()
+                if executed_sql(translated) != translated:
+                    executed = executed_sql(translated)
             blade.profile = cursor.profile
-        blade.plan = _query_plan(connection.raw, translated)
+        blade.plan = _query_plan(connection.raw, executed or translated)
 
         layered = _layered_side(connection, session, translated)
     finally:
@@ -290,6 +299,7 @@ def explain_temporal(
     return ExplainReport(
         statement=inner, translated=translated, blade=blade, layered=layered,
         statement_cache=statement_cache, plan_strategy=plan_strategy,
+        executed=executed,
     )
 
 

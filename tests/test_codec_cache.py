@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import codec, faults, obs
+from repro.blade import fusion
 from repro.codec import cache as marshal_cache
 from repro.codec.binary import MAGIC, VERSION, stamp_elements
 from repro.core import use_now
@@ -327,13 +328,9 @@ class TestCallPlans:
         for _ in range(20):
             conn.query("SELECT overlaps(valid, '{[1999-06-01, NOW]}') FROM Rx")
         # 2 distinct row blobs and 1 window literal: everything after
-        # the first pass over each is a hit.  The rows were inserted
-        # through element() on this connection, so the routine-result
-        # memo answers for them before the decode cache.
+        # the first pass over each is a hit.
         stats = marshal_cache.DECODE.stats()
-        assert stats["memo_hits"] > 0
-        hits = stats["hits"] + stats["memo_hits"]
-        assert hits / (hits + stats["misses"]) >= 0.9
+        assert stats["hits"] / (stats["hits"] + stats["misses"]) >= 0.9
         assert marshal_cache.PARSE.stats()["hit_ratio"] >= 0.9
 
     def test_zero_arg_routine(self, conn):
@@ -358,8 +355,9 @@ class TestCallPlans:
 
 
 class TestResultMemo:
-    """Nested routine calls reuse the value the inner call returned
-    (the per-connection result memo) with unchanged semantics."""
+    """Nested routine calls hand the inner call's value on as an object
+    (fused trees: one ``tip_eval`` call per tree and row) with unchanged
+    semantics; the codec sees only the leaves."""
 
     NESTED = ("SELECT patient, span_seconds(tsub(start(valid), dob)), "
               "tip_text(tadd(end_time(valid), tmul(span('1'), 2))) "
@@ -390,12 +388,16 @@ class TestResultMemo:
         marshal_cache.clear_caches(reset_stats=True)
         assert conn.query(self.NESTED) == expected
         stats = marshal_cache.DECODE.stats()
-        # start(), end_time() and tmul() results feed tsub()/tadd():
-        # the memo answers those; only stored columns miss the cache.
-        assert stats["memo_hits"] >= 2 * 12
-        assert stats["misses"] <= 2 * 12 + 2
+        # start(), end_time() and tsub()/tadd() results feed the call
+        # around them as objects: the only lookups are the leaves of the
+        # two trees on the 12 non-NULL rows (valid and dob, valid and
+        # the constant tmul() blob), plus tmul()'s own decode of span('1')
+        # in the one evaluation SQLite makes of that constant subtree;
+        # only stored columns miss.
+        assert stats["hits"] + stats["misses"] == 4 * 12 + 1
+        assert stats["misses"] <= 2 * 12 + 1
 
-    def test_memo_hit_feeds_a_widening_cast(self, conn):
+    def test_inner_result_feeds_a_widening_cast(self, conn):
         """A Chronon result passed where an Element is declared."""
         sql = ("SELECT patient, contains(valid, start(valid)), "
                "overlaps(element_union(valid, end_time(valid)), valid) "
@@ -404,7 +406,10 @@ class TestResultMemo:
         marshal_cache.clear_caches(reset_stats=True)
         assert conn.query(sql) == expected
         assert expected[0][1:] == (1, 1) and expected[-1][1:] == (None, None)
-        assert marshal_cache.DECODE.stats()["memo_hits"] >= 12
+        # Five stored valid leaves per non-NULL row; start() and
+        # end_time() reach contains()/element_union() undecoded.
+        stats = marshal_cache.DECODE.stats()
+        assert stats["hits"] + stats["misses"] == 5 * 12
 
     def test_null_propagates_through_nested_calls(self, conn):
         rows = conn.query(
@@ -432,7 +437,8 @@ class TestResultMemo:
 
     def test_pool_readers_stay_isolated_under_interleaving(self, conn):
         """Two readers run different nested statements in lockstep:
-        each memo answers only its own connection, results stay exact."""
+        each connection's tip_eval evaluates only its own trees, results
+        stay exact."""
         import threading
 
         from repro.server.pool import ConnectionPool
@@ -474,13 +480,14 @@ class TestResultMemo:
         assert pool.stats()["max_busy"] == 1
 
     def test_armed_faults_give_the_same_outcome_twice(self, conn):
-        """The memo is bypassed while armed: routine and decode faults
+        """Fusion is bypassed while armed: routine and decode faults
         fire at the same calls on two seeded runs."""
 
         def run():
             outcomes = []
             with faults.inject("blade.routine:raise:p=0.02;"
                                "codec.decode:corrupt:p=0.05", seed=5):
+                assert fusion.executed_sql(self.NESTED) == self.NESTED
                 for _ in range(4):
                     try:
                         outcomes.append(conn.query(self.NESTED))
@@ -491,7 +498,7 @@ class TestResultMemo:
         first = run()
         assert first == run()
         assert any(isinstance(outcome, str) for outcome in first)
-        assert marshal_cache.DECODE.stats()["memo_hits"] == 0
+        assert fusion.executed_sql(self.NESTED) != self.NESTED
 
 
 class TestObservability:
@@ -538,10 +545,8 @@ class TestObservability:
         for entry in profiles:
             for name, delta in entry.counters.items():
                 merged[name] = merged.get(name, 0) + delta
-        # The row came from element() on this connection: the second
-        # query's decode is a routine-result memo hit.
-        assert (merged.get("codec.cache.decode.hits", 0)
-                + merged.get("codec.cache.decode.memo_hits", 0)) >= 1
+        # The second query decodes the same row blob: a cache hit.
+        assert merged.get("codec.cache.decode.hits", 0) >= 1
 
 
 class TestRoundTripProperties:

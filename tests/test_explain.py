@@ -124,6 +124,25 @@ class TestExplainTemporal:
         assert "layered SQL:" in text
         assert "query plan:" in text
 
+    def test_executed_line_names_the_fused_statement(self, connection):
+        """A statement whose nested routine calls fuse reports the SQL
+        SQLite ran, and its routine breakdown names tip_eval beside the
+        routines of the tree; one that does not fuse has no executed
+        line."""
+        report = explain_temporal(
+            connection, "SELECT patient, tip_text(start(valid)) FROM rx")
+        assert report.executed == (
+            "SELECT patient, tip_eval('tip_text(start(?))', valid) "
+            "AS \"tip_text(start(valid))\" FROM rx")
+        assert report.render().splitlines()[1] == f"executed: {report.executed}"
+        routines = report.blade.profile.routines
+        assert {"blade.routine.tip_eval", "blade.routine.start",
+                "blade.routine.tip_text"} <= set(routines)
+        assert json.loads(json.dumps(report.as_dict()))["executed"] == report.executed
+        plain = explain_temporal(connection, "SELECT patient, start(valid) FROM rx")
+        assert plain.executed == ""
+        assert "executed:" not in plain.render()
+
     def test_as_dict_is_json_framable(self, connection):
         report = explain_temporal(connection, "SELECT patient FROM rx")
         clone = json.loads(json.dumps(report.as_dict()))

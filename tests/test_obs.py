@@ -179,6 +179,71 @@ class TestInstrumented:
         assert registry.counter_value("unit.once.calls") == 1
 
 
+class TestShards:
+    """Wrappers record lock-free into shards; every read of the
+    instruments is what locked ``observe``/``inc`` calls would give."""
+
+    DURATIONS = (5e-7, 3e-6, 3e-6, 2e-4, 0.05, 12.0)
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        """``perf_counter`` for the wrappers: each call pair spans the
+        next of :data:`DURATIONS`."""
+        ticks = []
+        for duration in self.DURATIONS * 2:
+            ticks += [0.0, duration]
+        monkeypatch.setattr(obs, "perf_counter", iter(ticks).__next__)
+
+    def test_every_read_matches_locked_recording(self, clock):
+        first = obs.instrumented("unit.sharded", lambda: None)
+        second = obs.instrumented("unit.sharded", lambda: None)
+        reference = Histogram("unit.sharded.seconds")
+        with obs.capture() as registry:
+            for index, duration in enumerate(self.DURATIONS):
+                (first if index % 2 else second)()
+                reference.observe(duration)
+            snapshot = registry.snapshot()
+        assert registry.counter_value("unit.sharded.calls") == len(self.DURATIONS)
+        assert snapshot["counters"]["unit.sharded.calls"] == len(self.DURATIONS)
+        merged, expected = snapshot["histograms"]["unit.sharded.seconds"], reference.snapshot()
+        assert merged["sum"] == pytest.approx(expected.pop("sum"))
+        assert merged["mean"] == pytest.approx(expected.pop("mean"))
+        assert {key: merged[key] for key in expected} == expected
+
+    def test_reset_and_registry_switches(self):
+        wrapped = obs.instrumented("unit.switch", lambda: None)
+        with obs.capture() as outer:
+            wrapped()
+            with obs.capture() as inner:
+                wrapped()
+                wrapped()
+            wrapped()
+            assert inner.counter_value("unit.switch.calls") == 2
+            assert outer.counter_value("unit.switch.calls") == 2
+            # One shard per registry, reused on every return to it.
+            assert len(outer.counter("unit.switch.calls")._shards) == 1
+            outer.reset()
+            assert outer.counter_value("unit.switch.calls") == 0
+            wrapped()
+            assert outer.counter_value("unit.switch.calls") == 1
+            assert outer.histogram("unit.switch.seconds").count == 1
+
+    def test_a_freed_wrapper_folds_into_the_instrument(self):
+        import gc
+
+        with obs.capture() as registry:
+            for _ in range(3):
+                wrapped = obs.instrumented("unit.gone", lambda: None)
+                wrapped()
+                wrapped()
+            del wrapped
+            gc.collect()
+            counter = registry.counter("unit.gone.calls")
+            assert counter.value == 6
+            assert registry.histogram("unit.gone.seconds").count == 6
+            assert counter._shards == []
+
+
 class TestCapture:
     def test_restores_previous_state(self):
         outer_registry = obs.get_registry()

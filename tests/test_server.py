@@ -318,3 +318,37 @@ class TestConcurrency:
 
         with pytest.raises(TipError):
             connection.query("SELECT 1")
+
+
+class TestStop:
+    def test_stop_ends_open_sessions_before_closing_the_pool(self):
+        """A stopped server keeps no session: no handler thread outlives
+        ``stop()``, the session's close is recorded before it returns,
+        and the client's next statement fails to connect instead of
+        reaching a closed database."""
+        from repro import obs
+        from repro.errors import TipError
+        from repro.obs import flight
+        from repro.server.client import RetryPolicy
+
+        with obs.capture():
+            flight.enable()
+            server = TipServer(":memory:").start()
+            host, port = server.address
+            before = set(threading.enumerate())
+            connection = RemoteTipConnection(
+                host, port, session_label="stopping",
+                retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0))
+            try:
+                assert connection.query_one("SELECT 1") == (1,)
+                handlers = [thread for thread in set(threading.enumerate()) - before
+                            if "process_request_thread" in thread.name]
+                assert len(handlers) == 1
+                server.stop()
+                assert not handlers[0].is_alive()
+                assert len(flight.events(kind="session.close", session="stopping")) == 1
+                with pytest.raises(TipError) as excinfo:
+                    connection.query_one("SELECT 1")
+                assert not isinstance(excinfo.value, RemoteError)
+            finally:
+                connection.close()
