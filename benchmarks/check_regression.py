@@ -186,11 +186,12 @@ def _smoke_cases(size: int):
             return run, conn.close
         return setup
 
-    def prepared_setup(enabled):
+    def prepared_setup(cached):
         """The statement-cache A/B: a translation-heavy tSQL statement
         over *empty* temporal tables, so per-call cost is dominated by
         the preprocessor — exactly what the compiled-statement cache
-        (``enabled``) amortizes and per-call translation re-pays.
+        amortizes and per-call translation re-pays (``cached`` false
+        clears the cache before each query, so every query misses).
         """
         def setup():
             from repro.tsql import TsqlSession
@@ -207,15 +208,15 @@ def _smoke_cases(size: int):
                 "WHERE p1.patient = p2.patient AND p2.patient = p3.patient "
                 "AND p1.ward = 'icu' AND p2.ward = 'er' AND p3.bed = 'b1'"
             )
-            stmt_cache.configure(enabled=enabled)
             stmt_cache.clear_cache()
 
             def run():
                 for _ in range(max(1, size)):
+                    if not cached:
+                        stmt_cache.clear_cache()
                     session.query(statement)
 
             def teardown():
-                stmt_cache.configure(enabled=True)
                 stmt_cache.clear_cache()
                 conn.close()
 
@@ -839,8 +840,6 @@ def run_smoke(
         "now": SMOKE_NOW,
         "repeats": repeats,
         "size": size,
-        "marshal_cache_enabled": codec.cache.state.enabled,
-        "statement_cache_enabled": stmt_cache.state.enabled,
         "benchmarks": {},
     }
 

@@ -209,8 +209,8 @@ class TipCursor:
     When the query profiler (:mod:`repro.obs.profile`) is on, each
     ``execute`` leaves its :class:`~repro.obs.profile.QueryProfile` in
     :attr:`profile` (and on the connection's ``last_profile``); lazy
-    fetches keep adding their time and row counts to it.  With the
-    profiler off, the only footprint is the attribute check guarding
+    fetches keep adding their time, rows and routine calls to it.  With
+    the profiler off, the only footprint is the attribute check guarding
     the branch — no extra Python-level calls (settrace-verified in
     ``tests/test_profile.py``).
     """
@@ -220,6 +220,7 @@ class TipCursor:
         self._connection = connection
         self._stmt_now: int = connection.statement_now_seconds()
         self.profile = None
+        self._recorder = None
 
     # -- execution -------------------------------------------------------
 
@@ -290,6 +291,7 @@ class TipCursor:
             statement_now=str(Chronon(self._stmt_now)),
             defer=defer,
         )
+        self._recorder = recorder
         self._connection._last_profile = self.profile
         return self
 
@@ -323,6 +325,7 @@ class TipCursor:
                 self.profile = recorder.finish(
                     statement_now=chronon_text(result.now_seconds)
                 )
+                self._recorder = recorder
                 self._connection._last_profile = self.profile
         if result is not None:
             self._stmt_now = result.now_seconds
@@ -403,6 +406,8 @@ class TipCursor:
             self.profile.rows += 1 if mapped is not None else 0
         else:
             self.profile.rows += len(mapped)
+        if self._recorder is not None:
+            self._recorder.count()
         return mapped
 
     def __iter__(self) -> Iterator[Tuple]:

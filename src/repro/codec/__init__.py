@@ -1,10 +1,10 @@
 """Binary storage format for TIP values (paper: "TIP internally stores
 Chronons (and other datatypes) in an efficient binary format").
 
-:mod:`repro.codec.cache` adds the marshalling fast path: a bounded
-blob->value decode cache, a string-literal parse cache, and the
-per-value canonical-encoding stamp that together keep hot statements
-from re-marshalling the same bytes row after row.
+The marshalling fast path — a bounded blob->value decode cache
+(:data:`repro.codec.binary.DECODE`), a string-literal parse cache
+(:mod:`repro.codec.cache`), and the per-value canonical-encoding stamp —
+keeps hot statements from re-marshalling the same bytes row after row.
 """
 
 from repro.codec import cache

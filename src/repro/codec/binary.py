@@ -35,12 +35,13 @@ work directly on stored TIP columns.
 from __future__ import annotations
 
 import struct
+from functools import partial
 from itertools import chain
 from typing import Sequence, Type, Union
 
 import numpy as np
 
-from repro.codec import cache as _CACHE
+from repro.codec.cache import CountedLRU
 from repro.core import granularity
 from repro.core.chronon import Chronon
 from repro.core.element import Element
@@ -55,6 +56,8 @@ __all__ = [
     "VERSION",
     "encode",
     "decode",
+    "DECODE",
+    "DECODE_SIZE",
     "element_pairs",
     "element_arrays",
     "merge_pairs",
@@ -85,11 +88,6 @@ TYPE_BY_TAG = {tag: tip_type for tip_type, tag in TAG_BY_TYPE.items()}
 _ELEMENT_HEADER = bytes((MAGIC, VERSION, _TAG_ELEMENT))
 
 TipValue = Union[Chronon, Span, Instant, Period, Element]
-
-# The parse cache may only retain immutable values; tell it which
-# classes qualify (a lazy handshake — importing the core types inside
-# repro.codec.cache would be circular).
-_CACHE._register_immutable_types(tuple(TAG_BY_TYPE))
 
 _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
@@ -170,8 +168,7 @@ def encode(value: TipValue) -> bytes:
                 parts.append(_encode_instant_body(period.start))
                 parts.append(_encode_instant_body(period.end))
         blob = b"".join(parts)
-    if _CACHE.state.enabled:
-        value._tip_blob = blob
+    value._tip_blob = blob
     return blob
 
 
@@ -198,7 +195,7 @@ def decode(data: bytes) -> TipValue:
 
     Decoding is pure — ``NOW``-relative payloads decode to offset-based
     instants, never to a grounded time — so repeated decodes of the
-    same blob are served from the process-wide LRU (all TIP values are
+    same blob are served from :data:`DECODE` (all TIP values are
     immutable and therefore safe to share).  While a fault plan is
     armed the cache is bypassed entirely, so every injected corruption
     hits a real decode and chaos runs stay deterministic.
@@ -215,15 +212,7 @@ def decode(data: bytes) -> TipValue:
         if len(data) >= 3:
             data = _FAULTS.plan.apply("codec.decode", data)
         return _decode_bytes(data, stamp=False)
-    if not _CACHE.state.enabled:
-        return _decode_bytes(data, stamp=False)
-    cache = _CACHE.DECODE
-    value = cache.get(data)
-    if value is not None:
-        return value
-    value = _decode_bytes(data, stamp=True)
-    cache.put(data, value)
-    return value
+    return DECODE.lookup(data)
 
 
 def _decode_bytes(data: bytes, *, stamp: bool) -> TipValue:
@@ -280,6 +269,13 @@ def _decode_bytes(data: bytes, *, stamp: bool) -> TipValue:
     if stamp:
         value._tip_blob = data
     return value
+
+
+DECODE_SIZE = 4096
+
+#: Blob bytes -> decoded TIP value, shared process-wide (see
+#: :mod:`repro.codec.cache`).
+DECODE = CountedLRU("decode", DECODE_SIZE, partial(_decode_bytes, stamp=True))
 
 
 def _canonical_pairs(data: bytes, offset: int, count: int):
@@ -474,10 +470,9 @@ def stamp_elements(elements: Sequence[Element], counts, lo, hi) -> None:
     canonical ``(lo, hi)`` pair arrays.  Every period is determinate,
     so the blob is the header, the count and one ``_PERIOD`` record per
     pair; all of them are packed in one numpy pass and sliced apart.
-    Like :func:`encode`, this stamps only while the codec cache is on.
     The objects must be fresh: the slot is set, never read.
     """
-    if not _CACHE.state.enabled or not len(elements):
+    if not len(elements):
         return
     counts = np.asarray(counts, np.int64)
     periods = np.zeros(len(lo), _PERIOD)

@@ -111,18 +111,15 @@ def snapshot(trace_tail: int = 0) -> Dict:
     from repro.codec import cache as _marshal_cache
     from repro.tsql import compiled as _stmt_cache
 
-    data["caches"] = _marshal_cache.stats()
-    data["caches"]["statement"] = _stmt_cache.stats()
-    if _marshal_cache.state.enabled and state.enabled:
+    data["caches"] = {**_marshal_cache.stats(), "statement": _stmt_cache.stats()}
+    if state.enabled:
         # Zero-valued entries are skipped so an idle (or freshly reset)
         # snapshot still renders as "(no metrics recorded)".
-        for cache_counter, cache_value in _marshal_cache.stats_counters().items():
-            if cache_value:
-                counters.setdefault(cache_counter, cache_value)
-    if _stmt_cache.state.enabled and state.enabled:
-        for cache_counter, cache_value in _stmt_cache.stats_counters().items():
-            if cache_value:
-                counters.setdefault(cache_counter, cache_value)
+        for cache_counters in (_marshal_cache.stats_counters(),
+                               _stmt_cache.stats_counters()):
+            for cache_counter, cache_value in cache_counters.items():
+                if cache_value:
+                    counters.setdefault(cache_counter, cache_value)
     data["flight"] = {
         "enabled": flight.state.enabled,
         "events": len(flight.get_recorder()),

@@ -81,36 +81,30 @@ def render_text(snapshot: Dict) -> str:
         sections.append("\n".join(lines))
     caches = snapshot.get("caches")
     if caches:
-        if caches.get("enabled"):
-            lines = ["marshalling caches:"]
-            for which in ("decode", "parse"):
-                entry = caches.get(which)
-                if not entry:
-                    continue
-                lines.append(
-                    f"  {which}: {entry.get('entries', 0)}/{entry.get('capacity', 0)} entries, "
-                    f"hits={entry.get('hits', 0)} misses={entry.get('misses', 0)} "
-                    f"evictions={entry.get('evictions', 0)} "
-                    f"({entry.get('hit_ratio', 0.0) * 100:.1f}% hit)"
-                )
-            sections.append("\n".join(lines))
-        else:
-            sections.append("marshalling caches: disabled")
+        lines = ["marshalling caches:"]
+        for which in ("decode", "parse"):
+            entry = caches.get(which)
+            if not entry:
+                continue
+            lines.append(
+                f"  {which}: {entry.get('entries', 0)}/{entry.get('capacity', 0)} entries, "
+                f"hits={entry.get('hits', 0)} misses={entry.get('misses', 0)} "
+                f"evictions={entry.get('evictions', 0)} "
+                f"({entry.get('hit_ratio', 0.0) * 100:.1f}% hit)"
+            )
+        sections.append("\n".join(lines))
         statement = caches.get("statement")
         if statement:
-            if statement.get("enabled"):
-                sections.append(
-                    f"statement cache: {statement.get('entries', 0)}/"
-                    f"{statement.get('capacity', 0)} plans, "
-                    f"hits={statement.get('hits', 0)} "
-                    f"misses={statement.get('misses', 0)} "
-                    f"evictions={statement.get('evictions', 0)} "
-                    f"invalidations={statement.get('invalidations', 0)} "
-                    f"({statement.get('hit_ratio', 0.0) * 100:.1f}% hit, "
-                    f"generation {statement.get('generation', 0)})"
-                )
-            else:
-                sections.append("statement cache: disabled")
+            sections.append(
+                f"statement cache: {statement.get('entries', 0)}/"
+                f"{statement.get('capacity', 0)} plans, "
+                f"hits={statement.get('hits', 0)} "
+                f"misses={statement.get('misses', 0)} "
+                f"evictions={statement.get('evictions', 0)} "
+                f"invalidations={statement.get('invalidations', 0)} "
+                f"({statement.get('hit_ratio', 0.0) * 100:.1f}% hit, "
+                f"generation {statement.get('generation', 0)})"
+            )
     header_count = len(sections)
     counters = snapshot.get("counters", {})
     if counters:
@@ -178,8 +172,9 @@ def render_prometheus(snapshot: Dict) -> str:
         lines.append("# TYPE tip_sessions gauge")
         for which in ("opened", "closed", "active"):
             lines.append(f'tip_sessions{{state="{which}"}} {sessions.get(which, 0)}')
+    counters = dict(snapshot.get("counters", {}))
     caches = snapshot.get("caches")
-    if caches and caches.get("enabled"):
+    if caches:
         # Occupancy is a gauge; the hit/miss/eviction totals already
         # ride in the counter table as tip_codec_cache_* counters.
         lines.append("# TYPE tip_marshal_cache_entries gauge")
@@ -190,10 +185,8 @@ def render_prometheus(snapshot: Dict) -> str:
                     f'tip_marshal_cache_entries{{cache="{which}"}} '
                     f'{entry.get("entries", 0)}'
                 )
-    counters = dict(snapshot.get("counters", {}))
-    if caches:
         statement = caches.get("statement")
-        if statement and statement.get("enabled"):
+        if statement:
             lines += [
                 "# TYPE tip_statement_cache_entries gauge",
                 f"tip_statement_cache_entries {statement.get('entries', 0)}",

@@ -269,10 +269,8 @@ def _registry_snapshot() -> Dict:
     from repro.codec import cache as _marshal_cache
     from repro.tsql import compiled as _stmt_cache
 
-    if _marshal_cache.state.enabled:
-        snapshot["counters"].update(_marshal_cache.stats_counters())
-    if _stmt_cache.state.enabled:
-        snapshot["counters"].update(_stmt_cache.stats_counters())
+    snapshot["counters"].update(_marshal_cache.stats_counters())
+    snapshot["counters"].update(_stmt_cache.stats_counters())
     return snapshot
 
 
@@ -361,22 +359,33 @@ class StatementRecorder:
         that completes the row count) passes ``defer=True`` and calls
         :func:`publish` itself once the profile is complete.
         """
-        elapsed = perf_counter() - self._t0
-        after = _registry_snapshot()
         profile = self.profile
-        profile.wall_seconds = elapsed
+        profile.wall_seconds = perf_counter() - self._t0
         profile.rowcount = rowcount
         profile.ok = ok
         profile.error = error
         profile.statement_now = statement_now
+        self.count()
+        if not defer:
+            publish(profile)
+        return profile
+
+    def count(self) -> None:
+        """Take the registry deltas since :meth:`start` into the profile.
+
+        :meth:`finish` calls it; a lazy fetch calls it again, because
+        SQLite evaluates every row after the first while fetching.
+        """
+        after = _registry_snapshot()
+        profile = self.profile
         counter_deltas = _counter_deltas(
             self._before.get("counters", {}), after.get("counters", {})
         )
         profile.counters = counter_deltas
         # The statement cache's fate for *this* statement falls out of
         # the same delta arithmetic: a hot statement bumps tsql.cache.hit
-        # by one, a cold one tsql.cache.miss.  No traffic (cache off,
-        # uncacheable text) leaves the field None.
+        # by one, a cold one tsql.cache.miss.  No traffic (uncacheable
+        # text) leaves the field None.
         if counter_deltas.get("tsql.cache.hit"):
             profile.stmt_cache = "hit"
         elif counter_deltas.get("tsql.cache.miss"):
@@ -389,9 +398,6 @@ class StatementRecorder:
             self._before.get("histograms", {}), after.get("histograms", {}),
             counter_deltas,
         )
-        if not defer:
-            publish(profile)
-        return profile
 
 
 def publish(profile: QueryProfile) -> None:

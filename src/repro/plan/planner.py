@@ -17,26 +17,24 @@ cache stamps the matched shape onto
 :attr:`repro.tsql.compiled.CompiledStatement.shape`, and because that
 cache is generation-keyed, any DDL or registry change that invalidates
 prepared statements invalidates kernel plans with it.  Callers without
-a compiled statement go through a small shape LRU keyed on the same
-generation.  Declared column types
+a compiled statement (EXPLAIN, :func:`describe`) match directly.
+Declared column types
 (:func:`repro.tsql.compiled.declared_columns`) are cached per
 connection under the same generation key.
 
-Knobs: ``TIP_KERNEL=0`` disables the planner process-wide, and
-``min_rows`` (start value :data:`DEFAULT_MIN_ROWS`) is the bigger-side
-row count below which bulk fetching cannot beat SQLite's own loop;
-both are adjustable at runtime via :func:`configure`.
+:func:`configure` sets ``enabled`` (off runs every statement on the
+naive UDF path, the semantics oracle) and ``min_rows`` (start value
+:data:`DEFAULT_MIN_ROWS`), the bigger-side row count below which bulk
+fetching cannot beat SQLite's own loop.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import weakref
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional
 
 from repro.client.literals import literal
-from repro.codec.cache import LRUCache
 from repro.core.nowctx import bind_now_seconds, reset_now
 from repro.errors import TipError
 from repro.faults import state as _FAULTS
@@ -45,7 +43,6 @@ from repro.obs.registry import get_registry as _obs_registry
 from repro.obs.registry import state as _obs_state
 from repro.plan import kernels, shapes
 from repro.plan.kernels import KernelResult
-from repro.plan.shapes import CoalesceShape, JoinShape
 from repro.tsql import compiled
 from repro.tsql.parser import Column
 
@@ -64,28 +61,17 @@ TIP_DECLTYPES = frozenset(
 )
 
 
-def _env_enabled() -> bool:
-    return os.environ.get("TIP_KERNEL", "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
-
-
 class PlanState:
     """Process-wide planner switches, read per statement without a lock."""
 
     __slots__ = ("enabled", "min_rows")
 
     def __init__(self) -> None:
-        self.enabled = _env_enabled()
+        self.enabled = True
         self.min_rows = DEFAULT_MIN_ROWS
 
 
 state = PlanState()
-
-#: (generation, translated sql) -> (shape | None,); keyed on the
-#: statement-cache generation so DDL invalidates kernel plans exactly
-#: when it invalidates prepared statements.
-SHAPE_CACHE = LRUCache("plan.shape", 256)
 
 #: connection -> (generation, {table: {column: decltype-or-""}}).
 _SCHEMA_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -99,16 +85,12 @@ def configure(
     """Adjust the planner knobs at runtime (used by benches and tests)."""
     if enabled is not None:
         state.enabled = enabled
-        if not enabled:
-            SHAPE_CACHE.clear()
     if min_rows is not None:
         state.min_rows = max(0, min_rows)
 
 
 def clear_caches() -> None:
-    """Drop cached shapes and schemas (tests; ``faults.arm`` bypasses
-    the caches instead of clearing them, see :func:`_lookup_shape`)."""
-    SHAPE_CACHE.clear()
+    """Drop the cached column types (tests)."""
     _SCHEMA_CACHE.clear()
 
 
@@ -135,23 +117,6 @@ def _fallback(reason: str) -> None:
     _count(f"plan.fallback.{reason}")
     if _flight.state.enabled:
         _flight.record("plan.fallback", reason=reason)
-
-
-def _lookup_shape(sql: str) -> Optional[Union[JoinShape, CoalesceShape]]:
-    """Match *sql*, via the generation-keyed cache when no plan is armed."""
-    if _FAULTS.plan is not None:
-        # Armed chaos runs bypass the cache (mirroring the statement
-        # cache) so every run exercises the same code path.
-        return shapes.match(sql)
-    key = (compiled.generation(), sql)
-    cached = SHAPE_CACHE.get(key)
-    if cached is not None:
-        _count("plan.cache.hit")
-        return cached[0]
-    _count("plan.cache.miss")
-    shape = shapes.match(sql)
-    SHAPE_CACHE.put(key, (shape,))
-    return shape
 
 
 def _table_schema(connection, table: str) -> Optional[Dict[str, str]]:
@@ -265,9 +230,9 @@ def maybe_execute_kernel(
     *shape* is the compile-time matched shape when the caller already
     carries it (:attr:`repro.tsql.compiled.CompiledStatement.shape` —
     the hot prepared path, where re-matching per call would cost more
-    than the statement); left None, the shape is matched here via the
-    generation-keyed cache.  Runtime vetoes (armed faults, schema
-    types, row counts) apply identically either way.
+    than the statement); left None, the shape is matched here.  Runtime
+    vetoes (armed faults, schema types, row counts) apply identically
+    either way.
     """
     if not state.enabled:
         return None
@@ -282,7 +247,7 @@ def maybe_execute_kernel(
         _fallback("faults")
         return None
     if shape is None:
-        shape = _lookup_shape(sql)
+        shape = shapes.match(sql)
     if shape is None:
         _fallback("shape")
         return None
@@ -336,7 +301,7 @@ def describe(connection, sql: str) -> Dict[str, object]:
         return {"strategy": "naive", "reason": "planner disabled"}
     if not is_candidate(sql):
         return {"strategy": "naive", "reason": "no set-evaluable operator"}
-    shape = _lookup_shape(sql)
+    shape = shapes.match(sql)
     if shape is None:
         return {"strategy": "naive", "reason": "statement shape not matched"}
     if not _schema_ok(connection, shape):

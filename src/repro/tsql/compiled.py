@@ -1,13 +1,12 @@
 """The compiled-statement subsystem: normalize once, translate once.
 
 TIP's performance argument (and ROADMAP open item 1) is that an
-integrated engine beats re-translating layered SQL per call — yet until
-this module the stack re-ran the tSQL preprocessor and the layered
-clause rewriter from scratch on every textually-identical statement.
-Here a statement is **compiled once** into a :class:`CompiledStatement`
-(the translated TIP SQL plus its parameter count and DDL flag) and
-served from a bounded, thread-safe LRU on every later execution, so a
-hot query costs a fingerprint plus parameter substitution.
+integrated engine beats re-translating layered SQL per call.  Here a
+statement is **compiled once** into a :class:`CompiledStatement` (the
+translated TIP SQL plus its parameter count, DDL flag and kernel shape)
+and served from a ``functools.lru_cache`` of :data:`CACHE_SIZE` plans on
+every later execution, so a hot query costs a fingerprint plus
+parameter substitution.
 
 **Normalization** (:func:`normalize_statement`) produces the cache
 fingerprint: whitespace outside single-quoted literals collapses to
@@ -17,10 +16,9 @@ the cached plan is a pure function of the fingerprint — no first-seen
 representative can leak one caller's spelling into another's plan.
 Statements whose meaning could hinge on the collapsed characters
 (``--``/``/*`` comments, double-quoted or bracketed identifiers outside
-literals) are deemed *uncacheable* and compile per call, exactly as
-before this module existed.
+literals) are deemed *uncacheable* and compile per call.
 
-**Keying and invalidation.**  The LRU key is ``(normalized text,
+**Keying and invalidation.**  The cache key is ``(normalized text,
 temporal-table registry, generation)``.  The registry component makes
 two sessions with different ``register()`` overrides never share a
 plan; the process-wide *generation* is bumped by
@@ -28,77 +26,40 @@ plan; the process-wide *generation* is bumped by
 actually changes), by ``register()``, and by every DDL statement the
 server commits — so schema motion orphans every stale key at once.
 Arming a fault plan (:func:`repro.faults.arm`) clears the cache and the
-armed path bypasses it entirely, mirroring the PR 5 codec caches:
-chaos runs translate every statement afresh and stay deterministic.
-The ``stmt.cache`` injection point fires on that path.
+armed path bypasses it entirely, like the codec decode cache: chaos
+runs translate every statement afresh and stay deterministic.  The
+``stmt.cache`` injection point fires on that path.
 
 **Observability.**  :func:`stats` feeds the ``caches`` section of obs
 snapshots; :func:`stats_counters` flattens the monotonic counts to
 ``tsql.cache.{hit,miss,evict,invalidate}`` for metrics tables, the
-Prometheus exposition, and per-query profile deltas.  Both are inert
-zeros while the cache is off.
-
-Knobs (read once at import; adjustable via :func:`configure`):
-
-* ``TIP_STATEMENT_CACHE=0`` — disable the cache (compile per call);
-* ``TIP_STATEMENT_CACHE_SIZE`` — capacity (default 256 plans).
+Prometheus exposition, and per-query profile deltas.  With the flight
+ring on, every lookup records a ``cache.stmt.hit`` or
+``cache.stmt.miss`` event.
 """
 
 from __future__ import annotations
 
-import os
 import re
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.codec.cache import LRUCache
+from repro.codec.cache import CountedLRU
 from repro.errors import TranslationError
 from repro.faults import state as _FAULTS
 from repro.obs import flight as _flight
 from repro.tsql import parser
 
 __all__ = [
-    "CompiledStatement", "StatementCompiler", "state", "CACHE",
+    "CompiledStatement", "StatementCompiler", "CACHE", "CACHE_SIZE",
     "normalize_statement", "compile_statement", "compile_normalized",
     "count_params", "declared_columns", "discover_valid_columns",
-    "generation", "bump_generation", "configure", "clear_cache",
-    "stats", "stats_counters", "DEFAULT_CACHE_SIZE",
+    "generation", "bump_generation", "clear_cache",
+    "stats", "stats_counters",
 ]
 
-DEFAULT_CACHE_SIZE = 256
-
-_FALSY = frozenset({"0", "false", "off", "no", ""})
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("TIP_STATEMENT_CACHE", "1").strip().lower() not in _FALSY
-
-
-class CacheState:
-    """The process-wide switch, read on hot paths without a lock."""
-
-    __slots__ = ("enabled",)
-
-    def __init__(self) -> None:
-        self.enabled = _env_enabled()
-
-
-state = CacheState()
-
-#: normalized-statement -> CompiledStatement, keyed with the registry
-#: fingerprint and generation (see module docstring).
-CACHE = LRUCache("statement", _env_int("TIP_STATEMENT_CACHE_SIZE", DEFAULT_CACHE_SIZE))
+CACHE_SIZE = 256
 
 _GEN_LOCK = threading.Lock()
 _GENERATION = 0
@@ -205,24 +166,11 @@ def bump_generation() -> int:
     return new_generation
 
 
-_SHAPE_MATCHER = None
-
-
 def _match_kernel_shape(sql: str):
-    """The planner's shape for *sql*, or None (lazy import: cycle).
+    """The planner's kernel shape for *sql*, or None."""
+    from repro.plan import planner, shapes  # lazy: the planner imports this module
 
-    Goes through the planner's generation-keyed shape LRU, not the raw
-    matcher: with the statement cache disabled (or thrashing) every
-    call re-compiles, and a candidate-but-unmatched statement would
-    otherwise re-pay the full shape matcher per call.
-    """
-    global _SHAPE_MATCHER
-    if _SHAPE_MATCHER is None:
-        from repro.plan import planner
-
-        _SHAPE_MATCHER = (planner.is_candidate, planner._lookup_shape)
-    is_candidate, lookup = _SHAPE_MATCHER
-    return lookup(sql) if is_candidate(sql) else None
+    return shapes.match(sql) if planner.is_candidate(sql) else None
 
 
 def _compile(statement: str, valid_columns: Dict[str, str], gen: int) -> CompiledStatement:
@@ -243,34 +191,46 @@ def _compile(statement: str, valid_columns: Dict[str, str], gen: int) -> Compile
     )
 
 
+#: Whether this thread's last lookup ran the miss function.
+_LOOKUP = threading.local()
+
+
+def _compile_miss(statement: str, registry: Tuple, gen: int) -> CompiledStatement:
+    plan = _compile(statement, dict(registry), gen)
+    _LOOKUP.missed = True
+    return plan
+
+
+#: ``(normalized statement, registry items, generation)`` -> plan.
+CACHE = CountedLRU("statement", CACHE_SIZE, _compile_miss)
+
+
+def _lookup(statement: str, valid_columns: Dict[str, str]) -> CompiledStatement:
+    """The cached plan for already-normalized *statement*."""
+    key = (statement, tuple(sorted(valid_columns.items())), generation())
+    if not _flight.state.enabled:
+        return CACHE.lookup(*key)
+    _LOOKUP.missed = False
+    plan = CACHE.lookup(*key)
+    _flight.record("cache.stmt.miss" if _LOOKUP.missed else "cache.stmt.hit",
+                   sql=statement[:120])
+    return plan
+
+
 def compile_statement(statement: str, valid_columns: Dict[str, str]) -> CompiledStatement:
-    """Compile *statement* under *valid_columns*, served from the LRU.
+    """Compile *statement* under *valid_columns*, served from the cache.
 
     With an armed fault plan the ``stmt.cache`` point fires and the
     cache is bypassed wholesale (like the codec decode cache), so chaos
-    runs observe every translation afresh and stay deterministic.  With
-    the cache disabled this is exactly a per-call translation.
+    runs observe every translation afresh and stay deterministic.
     """
     if _FAULTS.plan is not None:
         _FAULTS.plan.apply("stmt.cache")
-        return _compile(statement.strip(), valid_columns, generation())
-    if not state.enabled:
-        return _compile(statement.strip(), valid_columns, generation())
-    normalized = normalize_statement(statement)
-    if normalized is None:
-        return _compile(statement.strip(), valid_columns, generation())
-    gen = generation()
-    key: Tuple = (normalized, tuple(sorted(valid_columns.items())), gen)
-    cached = CACHE.get(key)
-    if cached is not None:
-        if _flight.state.enabled:
-            _flight.record("cache.stmt.hit", sql=normalized[:120])
-        return cached
-    compiled = _compile(normalized, valid_columns, gen)
-    CACHE.put(key, compiled)
-    if _flight.state.enabled:
-        _flight.record("cache.stmt.miss", sql=normalized[:120])
-    return compiled
+    else:
+        normalized = normalize_statement(statement)
+        if normalized is not None:
+            return _lookup(normalized, valid_columns)
+    return _compile(statement.strip(), valid_columns, generation())
 
 
 def compile_normalized(statement: str, valid_columns: Dict[str, str]) -> CompiledStatement:
@@ -280,26 +240,13 @@ def compile_normalized(statement: str, valid_columns: Dict[str, str]) -> Compile
     (``normalize_statement(s) == s`` by construction: single spaces,
     literals via constructor calls, no comments or quoted
     identifiers), so this fast path keys the cache on the text
-    directly and skips the normalization scan.  Faults and the
-    disabled switch behave exactly as in :func:`compile_statement`.
+    directly and skips the normalization scan.  Faults behave exactly
+    as in :func:`compile_statement`.
     """
-    if _FAULTS.plan is not None:
-        _FAULTS.plan.apply("stmt.cache")
-        return _compile(statement, valid_columns, generation())
-    if not state.enabled:
-        return _compile(statement, valid_columns, generation())
-    gen = generation()
-    key: Tuple = (statement, tuple(sorted(valid_columns.items())), gen)
-    cached = CACHE.get(key)
-    if cached is not None:
-        if _flight.state.enabled:
-            _flight.record("cache.stmt.hit", sql=statement[:120])
-        return cached
-    plan = _compile(statement, valid_columns, gen)
-    CACHE.put(key, plan)
-    if _flight.state.enabled:
-        _flight.record("cache.stmt.miss", sql=statement[:120])
-    return plan
+    if _FAULTS.plan is None:
+        return _lookup(statement, valid_columns)
+    _FAULTS.plan.apply("stmt.cache")
+    return _compile(statement, valid_columns, generation())
 
 
 def declared_columns(connection) -> Dict[str, Tuple[str, List[Tuple[str, str]], Optional[str]]]:
@@ -357,21 +304,6 @@ class StatementCompiler:
         return compile_statement(statement, self.valid_columns())
 
 
-def configure(*, enabled: Optional[bool] = None, size: Optional[int] = None) -> None:
-    """Adjust the statement-cache knobs at runtime.
-
-    Disabling also clears the cache, so re-enabling starts cold and the
-    inert-when-off guarantee ("a disabled cache stays empty") holds
-    regardless of prior history.
-    """
-    if size is not None:
-        CACHE.resize(size)
-    if enabled is not None:
-        state.enabled = enabled
-        if not enabled:
-            CACHE.clear()
-
-
 def clear_cache(reset_stats: bool = False) -> None:
     """Drop every compiled plan; optionally zero the stats.
 
@@ -386,12 +318,11 @@ def clear_cache(reset_stats: bool = False) -> None:
 
 
 def stats() -> Dict:
-    """The cache stats plus switch and generation, as plain data."""
+    """The cache stats plus invalidations and generation, as plain data."""
     snap = CACHE.stats()
     with _GEN_LOCK:
         snap["invalidations"] = _INVALIDATIONS
         snap["generation"] = _GENERATION
-    snap["enabled"] = state.enabled
     return snap
 
 

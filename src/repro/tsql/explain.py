@@ -107,15 +107,12 @@ class ExplainReport:
         if self.statement_cache:
             entries = self.statement_cache.get("entries", 0)
             capacity = self.statement_cache.get("capacity", 0)
-            if not self.statement_cache.get("enabled", True):
-                lines.append("statement cache: disabled")
-            else:
-                outcome = "hit" if self.statement_cache.get("hit") else "miss"
-                lines.append(
-                    f"statement cache: {outcome} "
-                    f"(entries {entries}/{capacity}, "
-                    f"generation {self.statement_cache.get('generation', 0)})"
-                )
+            outcome = "hit" if self.statement_cache.get("hit") else "miss"
+            lines.append(
+                f"statement cache: {outcome} "
+                f"(entries {entries}/{capacity}, "
+                f"generation {self.statement_cache.get('generation', 0)})"
+            )
         if self.plan_strategy:
             strategy = self.plan_strategy.get("strategy", "naive")
             if strategy == "kernel":
@@ -257,7 +254,6 @@ def explain_temporal(
     translated = session.translate(inner)
     cache_snapshot = _compiled.stats()
     statement_cache = {
-        "enabled": cache_snapshot["enabled"],
         "hit": cache_snapshot["hits"] > hits_before,
         "entries": cache_snapshot["entries"],
         "capacity": cache_snapshot["capacity"],

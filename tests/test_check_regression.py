@@ -109,7 +109,6 @@ class TestSmoke:
         report = json.loads(out.read_text())
         assert report["schema"] == "tip-bench-smoke/2"
         assert report["repeats"] == 2 and report["size"] == 30
-        assert report["marshal_cache_enabled"] is True
         names = set(report["benchmarks"])
         assert names == {
             "e2.coalesce.integrated", "e2.join.integrated", "e2.coalesce.layered",
@@ -138,7 +137,6 @@ class TestSmoke:
         assert hot_cache["statement"]["hits"] > 0
         adhoc_cache = report["benchmarks"]["e7.adhoc.retranslate"]["cache"]
         assert adhoc_cache["statement"]["hits"] == 0
-        assert report["statement_cache_enabled"] is True
         assert report["prepared"]["speedup"] > 1.0
         # The builder A/B rides along: the interleaved probe records
         # the hot prepared overhead next to the ad-hoc compile one.

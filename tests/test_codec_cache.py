@@ -5,8 +5,8 @@ Covers the tentpole guarantees of the caching layer:
 * cached decode/encode is **observably identical** to uncached
   round-trips, including NOW-relative values grounded under different
   :func:`repro.core.nowctx.use_now` bindings (property-tested);
-* the caches are bounded (LRU), keep honest hit/miss/eviction stats,
-  and stay **inert and empty while disabled**;
+* the caches are bounded (LRU) and keep honest hit/miss/eviction
+  stats that only ``reset_stats`` ever lowers;
 * fault injection bypasses the decode cache so chaos stays
   deterministic, and arming a plan clears the caches;
 * the compiled call plans preserve the marshalling semantics of the
@@ -18,6 +18,8 @@ Covers the tentpole guarantees of the caching layer:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,13 +28,18 @@ import repro
 from repro import codec, faults, obs
 from repro.blade import fusion
 from repro.codec import cache as marshal_cache
-from repro.codec.binary import MAGIC, VERSION, stamp_elements
+from repro.codec.binary import (
+    DECODE, DECODE_SIZE, MAGIC, VERSION, _decode_bytes, stamp_elements,
+)
 from repro.core import use_now
 from repro.core.chronon import Chronon
 from repro.core.element import Element
 from repro.core.instant import NOW, Instant
 from repro.core.period import Period
 from repro.core.span import Span
+from repro.errors import CodecError
+from repro.tsql import TsqlSession
+from repro.tsql import compiled
 
 from tests.strategies import elements, instants, periods, spans
 
@@ -41,30 +48,24 @@ pytestmark = pytest.mark.usefixtures("fresh_caches")
 
 @pytest.fixture
 def fresh_caches():
-    """Cold, enabled caches before each test; original knobs after."""
-    previous = marshal_cache.state.enabled
-    marshal_cache.state.enabled = True
+    """Cold caches with zeroed stats before and after each test."""
     marshal_cache.clear_caches(reset_stats=True)
     yield
     marshal_cache.clear_caches(reset_stats=True)
-    marshal_cache.state.enabled = previous
-
-
-@pytest.fixture
-def disabled_caches():
-    marshal_cache.configure(enabled=False)
-    yield
-    marshal_cache.state.enabled = True
 
 
 def fresh_copy(value):
     """A structurally identical value with no cached-blob stamp."""
-    blob = codec.encode(value)
-    marshal_cache.state.enabled = False
-    try:
-        return codec.decode(blob)
-    finally:
-        marshal_cache.state.enabled = True
+    return _decode_bytes(codec.encode(value), stamp=False)
+
+
+@contextmanager
+def uncached():
+    """Every decode and literal parse runs its cache's miss function."""
+    with pytest.MonkeyPatch.context() as patch:
+        for cache in (DECODE, marshal_cache.PARSE):
+            patch.setattr(cache, "lookup", cache.lookup.__wrapped__)
+        yield
 
 
 class TestDecodeCache:
@@ -76,28 +77,34 @@ class TestDecodeCache:
         blob = codec.encode(Chronon.parse("2000-01-01"))
         codec.decode(blob)
         codec.decode(blob)
-        stats = marshal_cache.DECODE.stats()
+        stats = DECODE.stats()
         assert stats["misses"] == 1 and stats["hits"] == 1
         assert stats["entries"] == 1
         assert stats["hit_ratio"] == 0.5
 
     def test_lru_bound_and_evictions(self):
-        cache = marshal_cache.LRUCache("unit", maxsize=2)
-        cache.put(b"a", 1)
-        cache.put(b"b", 2)
-        cache.get(b"a")          # refresh a; b is now the LRU entry
-        cache.put(b"c", 3)
-        assert len(cache) == 2
-        assert cache.get(b"b") is None  # evicted
-        assert cache.get(b"a") == 1
-        assert cache.stats()["evictions"] == 1
+        blobs = [codec.encode(Chronon(n)) for n in range(DECODE_SIZE + 3)]
+        first = codec.decode(blobs[0])
+        for blob in blobs[1:DECODE_SIZE]:
+            codec.decode(blob)
+        codec.decode(blobs[0])  # refresh: blobs[1] is now the LRU entry
+        for blob in blobs[DECODE_SIZE:]:
+            codec.decode(blob)  # evicts blobs[1], blobs[2], blobs[3]
+        stats = DECODE.stats()
+        assert stats["entries"] == DECODE_SIZE
+        assert stats["evictions"] == 3
+        assert codec.decode(blobs[0]) is first  # kept: a hit
+        codec.decode(blobs[1])                  # evicted: a miss
+        assert DECODE.stats()["misses"] == stats["misses"] + 1
 
-    def test_resize_shrinks_and_counts_evictions(self):
-        cache = marshal_cache.LRUCache("unit", maxsize=8)
-        for i in range(8):
-            cache.put(bytes([i]), i)
-        cache.resize(3)
-        assert len(cache) == 3 and cache.stats()["evictions"] == 5
+    def test_failed_decode_is_a_miss_not_an_eviction(self):
+        blob = codec.encode(Chronon(5))
+        with pytest.raises(CodecError):
+            codec.decode(blob[:-1])
+        codec.decode(blob)
+        stats = DECODE.stats()
+        assert stats["misses"] == 2 and stats["entries"] == 1
+        assert stats["evictions"] == 0
 
     def test_non_canonical_element_blob_still_normalizes(self):
         # Hand-build an element blob with overlapping, unsorted periods:
@@ -163,58 +170,6 @@ class TestEncodeStamp:
                 Element._from_canonical_pairs(tuple(p)))
 
 
-class TestDisabledInertness:
-    def test_batch_stamp_is_inert(self, disabled_caches):
-        element = Element._from_canonical_pairs(((0, 10),))
-        stamp_elements([element], [1], [0], [10])
-        assert not hasattr(element, "_tip_blob")
-
-    def test_caches_stay_empty_and_unstamped(self, disabled_caches):
-        value = Element.parse("{[1999-01-01, NOW]}")
-        blob = codec.encode(value)
-        decoded_one = codec.decode(blob)
-        decoded_two = codec.decode(blob)
-        assert decoded_one is not decoded_two          # no sharing
-        assert not hasattr(value, "_tip_blob")         # no stamping
-        assert not hasattr(decoded_one, "_tip_blob")
-        for cache in (marshal_cache.DECODE, marshal_cache.PARSE):
-            stats = cache.stats()
-            assert len(cache) == 0
-            assert stats["hits"] == stats["misses"] == stats["evictions"] == 0
-
-    def test_sql_path_is_inert_when_disabled(self, disabled_caches):
-        conn = repro.connect(now="2000-01-01")
-        try:
-            conn.execute("CREATE TABLE t (valid ELEMENT)")
-            conn.execute("INSERT INTO t VALUES (element('{[1999-01-01, NOW]}'))")
-            for _ in range(3):
-                conn.query("SELECT overlaps(valid, '{[1999-06-01, NOW]}') FROM t")
-        finally:
-            conn.close()
-        assert len(marshal_cache.DECODE) == 0
-        assert len(marshal_cache.PARSE) == 0
-        assert marshal_cache.DECODE.stats()["misses"] == 0
-        assert marshal_cache.PARSE.stats()["misses"] == 0
-
-    def test_disabling_clears_previous_entries(self):
-        codec.decode(codec.encode(Chronon(123)))
-        assert len(marshal_cache.DECODE) == 1
-        marshal_cache.configure(enabled=False)
-        try:
-            assert len(marshal_cache.DECODE) == 0
-        finally:
-            marshal_cache.state.enabled = True
-
-    def test_env_knob_spellings(self, monkeypatch):
-        for raw, expected in [("0", False), ("off", False), ("1", True), ("yes", True)]:
-            monkeypatch.setenv("TIP_MARSHAL_CACHE", raw)
-            assert marshal_cache._env_enabled() is expected
-        monkeypatch.setenv("TIP_DECODE_CACHE_SIZE", "77")
-        assert marshal_cache._env_int("TIP_DECODE_CACHE_SIZE", 1) == 77
-        monkeypatch.setenv("TIP_DECODE_CACHE_SIZE", "junk")
-        assert marshal_cache._env_int("TIP_DECODE_CACHE_SIZE", 1) == 1
-
-
 class TestParseCache:
     def test_repeated_literal_parses_once(self):
         first = marshal_cache.parse_cached(Element.parse, "{[1999-10-01, NOW]}")
@@ -252,16 +207,16 @@ class TestFaultsBypass:
     def test_armed_plan_bypasses_and_clears_decode_cache(self):
         blob = codec.encode(Chronon(42))
         cached = codec.decode(blob)
-        assert len(marshal_cache.DECODE) == 1
+        assert DECODE.stats()["entries"] == 1
         with faults.inject("codec.decode:raise", seed=3):
-            assert len(marshal_cache.DECODE) == 0  # arming cleared it
+            assert DECODE.stats()["entries"] == 0  # arming cleared it
             # A cache lookup would have returned the warm value without
             # ever reaching the injection point; the bypass means every
             # decode hits it.
             with pytest.raises(faults.InjectedFault):
                 codec.decode(blob)
             # Still bypassed: nothing repopulates while armed.
-            assert len(marshal_cache.DECODE) == 0
+            assert DECODE.stats()["entries"] == 0
         fresh = codec.decode(blob)
         assert fresh.seconds == cached.seconds
 
@@ -329,7 +284,7 @@ class TestCallPlans:
             conn.query("SELECT overlaps(valid, '{[1999-06-01, NOW]}') FROM Rx")
         # 2 distinct row blobs and 1 window literal: everything after
         # the first pass over each is a hit.
-        stats = marshal_cache.DECODE.stats()
+        stats = DECODE.stats()
         assert stats["hits"] / (stats["hits"] + stats["misses"]) >= 0.9
         assert marshal_cache.PARSE.stats()["hit_ratio"] >= 0.9
 
@@ -377,17 +332,14 @@ class TestResultMemo:
         connection.close()
 
     def _uncached(self, conn, sql):
-        marshal_cache.configure(enabled=False)
-        try:
+        with uncached():
             return conn.query(sql)
-        finally:
-            marshal_cache.configure(enabled=True)
 
     def test_nested_results_skip_the_decode_cache(self, conn):
         expected = self._uncached(conn, self.NESTED)
         marshal_cache.clear_caches(reset_stats=True)
         assert conn.query(self.NESTED) == expected
-        stats = marshal_cache.DECODE.stats()
+        stats = DECODE.stats()
         # start(), end_time() and tsub()/tadd() results feed the call
         # around them as objects: the only lookups are the leaves of the
         # two trees on the 12 non-NULL rows (valid and dob, valid and
@@ -408,7 +360,7 @@ class TestResultMemo:
         assert expected[0][1:] == (1, 1) and expected[-1][1:] == (None, None)
         # Five stored valid leaves per non-NULL row; start() and
         # end_time() reach contains()/element_union() undecoded.
-        stats = marshal_cache.DECODE.stats()
+        stats = DECODE.stats()
         assert stats["hits"] + stats["misses"] == 5 * 12
 
     def test_null_propagates_through_nested_calls(self, conn):
@@ -501,6 +453,13 @@ class TestResultMemo:
         assert fusion.executed_sql(self.NESTED) != self.NESTED
 
 
+def _cache_stats():
+    """``{cache: {hits, misses, evictions}}`` for all three caches."""
+    every = {**marshal_cache.stats(), "statement": compiled.stats()}
+    return {name: {key: stats[key] for key in ("hits", "misses", "evictions")}
+            for name, stats in every.items()}
+
+
 class TestObservability:
     def test_snapshot_carries_cache_section_and_counters(self):
         blob = codec.encode(Chronon(7))
@@ -508,7 +467,6 @@ class TestObservability:
             codec.decode(blob)
             codec.decode(blob)
             snapshot = obs.snapshot()
-        assert snapshot["caches"]["enabled"] is True
         assert snapshot["caches"]["decode"]["hits"] >= 1
         assert snapshot["counters"]["codec.cache.decode.hits"] >= 1
 
@@ -519,11 +477,6 @@ class TestObservability:
             prom = obs.render_prometheus(obs.snapshot())
         assert "marshalling caches:" in text
         assert 'tip_marshal_cache_entries{cache="decode"}' in prom
-
-    def test_render_text_reports_disabled_caches(self, disabled_caches):
-        with obs.capture():
-            text = obs.render_text(obs.snapshot())
-        assert "marshalling caches: disabled" in text
 
     def test_query_profile_sees_cache_deltas(self):
         conn = repro.connect(now="2000-01-01")
@@ -547,6 +500,75 @@ class TestObservability:
                 merged[name] = merged.get(name, 0) + delta
         # The second query decodes the same row blob: a cache hit.
         assert merged.get("codec.cache.decode.hits", 0) >= 1
+
+    # The stats contract: hits, misses and evictions are monotonic.
+    # The clears done by arming a fault plan and by a generation bump
+    # keep them; only ``reset_stats`` (``.metrics reset``) zeroes them.
+
+    WINDOW = "SELECT overlaps(valid, '{[1999-06-01, NOW]}') FROM t"
+
+    @pytest.fixture
+    def session(self):
+        compiled.clear_cache(reset_stats=True)
+        conn = repro.connect(now="2000-01-01")
+        conn.execute("CREATE TABLE t (valid ELEMENT)")
+        conn.execute("INSERT INTO t VALUES (element('{[1999-01-01, NOW]}'))")
+        yield TsqlSession(conn)
+        conn.close()
+        compiled.clear_cache(reset_stats=True)
+
+    def _traffic(self, session):
+        for _ in range(2):
+            session.query(self.WINDOW)
+        # Past the decode bound: evictions as well as hits and misses.
+        for n in range(DECODE_SIZE + 2):
+            codec.decode(codec.encode(Chronon(n)))
+
+    def test_stats_never_decrease_across_arm_and_bump(self, session):
+        self._traffic(session)
+        before = _cache_stats()
+        assert all(before[name]["hits"] for name in before)
+        assert before["decode"]["evictions"] >= 2
+        with faults.inject("stmt.cache:delay:delay=0.0", seed=1):
+            armed = _cache_stats()
+        compiled.bump_generation()
+        bumped = _cache_stats()
+        self._traffic(session)
+        after = _cache_stats()
+        for earlier, later in ((before, armed), (armed, bumped), (bumped, after)):
+            for name, stats in earlier.items():
+                for key, value in stats.items():
+                    assert later[name][key] >= value, (name, key)
+        assert after["decode"]["evictions"] > before["decode"]["evictions"]
+
+    def test_query_profile_cache_deltas_are_never_negative(self, session):
+        with obs.capture():
+            obs.flight.enable()
+            with obs.profile.forced():
+                session.query(self.WINDOW)
+                faults.arm("stmt.cache:delay:delay=0.0", seed=1)
+                faults.disarm()
+                session.query(self.WINDOW)
+                session.query("CREATE TABLE u (valid ELEMENT)")
+                session.query(self.WINDOW)
+            profiles = obs.profile.recent_profiles()
+        deltas = [(name, delta) for entry in profiles
+                  for name, delta in entry.counters.items()
+                  if name.startswith(("codec.cache.", "tsql.cache."))]
+        assert any(delta > 0 for _, delta in deltas)
+        assert all(delta >= 0 for _, delta in deltas), deltas
+
+    def test_metrics_reset_zeroes_the_stats(self, session):
+        from repro.cli import TipShell
+
+        self._traffic(session)
+        shell = TipShell()
+        try:
+            assert shell.execute_line(".metrics reset") == "metrics reset"
+        finally:
+            shell.close()
+        assert all(value == 0 for stats in _cache_stats().values()
+                   for value in stats.values())
 
 
 class TestRoundTripProperties:

@@ -143,6 +143,17 @@ class TestExplainTemporal:
         assert plain.executed == ""
         assert "executed:" not in plain.render()
 
+    def test_routine_table_counts_every_row(self, connection):
+        """The blade side's routine calls cover all three fetched rows,
+        not only the first one SQLite evaluates on execute."""
+        report = explain_temporal(
+            connection, "SELECT patient, tip_text(start(valid)) FROM rx")
+        calls = {name: entry["calls"]
+                 for name, entry in report.blade.profile.routines.items()}
+        assert calls == {"blade.routine.tip_eval": 3,
+                         "blade.routine.start": 3,
+                         "blade.routine.tip_text": 3}
+
     def test_as_dict_is_json_framable(self, connection):
         report = explain_temporal(connection, "SELECT patient FROM rx")
         clone = json.loads(json.dumps(report.as_dict()))

@@ -227,7 +227,7 @@ class TestServerEvents:
                     assert len(rows) == sum(2 * n < 7 * weeks
                                             for n in range(1_200))
                 kinds = [event.kind for event in flight.events()]
-        assert codec.cache.DECODE.stats()["misses"] >= 2_400
+        assert codec.cache.stats()["decode"]["misses"] >= 2_400
         assert kinds.count("stmt.begin") == kinds.count("stmt.end") == 3
         assert len(kinds) < 40
 

@@ -38,7 +38,6 @@ from repro.plan import kernels
 from repro.server import RemoteTipConnection, TipServer
 from repro.server import protocol
 from repro.tsql import TsqlSession
-from repro.tsql import compiled as stmt_cache
 from repro.tsql.explain import explain_temporal
 from repro.workload import graphs
 from repro.workload.medical import (
@@ -339,31 +338,6 @@ class TestPlannerDecisions:
                 == "planner disabled"
         finally:
             plan.configure(enabled=True)
-
-    def test_generation_bump_invalidates_cached_plans(
-        self, conn, forced_planner
-    ):
-        """DDL bumps the statement generation; shape plans keyed on it
-        must re-match instead of serving the stale entry."""
-        _load(conn, "L", [(1, E("{[1999-01-01, 1999-06-01]}"))])
-        _load(conn, "R", [(1, E("{[1999-03-01, 1999-09-01]}"))])
-        session = TsqlSession(conn)
-        translated = session.translate(HASH_Q)
-        plan.clear_caches()
-        with obs.capture():
-            plan.maybe_execute_kernel(conn, translated)
-            plan.maybe_execute_kernel(conn, translated)
-            first = dict(obs.snapshot()["counters"])
-            generation_before = stmt_cache.generation()
-            # DDL adding a temporal table: the session rescan bumps the
-            # process-wide generation, orphaning every cached plan.
-            session.query("CREATE TABLE bump (n INTEGER, valid ELEMENT)")
-            assert stmt_cache.generation() > generation_before
-            plan.maybe_execute_kernel(conn, translated)
-            second = obs.snapshot()["counters"]
-        assert first.get("plan.cache.miss") == 1
-        assert first.get("plan.cache.hit") == 1
-        assert second.get("plan.cache.miss") == 2
 
 
 _JOIN = ("SELECT e1.src, e2.dst, tintersect(e1.valid, e2.valid) AS valid "

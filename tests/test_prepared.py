@@ -1,17 +1,18 @@
 """The compiled-statement cache: prepared must equal ad-hoc, always.
 
 The headline property runs every generated tSQL statement three ways —
-cold compile (cache miss), warm compile (cache hit), and with the cache
-disabled outright — under a randomized session NOW, and asserts the
-rows are identical.  A statement cache that can change any answer is
-worse than no cache; these tests are the proof it can't.
+cold compile (cache miss), warm compile (cache hit), and ad hoc after
+clearing the cache (translated afresh) — under a randomized session
+NOW, and asserts the rows are identical.  A statement cache that can
+change any answer is worse than no cache; these tests are the proof it
+can't.
 
 Around the property: the LRU honours its bound (evictions, not
-growth), a disabled cache is perfectly inert (no entries, no counter
-motion), and schema motion — ``ALTER TABLE ADD COLUMN ... ELEMENT``,
-drop/recreate, ``register()`` — invalidates compiled plans instead of
-serving stale translations (the regression the generation counter
-exists to prevent).
+growth), and schema motion — ``ALTER TABLE ADD COLUMN ... ELEMENT``,
+drop/recreate, ``register()``, a DDL between two compiles of a join —
+invalidates compiled plans and their kernel shapes instead of serving
+stale translations (the regression the generation counter exists to
+prevent).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import faults, obs
+from repro.plan import shapes
 from repro.tsql import TsqlSession, compiled
 from tests.conftest import sec
 from tests.strategies import tsql_statements
@@ -41,13 +43,11 @@ _RX_ROWS = [
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    """Every test starts (and leaves) a clean, enabled, default cache."""
+    """Every test starts (and leaves) a clean cache with zeroed stats."""
     faults.disarm()
-    compiled.configure(enabled=True, size=compiled.DEFAULT_CACHE_SIZE)
     compiled.clear_cache(reset_stats=True)
     yield
     faults.disarm()
-    compiled.configure(enabled=True, size=compiled.DEFAULT_CACHE_SIZE)
     compiled.clear_cache(reset_stats=True)
 
 
@@ -80,11 +80,8 @@ def test_prepared_equals_adhoc_under_random_now(rx, stmt_params, now_s):
         compiled.clear_cache()
         cold = _rows(session, statement, params)      # compile: miss
         warm = _rows(session, statement, params)      # served from cache
-        compiled.configure(enabled=False)
-        try:
-            adhoc = _rows(session, statement, params)  # translated afresh
-        finally:
-            compiled.configure(enabled=True)
+        compiled.clear_cache()
+        adhoc = _rows(session, statement, params)     # translated afresh
         assert cold == warm == adhoc
     finally:
         connection.set_now("1999-09-01")
@@ -110,48 +107,18 @@ def test_whitespace_respellings_share_one_plan(rx, stmt_params):
 
 def test_lru_bound_and_eviction(rx):
     _, session = rx
-    compiled.configure(size=4)
-    compiled.clear_cache(reset_stats=True)
-    statements = [f"SELECT patient, {n} FROM Rx" for n in range(10)]
-    for statement in statements:
+    statements = [f"SELECT patient, {n} FROM Rx"
+                  for n in range(compiled.CACHE_SIZE + 6)]
+    first = [tuple(map(str, row)) for row in session.query(statements[0])]
+    for statement in statements[1:]:
         session.query(statement)
     stats = compiled.stats()
-    assert stats["entries"] <= 4
-    assert stats["evictions"] >= 6
-    assert stats["misses"] == 10
+    assert stats["entries"] == compiled.CACHE_SIZE
+    assert stats["evictions"] == 6
+    assert stats["misses"] == len(statements)
     # An evicted statement recompiles correctly (a fresh miss, same rows).
-    first = [tuple(map(str, row)) for row in session.query(statements[0])]
-    compiled.configure(enabled=False)
-    try:
-        assert [tuple(map(str, row)) for row in session.query(statements[0])] == first
-    finally:
-        compiled.configure(enabled=True)
-
-
-def test_disabled_cache_is_inert(rx):
-    _, session = rx
-    compiled.configure(enabled=False)
-    compiled.clear_cache(reset_stats=True)
-    for _ in range(3):
-        session.query("SNAPSHOT SELECT patient FROM Rx")
-    stats = compiled.stats()
-    assert stats["enabled"] is False
-    assert stats["entries"] == 0
-    assert stats["hits"] == 0 and stats["misses"] == 0
-    assert all(v == 0 for k, v in compiled.stats_counters().items()
-               if k != "tsql.cache.invalidate")
-
-
-def test_env_knob_parsing(monkeypatch):
-    for raw, expected in [("0", False), ("false", False), ("off", False),
-                          ("no", False), ("", False), ("1", True),
-                          ("on", True), ("yes", True)]:
-        monkeypatch.setenv("TIP_STATEMENT_CACHE", raw)
-        assert compiled._env_enabled() is expected, raw
-    monkeypatch.delenv("TIP_STATEMENT_CACHE")
-    assert compiled._env_enabled() is True
-    monkeypatch.setenv("TIP_STATEMENT_CACHE_SIZE", "not-a-number")
-    assert compiled._env_int("TIP_STATEMENT_CACHE_SIZE", 99) == 99
+    assert [tuple(map(str, row)) for row in session.query(statements[0])] == first
+    assert compiled.stats()["misses"] == len(statements) + 1
 
 
 class TestInvalidation:
@@ -206,6 +173,32 @@ class TestInvalidation:
             assert "contains_instant(Visits.vt" in session.translate(self.STATEMENT)
             session.register("Visits", "other")
             assert "contains_instant(Visits.other" in session.translate(self.STATEMENT)
+        finally:
+            connection.close()
+
+    def test_ddl_between_compiles_rematches_join_shape(self, monkeypatch):
+        """DDL bumps the generation; a join compiled before and after it
+        is matched twice, not served its stale kernel shape."""
+        matched = []
+        match = shapes.match
+        monkeypatch.setattr(
+            shapes, "match", lambda sql: matched.append(sql) or match(sql))
+        join = ("VALIDTIME SELECT l.k, r.k FROM L AS l, R AS r "
+                "WHERE l.k = r.k")
+        connection = repro.connect(now="1999-09-01")
+        try:
+            session = TsqlSession(connection)
+            session.query("CREATE TABLE L (k INTEGER, valid ELEMENT)")
+            session.query("CREATE TABLE R (k INTEGER, valid ELEMENT)")
+            registry = compiled.discover_valid_columns(connection)
+            first = compiled.compile_statement(join, registry)
+            assert compiled.compile_statement(join, registry) is first
+            assert first.shape is not None and len(matched) == 1
+            session.query("CREATE TABLE bump (n INTEGER, valid ELEMENT)")
+            registry = compiled.discover_valid_columns(connection)
+            again = compiled.compile_statement(join, registry)
+            assert again.generation > first.generation
+            assert again.shape == first.shape and len(matched) == 2
         finally:
             connection.close()
 

@@ -125,6 +125,30 @@ class TestQueryProfile:
         assert connection.last_profile is not None
         assert connection.last_profile.sql == "SELECT k FROM t"
 
+    @pytest.mark.parametrize("path", ["execute", "execute_fetchall"])
+    def test_routine_calls_of_every_fetched_row_are_counted(
+        self, captured, connection, path
+    ):
+        """SQLite evaluates every row after the first while fetching;
+        the profile's deltas must include those rows' routine calls."""
+        for k in (2, 3):
+            connection.execute(
+                f"INSERT INTO t VALUES ({k}, element('{{[1999-01-01, NOW]}}'))")
+        sql = "SELECT k, tip_text(start(v)) FROM t"
+        with profile.forced():
+            if path == "execute":
+                cursor = connection.execute(sql)
+                rows = cursor.fetchall()
+            else:
+                cursor = connection.cursor()
+                rows = cursor.execute_fetchall(sql)
+        assert len(rows) == cursor.profile.rows == 3
+        calls = {name: entry["calls"]
+                 for name, entry in cursor.profile.routines.items()}
+        assert calls == {"blade.routine.tip_eval": 3,
+                         "blade.routine.start": 3,
+                         "blade.routine.tip_text": 3}
+
     def test_wire_round_trip_preserves_fields(self):
         prof = QueryProfile(
             sql="SELECT 1", engine="blade", side="server",
