@@ -232,6 +232,9 @@ class TipCursor:
             _FAULTS.plan.apply("conn.execute")
         if _PROFILE.enabled or _PROFILE.forced:
             return self._execute_profiled(sql, parameters)
+        # An earlier profiled statement's profile must not collect this
+        # statement's fetches.
+        self.profile = self._recorder = None
         self._stmt_now = self._connection.statement_now_seconds()
         # Direct token bind/reset: this brackets every statement and
         # every fetch, so it skips use_now's generator + dispatch cost.

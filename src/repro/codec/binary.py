@@ -61,7 +61,8 @@ __all__ = [
     "element_pairs",
     "element_arrays",
     "merge_pairs",
-    "stamp_elements",
+    "decode_many",
+    "pack_elements",
     "is_tip_blob",
     "tip_type_of",
     "TAG_BY_TYPE",
@@ -391,6 +392,32 @@ def merge_pairs(owner, lo, hi):
     return owners[closes], at[(depth == 1) & (is_end == 0)], at[closes] - 1
 
 
+def _element_payloads(blobs: Sequence[bytes]):
+    """The header and period parse of Element blobs, all in one pass.
+
+    Returns ``(ok, blob_of, periods)``: which blobs carry a well-formed
+    Element header and exactly the payload length their count says,
+    the ``_PERIOD`` records of those blobs back to back, and the index
+    of each record's blob.  Nothing is grounded or validated beyond
+    the header and the length.
+    """
+    sizes = np.fromiter(map(len, blobs), np.int64, len(blobs))
+    starts = np.cumsum(sizes) - sizes
+    # Padded so every header gather stays in bounds; short blobs fail
+    # the length test below whatever bytes they pick up.
+    data = np.frombuffer(b"".join(blobs) + bytes(_HEADER_LEN), np.uint8)
+    header = data[starts[:, None] + np.arange(_HEADER_LEN)]
+    count = np.ascontiguousarray(header[:, 3:]).view(">u4")[:, 0] \
+        .astype(np.int64)
+    ok = (header[:, :3] == _HEADER_ARRAY).all(axis=1) & (
+        sizes == _HEADER_LEN + count * _PERIOD.itemsize)
+    # The payloads of the well-formed blobs, back to back.
+    keep = np.repeat(ok, sizes)
+    keep[(starts[ok][:, None] + np.arange(_HEADER_LEN)).ravel()] = False
+    periods = data[:-_HEADER_LEN][keep].view(_PERIOD)
+    return ok, np.repeat(np.flatnonzero(ok), count[ok]), periods
+
+
 def element_arrays(values: Sequence, now_seconds: int, mismatch: str):
     """A fetched Element column grounded at *now_seconds*, as flat arrays.
 
@@ -421,22 +448,8 @@ def element_arrays(values: Sequence, now_seconds: int, mismatch: str):
                 if value is not None and (armed or type(value) is not bytes)]
     row = lo = hi = np.empty(0, np.int64)
     if at:
-        blobs = list(map(values.__getitem__, at))
-        sizes = np.fromiter(map(len, blobs), np.int64, len(blobs))
-        starts = np.cumsum(sizes) - sizes
-        # Padded so every header gather stays in bounds; short blobs
-        # fail the length test below whatever bytes they pick up.
-        data = np.frombuffer(b"".join(blobs) + bytes(_HEADER_LEN), np.uint8)
-        header = data[starts[:, None] + np.arange(_HEADER_LEN)]
-        count = np.ascontiguousarray(header[:, 3:]).view(">u4")[:, 0] \
-            .astype(np.int64)
-        ok = (header[:, :3] == _HEADER_ARRAY).all(axis=1) & (
-            sizes == _HEADER_LEN + count * _PERIOD.itemsize)
-        # The payloads of the well-formed blobs, back to back.
-        keep = np.repeat(ok, sizes)
-        keep[(starts[ok][:, None] + np.arange(_HEADER_LEN)).ravel()] = False
-        periods = data[:-_HEADER_LEN][keep].view(_PERIOD)
-        blob_of = np.repeat(np.flatnonzero(ok), count[ok])
+        ok, blob_of, periods = _element_payloads(
+            list(map(values.__getitem__, at)))
         lo_flavor, hi_flavor = periods["lo_flavor"], periods["hi_flavor"]
         lo, lo_invalid = _ground(lo_flavor, periods["lo"], now_seconds)
         hi, hi_invalid = _ground(hi_flavor, periods["hi"], now_seconds)
@@ -463,36 +476,79 @@ def element_arrays(values: Sequence, now_seconds: int, mismatch: str):
     return row, lo, hi, len(slow)
 
 
-def stamp_elements(elements: Sequence[Element], counts, lo, hi) -> None:
-    """Stamp freshly built canonical Elements with their blobs.
+#: Below this many blobs :func:`decode_many` decodes one at a time: the
+#: vectorized pass costs ~60 us whatever its size, a per-blob decode
+#: ~2 us (a decode-cache hit far less), so the two meet near 64.
+_VECTOR_MIN = 64
 
-    Element ``k`` of *elements* owns the next ``counts[k]`` of the flat
-    canonical ``(lo, hi)`` pair arrays.  Every period is determinate,
-    so the blob is the header, the count and one ``_PERIOD`` record per
-    pair; all of them are packed in one numpy pass and sliced apart.
-    The objects must be fresh: the slot is set, never read.
+
+def decode_many(blobs: Sequence[bytes]) -> list:
+    """``[decode(blob) for blob in blobs]``, canonical Elements in bulk.
+
+    The canonical all-determinate Element blobs among *blobs* (what the
+    kernels and the blade write) are parsed by :func:`element_arrays`'
+    header and period pass and become Elements with no per-blob decode;
+    each is stamped with its blob, which it provably re-encodes to.
+    Every other blob — other TIP types, NOW-relative or non-canonical
+    Elements, malformed ones — and every blob while a fault plan is
+    armed goes through :func:`decode`, so its value or its error is the
+    per-blob one.
     """
-    if not len(elements):
-        return
+    if _FAULTS.plan is not None or len(blobs) < _VECTOR_MIN:
+        return list(map(decode, blobs))
+    ok, blob_of, periods = _element_payloads(blobs)
+    lo_flavor, hi_flavor = periods["lo_flavor"], periods["hi_flavor"]
+    lo, lo_invalid = _ground(lo_flavor, periods["lo"], 0)
+    hi, hi_invalid = _ground(hi_flavor, periods["hi"], 0)
+    # Canonical: determinate, in the calendar, each period non-empty
+    # and strictly after its predecessor's end plus one.
+    bad = (lo_flavor != 0) | (hi_flavor != 0) | lo_invalid | hi_invalid \
+        | (lo > hi)
+    bad[1:] |= (blob_of[1:] == blob_of[:-1]) & (lo[1:] <= hi[:-1] + 1)
+    ok[blob_of[bad]] = False
+    bounds = np.zeros(len(blobs) + 1, np.int64)
+    np.cumsum(np.bincount(blob_of, minlength=len(blobs)), out=bounds[1:])
+    pairs = list(zip(lo.tolist(), hi.tolist()))
+    out = []
+    for blob, fine, start, end in zip(blobs, ok.tolist(), bounds.tolist(),
+                                      bounds[1:].tolist()):
+        if fine:
+            value = Element._from_canonical_pairs(pairs[start:end])
+            value._tip_blob = blob
+        else:
+            value = decode(blob)
+        out.append(value)
+    return out
+
+
+def pack_elements(counts, lo, hi):
+    """The canonical blobs of determinate Elements, back to back.
+
+    Element ``k`` owns the next ``counts[k]`` of the flat canonical
+    ``(lo, hi)`` pair arrays.  Every period is determinate, so a blob
+    is the header, the count and one ``_PERIOD`` record per pair; all
+    of them are packed in one numpy pass.  Returns ``(sizes, data)``:
+    each blob's int64 length and the concatenated bytes — exactly what
+    :func:`encode` writes for each Element.
+    """
     counts = np.asarray(counts, np.int64)
     periods = np.zeros(len(lo), _PERIOD)
     periods["lo"] = np.asarray(lo, np.int64) + _BIAS_SECONDS
     periods["hi"] = np.asarray(hi, np.int64) + _BIAS_SECONDS
     sizes = _HEADER_LEN + counts * _PERIOD.itemsize
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
+    if not len(counts):
+        return sizes, b""
+    starts = np.cumsum(sizes) - sizes
     header = np.empty((len(counts), _HEADER_LEN), np.uint8)
     header[:, :3] = _HEADER_ARRAY
     header[:, 3:] = counts.astype(">u4").view(np.uint8).reshape(-1, 4)
-    data = np.empty(int(ends[-1]), np.uint8)
+    data = np.empty(int(starts[-1] + sizes[-1]), np.uint8)
     in_header = np.zeros(len(data), bool)
     at = (starts[:, None] + np.arange(_HEADER_LEN)).ravel()
     data[at] = header.ravel()
     in_header[at] = True
     data[~in_header] = periods.view(np.uint8)
-    packed = data.tobytes()
-    for element, start, end in zip(elements, starts.tolist(), ends.tolist()):
-        element._tip_blob = packed[start:end]
+    return sizes, data.tobytes()
 
 
 def _build(tip_type: Type[TipValue], seconds: int) -> TipValue:

@@ -10,38 +10,69 @@ without importing the planner.
 from __future__ import annotations
 
 import gc
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-__all__ = ["ColumnTable"]
+import numpy as np
+
+from repro.codec.binary import pack_elements
+from repro.core.element import Element
+
+__all__ = ["ColumnTable", "ElementColumn"]
+
+
+class ElementColumn:
+    """A column of canonical, determinate Elements shared among rows.
+
+    Row ``r`` holds distinct value ``slots[r]``, and distinct value
+    ``k`` owns the next ``counts[k]`` of the flat ``(lo, hi)`` pair
+    arrays.  The server packs the values' blobs straight from the pairs
+    (:meth:`pack`) and never builds an Element; :meth:`tolist` builds
+    each distinct Element once for an embedded caller.
+    """
+
+    __slots__ = ("slots", "counts", "lo", "hi")
+
+    def __init__(self, slots: np.ndarray, counts: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray) -> None:
+        self.slots = slots
+        self.counts = counts
+        self.lo = lo
+        self.hi = hi
+
+    def pack(self) -> Tuple[np.ndarray, bytes]:
+        """The distinct values' canonical blobs: ``(sizes, data)``."""
+        return pack_elements(self.counts, self.lo, self.hi)
+
+    def tolist(self) -> List[Element]:
+        """The rows' values, one shared Element per distinct value."""
+        bounds = np.zeros(len(self.counts) + 1, np.int64)
+        np.cumsum(self.counts, out=bounds[1:])
+        pairs = list(zip(self.lo.tolist(), self.hi.tolist()))
+        bound_list = bounds.tolist()
+        values = [Element._from_canonical_pairs(tuple(pairs[a:b]))
+                  for a, b in zip(bound_list, bound_list[1:])]
+        return list(map(values.__getitem__, self.slots.tolist()))
 
 
 class ColumnTable:
     """Result rows held column-major: ``cols[c][r]`` is column c of row r.
 
-    ``n`` is the row count, so ``len()`` needs no tuples; the server
-    frames the columns as they are
-    (:func:`repro.server.protocol.dump_result`).  *stamp*, when given,
-    packs the canonical blobs of the Elements the kernel built; the
-    server runs it (:meth:`stamp_blobs`) right before it encodes them,
-    so an embedded caller, who never encodes them, does not pay for it.
+    A column is a Python sequence, an int64 numpy array (a kernel's
+    all-integer column, gathered by row index) or an
+    :class:`ElementColumn`.  ``n`` is the row count, so ``len()`` needs
+    no tuples; the server frames the columns as they are
+    (:func:`repro.server.protocol.dump_result`), packing the arrays
+    and the Element columns without a Python object per row.
     """
 
-    __slots__ = ("cols", "n", "_stamp")
+    __slots__ = ("cols", "n")
 
-    def __init__(self, cols: List[Sequence], n: int,
-                 stamp: Optional[Callable[[], None]] = None) -> None:
+    def __init__(self, cols: List[Sequence], n: int) -> None:
         self.cols = cols
         self.n = n
-        self._stamp = stamp
 
     def __len__(self) -> int:
         return self.n
-
-    def stamp_blobs(self) -> None:
-        """Stamp the kernel's fresh Elements with their blobs, once."""
-        stamp, self._stamp = self._stamp, None
-        if stamp is not None:
-            stamp()
 
     def tuples(self) -> List[Tuple]:
         """The rows as tuples, built with one ``zip``.
@@ -54,7 +85,11 @@ class ColumnTable:
         if gc_was_enabled:
             gc.disable()
         try:
-            return list(zip(*self.cols)) if self.cols else [()] * self.n
+            if not self.cols:
+                return [()] * self.n
+            return list(zip(*[
+                column if isinstance(column, (list, tuple))
+                else column.tolist() for column in self.cols]))
         finally:
             if gc_was_enabled:
                 gc.enable()

@@ -21,14 +21,16 @@ __all__ = ["CATALOGUE", "PAYLOAD_POINTS", "describe"]
 CATALOGUE: Dict[str, str] = {
     "server.frame.read": "server: an inbound frame line, after the socket "
                          "read and before parsing",
-    "server.frame.write": "server: an outbound response frame, after "
-                          "serialization and before the socket write",
+    "server.frame.write": "server: an outbound response frame, header "
+                          "line and binary body, after serialization and "
+                          "before the socket write",
     "client.connect": "remote client: establishing the TCP connection "
                       "(initial connect and every reconnect)",
     "client.send": "remote client: a serialized request frame, before "
                    "the socket write",
-    "client.recv": "remote client: a response frame line, after the "
-                   "socket read and before parsing",
+    "client.recv": "remote client: a response frame, its header line and "
+                   "binary body, after the socket reads and before "
+                   "parsing",
     "conn.execute": "local connection: statement execution in "
                     "TipCursor.execute, before the engine runs it",
     "blade.routine": "blade: every SQL routine invocation, before "

@@ -42,15 +42,16 @@ in one vectorized pass, NOW-relative and non-canonical blobs included;
 only values the per-blob decoder would reject (and non-blob values)
 decode one at a time (counted as ``fallback_decodes``).
 
-A kernel result is a :class:`repro.columns.ColumnTable`.  The emit gathers each
-projected column by row index from its side's fetched values, and
-builds the validity column from one Element per distinct intersection:
-single-pair intersections are deduplicated in one vectorized pass
-(``np.lexsort`` and run boundaries), the rest through a dict, so equal
-validities encode once.  The server frames the columns as they are,
-packing the fresh Elements' canonical blobs in one numpy pass first
-(:meth:`ColumnTable.stamp_blobs`); only an embedded caller builds row
-tuples.
+A kernel result is a :class:`repro.columns.ColumnTable`.  The emit
+gathers each projected column by row index from its side's fetched
+values — an all-integer column as an int64 array, straight from the
+candidate index arrays — and builds the validity column as an
+:class:`~repro.columns.ElementColumn`: the distinct intersections
+(single-pair ones deduplicated in one vectorized pass, ``np.lexsort``
+and run boundaries, the rest through a dict) and each row's slot among
+them.  The server packs those columns for the wire with no Python
+object per row and no Element at all; only an embedded caller builds
+Elements and row tuples (:meth:`ColumnTable.tuples`).
 
 Every kernel grounds elements at one statement ``NOW`` and produces
 rows value-identical to the naive path — the differential suite
@@ -68,15 +69,13 @@ compared columns' affinities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, compress, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.codec.binary import element_arrays, merge_pairs, stamp_elements
-from repro.columns import ColumnTable
-from repro.core.element import Element
+from repro.codec.binary import element_arrays, merge_pairs
+from repro.columns import ColumnTable, ElementColumn
 from repro.core.span import Span
 from repro.plan.shapes import CoalesceShape, Condition, JoinShape
 from repro.tsql.parser import Column
@@ -156,6 +155,17 @@ def _map_output(connection, values: Sequence) -> Sequence:
             for value in values]
 
 
+def _int_array(values: Sequence) -> Sequence:
+    """*values* as an int64 array when every one is an int that fits,
+    so the emit gathers it by row index; otherwise as they are."""
+    if set(map(type, values)) == {int}:
+        try:
+            return np.fromiter(values, np.int64, len(values))
+        except OverflowError:
+            pass
+    return values
+
+
 class _Side:
     """One fetched, grounded join input: its surviving rows' stored
     columns, and its validity pairs as flat int64 arrays, row-major
@@ -167,7 +177,8 @@ class _Side:
     def __init__(self, cols: Dict[str, Sequence], outs: Dict[str, Sequence],
                  n: int, row, lo, hi, fetched: int, fallbacks: int) -> None:
         self.cols = cols            # column name -> stored values
-        self.outs = outs            # projected column -> type-mapped values
+        self.outs = outs            # projected column -> type-mapped
+                                    # values (int64 array if all ints)
         self.n = n                  # surviving rows, fetch order
         self.row, self.lo, self.hi = row, lo, hi  # one entry per pair
         self.counts = np.bincount(row, minlength=n)
@@ -237,7 +248,8 @@ def _prepare_side(connection, table: str, columns: List[str],
         keep_list = keep.tolist()
         fetched = [list(compress(values, keep_list)) for values in fetched]
     cols = dict(zip(columns, fetched))
-    outs = {name: _map_output(connection, cols[name]) for name in outputs}
+    outs = {name: _int_array(_map_output(connection, cols[name]))
+            for name in outputs}
     return _Side(cols, outs, int(np.count_nonzero(keep)), row, lo, hi,
                  len(stored), fallbacks)
 
@@ -322,23 +334,21 @@ _VECTOR_CHUNK = 1 << 18
 
 
 class _Validities:
-    """The validity column under construction: one shared Element per
-    distinct intersection (its canonical pairs), and each row's slot in
-    that table."""
+    """The validity column under construction: the distinct
+    intersections (their canonical pair tuples, in slot order) and each
+    row's slot among them."""
 
     def __init__(self) -> None:
-        self.slot_of: Dict[Tuple[Pair, ...], int] = {}  # table order
-        self.table: List[Element] = []
+        self.slot_of: Dict[Tuple[Pair, ...], int] = {}  # slot order
         self.slots: List[np.ndarray] = []
 
     def _intern(self, keys: List[Tuple[Pair, ...]]) -> List[int]:
-        """Table slots of the distinct pair tuples *keys*."""
+        """Slots of the distinct pair tuples *keys*."""
         slots = list(map(self.slot_of.get, keys))
         if None in slots:
             fresh = [key for key, slot in zip(keys, slots) if slot is None]
-            start = len(self.table)
+            start = len(self.slot_of)
             self.slot_of.update(zip(fresh, range(start, start + len(fresh))))
-            self.table.extend(map(Element._from_canonical_pairs, fresh))
             slots = list(map(self.slot_of.__getitem__, keys))
         return slots
 
@@ -374,19 +384,14 @@ class _Validities:
             slots[several] = list(map(slot_of.__getitem__, keys))
         self.slots.append(slots)
 
-    def stamp(self) -> None:
-        """Stamp the table's Elements with their canonical blobs."""
+    def column(self) -> ElementColumn:
         keys = list(self.slot_of)
-        counts = list(map(len, keys))
+        counts = np.fromiter(map(len, keys), np.int64, len(keys))
         flat = np.fromiter(chain.from_iterable(chain.from_iterable(keys)),
-                           np.int64, 2 * sum(counts))
-        stamp_elements(self.table, counts, flat[0::2], flat[1::2])
-
-    def column(self) -> List[Element]:
-        if not self.slots:
-            return []
-        return list(map(self.table.__getitem__,
-                        np.concatenate(self.slots).tolist()))
+                           np.int64, 2 * int(counts.sum()))
+        slots = np.concatenate(self.slots) if self.slots \
+            else np.empty(0, np.int64)
+        return ElementColumn(slots, counts, flat[0::2], flat[1::2])
 
 
 def _vector_emit(left: _Side, right: _Side,
@@ -449,18 +454,21 @@ def _vector_emit(left: _Side, right: _Side,
         survivor_lefts.append(lefts[survivors])
         survivor_rights.append(rights[survivors])
 
-    def rows_of(parts: List[np.ndarray]) -> List[int]:
-        return np.concatenate(parts).tolist() if parts else []
+    def rows_of(parts: List[np.ndarray]) -> np.ndarray:
+        return np.concatenate(parts) if parts else np.empty(0, np.int64)
 
     at = {0: rows_of(survivor_lefts), 1: rows_of(survivor_rights)}
     columns: List[Sequence] = []
     for side, name in slots:
         if side == 2:
             columns.append(validities.column())
+            continue
+        values = (left if side == 0 else right).outs[name]
+        if isinstance(values, np.ndarray):
+            columns.append(values[at[side]])
         else:
-            values = (left if side == 0 else right).outs[name]
-            columns.append(list(map(values.__getitem__, at[side])))
-    return ColumnTable(columns, len(at[0]), validities.stamp)
+            columns.append(list(map(values.__getitem__, at[side].tolist())))
+    return ColumnTable(columns, len(at[0]))
 
 
 # -- the kernels --------------------------------------------------------
@@ -594,21 +602,16 @@ def execute_coalesce(connection, shape: CoalesceShape,
         stored, now_seconds, "group_union expects Elements")
     group, lo, hi = merge_pairs(group_of[row], lo, hi)
 
-    stamp = None
     if shape.agg_wrapper in ("length", "length_seconds"):
         totals = np.zeros(len(keys), np.int64)
         np.add.at(totals, group, hi - lo + 1)
-        aggregates: List[object] = [Span(n) for n in totals.tolist()]
+        aggregates: Sequence = [Span(n) for n in totals.tolist()]
         if shape.agg_wrapper == "length_seconds":
             aggregates = [span.seconds for span in aggregates]
-    else:  # the coalesced element itself
-        bounds = np.searchsorted(group, np.arange(len(keys) + 1))
-        bound_list, lo_list, hi_list = bounds.tolist(), lo.tolist(), hi.tolist()
-        aggregates = [
-            Element._from_canonical_pairs(tuple(zip(lo_list[a:b],
-                                                    hi_list[a:b])))
-            for a, b in zip(bound_list, bound_list[1:])]
-        stamp = partial(stamp_elements, aggregates, np.diff(bounds), lo, hi)
+    else:  # the coalesced element itself, one per group
+        aggregates = ElementColumn(
+            np.arange(len(keys)), np.bincount(group, minlength=len(keys)),
+            lo, hi)
 
     key_columns = list(zip(*keys)) if keys else [()] * len(columns)
     out: List[Sequence] = [
@@ -618,7 +621,7 @@ def execute_coalesce(connection, shape: CoalesceShape,
     names = [output.name for output in shape.outputs]
     names.insert(shape.agg_at, shape.agg_name)
     return KernelResult(
-        ColumnTable(out, len(keys), stamp), names, "sweep", now_seconds,
+        ColumnTable(out, len(keys)), names, "sweep", now_seconds,
         {"groups": len(keys), "input_rows": len(stored),
          "fallback_decodes": fallbacks},
     )

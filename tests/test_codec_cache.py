@@ -29,7 +29,8 @@ from repro import codec, faults, obs
 from repro.blade import fusion
 from repro.codec import cache as marshal_cache
 from repro.codec.binary import (
-    DECODE, DECODE_SIZE, MAGIC, VERSION, _decode_bytes, stamp_elements,
+    DECODE, DECODE_SIZE, MAGIC, VERSION, _decode_bytes, decode_many,
+    pack_elements,
 )
 from repro.core import use_now
 from repro.core.chronon import Chronon
@@ -156,18 +157,70 @@ class TestEncodeStamp:
     @given(st.lists(st.lists(st.tuples(st.integers(0, 10**9),
                                        st.integers(0, 10**6)),
                              max_size=4), max_size=6))
-    def test_batch_stamp_writes_the_encoded_bytes(self, raw):
-        """``stamp_elements`` packs exactly what ``encode`` writes, for
+    def test_batch_pack_writes_the_encoded_bytes(self, raw):
+        """``pack_elements`` packs exactly what ``encode`` writes, for
         empty, single- and multi-period elements alike."""
         pairs = [Element.from_pairs([(lo, lo + width) for lo, width in item])
                  ._pairs for item in raw]
-        fresh = [Element._from_canonical_pairs(tuple(p)) for p in pairs]
         flat = [pair for p in pairs for pair in p]
-        stamp_elements(fresh, [len(p) for p in pairs],
-                       [lo for lo, _ in flat], [hi for _, hi in flat])
-        for element, p in zip(fresh, pairs):
-            assert element._tip_blob == codec.encode(
-                Element._from_canonical_pairs(tuple(p)))
+        sizes, data = pack_elements([len(p) for p in pairs],
+                                    [lo for lo, _ in flat],
+                                    [hi for _, hi in flat])
+        blobs = [codec.encode(Element._from_canonical_pairs(tuple(p)))
+                 for p in pairs]
+        assert sizes.tolist() == list(map(len, blobs))
+        assert data == b"".join(blobs)
+
+
+class TestDecodeMany:
+    """The value-table decoder equals one ``decode`` per blob."""
+
+    @staticmethod
+    def _blobs():
+        """Canonical Elements (empty, one and many periods), NOW-relative
+        and non-canonical Elements, and every other TIP type."""
+        canonical = [Element.from_pairs([(k * 100, k * 100 + 10 * (k % 3)),
+                                         (k * 100 + 50, k * 100 + 60)][:k % 3])
+                     for k in range(80)]
+        start, end = (codec.encode(Chronon(n))[3:] for n in (100, 200))
+        determinate = b"\x00" + start[0:8], b"\x00" + end[0:8]
+        overlapping = bytes((MAGIC, VERSION, 0x05)) + b"\x00\x00\x00\x02" \
+            + (determinate[0] + determinate[1]) * 2  # a repeated period
+        return [codec.encode(value) for value in canonical] + [
+            codec.encode(Element.parse("{[1999-01-01, NOW]}")),
+            overlapping,
+            codec.encode(Chronon(5)), codec.encode(Span(7)),
+            codec.encode(Period(Chronon(1), Chronon(2))),
+            codec.encode(Instant.now_relative(Span(3))),
+        ]
+
+    def test_equals_per_blob_decode(self):
+        blobs = self._blobs()
+        decoded = decode_many(blobs)
+        expected = [_decode_bytes(blob, stamp=False) for blob in blobs]
+        assert [type(v) for v in decoded] == [type(v) for v in expected]
+        assert [codec.encode(v) for v in decoded] \
+            == [codec.encode(v) for v in expected]
+        # Canonical blobs come back stamped with themselves.
+        for blob, value in zip(blobs[:80], decoded):
+            assert value._tip_blob is blob
+
+    def test_malformed_blob_raises_the_per_blob_error(self):
+        blobs = self._blobs()
+        broken = blobs[:70] + [blobs[5][:-1]]
+        with pytest.raises(CodecError) as many:
+            decode_many(broken)
+        with pytest.raises(CodecError) as one:
+            _decode_bytes(blobs[5][:-1], stamp=False)
+        assert str(many.value) == str(one.value)
+
+    def test_armed_plan_decodes_every_blob(self):
+        """With a fault plan armed every blob reaches ``decode()``, so
+        its injection point fires as on the per-blob path."""
+        blobs = self._blobs()
+        with faults.inject("codec.decode:raise:after=69", seed=3):
+            with pytest.raises(faults.InjectedFault):
+                decode_many(blobs)
 
 
 class TestParseCache:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro import faults, obs, plan
+from repro import codec, faults, obs, plan
+from repro.core.element import Element
 from repro.errors import CodecError, TipError
 from repro.faults import InjectedFault
 from repro.server import RemoteTipConnection, TipServer
@@ -230,6 +231,42 @@ def test_chaos_cell(point, mode, tmp_path):
     # Determinism: the same seeded plan replays to the same outcome.
     second = run("second")
     assert second == first, f"{point}:{mode} not replayable: {first} vs {second}"
+
+
+def _typed(rows):
+    """Rows by type and wire form: a wrong value never compares equal."""
+    return [tuple((type(value).__name__,
+                   codec.encode(value) if isinstance(value, Element)
+                   else value) for value in row) for row in rows]
+
+
+@pytest.mark.parametrize("mode", ("corrupt", "truncate"))
+@pytest.mark.parametrize("point", ("server.frame.write", "client.recv"))
+def test_frame_faults_on_a_tip_result_retry_to_its_rows(point, mode):
+    """The frame cells above carry ``SELECT 1``; these carry a
+    multi-row result with a packed int column and an Element value
+    table in the binary body.  A flipped byte (in the header: invalid
+    UTF-8; in the body: a CRC mismatch) or a cut frame is a garbled,
+    retried response, so the rows that come back equal the unfaulted
+    ones — for every byte the seeds pick, never a silently wrong value.
+    (An armed plan keeps the statement off the kernel, fallback reason
+    ``faults``: the frame carries the naive path's rows.)"""
+    with TipServer(":memory:", observability=False) as server:
+        host, port = server.address
+        connection = RemoteTipConnection(host, port, request_timeout=0.35,
+                                         seed=SEED, **FAST_RETRY)
+        connection.set_now("1999-06-30")  # a retry must ground NOW alike
+        connection.execute("CREATE TABLE chaos_edges (n INTEGER, valid ELEMENT)")
+        for n in range(6):
+            connection.execute("INSERT INTO chaos_edges VALUES (?, ?)", (
+                n, E("{[1999-01-01, 1999-02-01]}") if n % 2
+                else E("{[1999-03-01, 1999-04-01], [1999-05-01, NOW]}")))
+        expected = _typed(connection.query(_KERNEL))
+        assert len(expected) == 6
+        for seed in range(8 if mode == "corrupt" else 1):
+            with faults.inject(f"{point}:{mode}", seed=seed):
+                assert _typed(connection.query(_KERNEL)) == expected
+        connection.close()
 
 
 def test_matrix_covers_the_whole_catalogue():

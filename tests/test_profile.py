@@ -119,6 +119,24 @@ class TestQueryProfile:
         other = connection.execute("SELECT k FROM t")
         assert other.profile is None
 
+    def test_unprofiled_statement_leaves_the_earlier_profile_alone(
+        self, captured, connection
+    ):
+        """A reused cursor: the unprofiled statement's fetches must not
+        be charged to the profile of the profiled one before it."""
+        connection.execute("INSERT INTO t VALUES (2, NULL)")
+        for k in range(3, 6):
+            connection.execute(f"INSERT INTO t VALUES ({k}, NULL)")
+        cursor = connection.cursor()
+        with profile.forced():
+            cursor.execute("SELECT k FROM t WHERE k <= 2")
+            assert len(cursor.fetchall()) == 2
+        first = cursor.profile
+        cursor.execute("SELECT k FROM t")
+        assert len(cursor.fetchall()) == 5
+        assert first.rows == 2
+        assert cursor.profile is None
+
     def test_last_profile_exposed_on_the_connection(self, captured, connection):
         profile.enable()
         connection.execute("SELECT k FROM t").fetchall()

@@ -18,7 +18,7 @@ from repro import faults
 from repro.server import RemoteTipConnection, TipServer
 from repro.server.client import RemoteError, RetryPolicy
 from repro.tsql import compiled
-from tests.test_protocol_pipeline import _Wire, _ok
+from tests.test_protocol_pipeline import _Wire, _ok, _q
 
 NOW = "1999-09-01"
 SEED = 1999
@@ -96,7 +96,7 @@ class TestGoldenFrames:
                    "rowcount": 3, "count": 3, "statement_now": NOW}
             assert wire.round_trip({
                 "op": "execute", "sql": "SELECT COUNT(*) FROM t", "params": [],
-            }) == _ok([[3]], ["COUNT(*)"], 1)
+            }) == _ok(["q"], ["COUNT(*)"], 1, [_q(3)])
             wire.close()
 
     def test_malformed_frames_fail_typed(self):
@@ -141,7 +141,7 @@ class TestGoldenFrames:
             handle, _ = _prepare(wire, "SELECT 1")
             assert wire.round_trip(
                 {"op": "execute_prepared", "handle": handle, "params": []}
-            ) == _ok([[1]], ["1"], 1)
+            ) == _ok(["q"], ["1"], 1, [_q(1)])
             wire.round_trip({"op": "execute",
                              "sql": "CREATE TABLE moved (n INTEGER)",
                              "params": []})
@@ -155,7 +155,7 @@ class TestGoldenFrames:
             fresh, _ = _prepare(wire, "SELECT 1")
             assert wire.round_trip(
                 {"op": "execute_prepared", "handle": fresh, "params": []}
-            ) == _ok([[1]], ["1"], 1)
+            ) == _ok(["q"], ["1"], 1, [_q(1)])
             wire.close()
 
     def test_handles_are_private_to_their_session(self):
