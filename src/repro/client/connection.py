@@ -82,6 +82,9 @@ class TipConnection:
         self._now_override: Optional[int] = None
         self.type_map = type_map if type_map is not None else TypeMap()
         self._last_profile = None
+        #: The planner's table images for this connection
+        #: (:mod:`repro.plan.images`), made on first kernel use.
+        self.table_images = None
         if now is not None:
             self.set_now(now)
 

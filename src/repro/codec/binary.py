@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import struct
 from functools import partial
-from itertools import chain
+from itertools import chain, compress
 from typing import Sequence, Type, Union
 
 import numpy as np
@@ -60,6 +60,9 @@ __all__ = [
     "DECODE_SIZE",
     "element_pairs",
     "element_arrays",
+    "ElementParse",
+    "parse_elements",
+    "ground_elements",
     "merge_pairs",
     "decode_many",
     "pack_elements",
@@ -354,42 +357,68 @@ _HEADER_ARRAY = np.frombuffer(_ELEMENT_HEADER, np.uint8)
 _MAX_SPAN = granularity.MAX_SPAN_SECONDS
 
 
-def _ground(flavor, biased, now_seconds: int):
-    """Grounded bounds of stored instant bodies, and which are invalid.
+def _unground(flavor, biased):
+    """Stored instant bodies as ``(base, now_relative, invalid)``.
 
     A determinate body (flavor 0) holds ``seconds - MIN_SECONDS``, valid
-    up to ``MAX_SPAN``; a NOW-relative one (flavor 1) holds ``offset +
-    MAX_SPAN``, valid up to ``2 * MAX_SPAN``, and grounds to ``now +
-    offset`` clamped to the calendar like ``Instant.ground_seconds``.
-    Payloads are clipped first, so every sum stays within int64.
+    up to ``MAX_SPAN``, and its base is those seconds; a NOW-relative
+    one (flavor 1) holds ``offset + MAX_SPAN``, valid up to
+    ``2 * MAX_SPAN``, and its base is the offset, which grounds to
+    ``now + offset`` clamped to the calendar like
+    ``Instant.ground_seconds``.  Payloads are clipped first, so every
+    sum stays within int64.
     """
     biased = np.minimum(biased, 2 * _MAX_SPAN + 1).astype(np.int64)
-    invalid = (flavor > 1) | (biased > _MAX_SPAN * (1 + flavor.astype(np.int64)))
-    seconds = biased + np.where(flavor == 0, granularity.MIN_SECONDS,
-                                now_seconds - _MAX_SPAN)
-    return np.clip(seconds, granularity.MIN_SECONDS,
-                   granularity.MAX_SECONDS), invalid
+    relative = flavor == 1
+    invalid = (flavor > 1) | (biased > np.where(relative, 2 * _MAX_SPAN,
+                                                _MAX_SPAN))
+    base = biased + np.where(relative, -_MAX_SPAN, granularity.MIN_SECONDS)
+    return base, relative, invalid
+
+
+_INT64_MAX = 2**63 - 1
 
 
 def merge_pairs(owner, lo, hi):
     """Each owner's pairs coalesced: ``(owner, lo, hi)`` arrays of the
     merged periods, in (owner, lo) order.
 
-    One sort-and-sweep over start/end events; a period opens where the
-    running depth leaves 0 and closes where it returns (after every
-    owner, so one cumsum needs no segmenting).  Starts sort before ends
-    at a tie, merging adjacent periods as :func:`ia.normalize` does.
-    Times sort by dense rank (< 2n): the key cannot overflow int64.
+    One sort, by the single int64 key ``owner * width + (lo - lo_min)``
+    while ``owners * width`` fits (about 10**7 owners over the whole
+    calendar), by ``np.lexsort`` beyond.  In start order a period opens
+    a merged period when it starts more than one second after the
+    furthest end so far in its owner, so adjacent periods merge as
+    :func:`ia.normalize` merges them.  That furthest end is one
+    ``np.maximum.accumulate`` over the ends, each owner's lifted by its
+    own offset above every earlier owner's; when the offsets would pass
+    int64, the owners go in batches that fit.  Owners are non-negative
+    and the bounds lie within 2**62 of each other.
     """
-    at = np.concatenate((lo, hi + 1))
-    is_end = np.repeat(np.array([0, 1], np.int64), len(lo))
-    ranks, rank = np.unique(at * 2 + is_end, return_inverse=True)
-    owners = np.concatenate((owner, owner))
-    order = np.argsort(owners * len(ranks) + rank)
-    at, owners, is_end = at[order], owners[order], is_end[order]
-    depth = np.cumsum(1 - 2 * is_end)
-    closes = depth == 0
-    return owners[closes], at[(depth == 1) & (is_end == 0)], at[closes] - 1
+    n = len(lo)
+    if not n:
+        return owner, lo, hi
+    lo_min = int(lo.min())
+    width = max(int(lo.max()), int(hi.max())) - lo_min + 1
+    if (int(owner.max()) + 1) * width <= _INT64_MAX:
+        order = np.argsort(owner * width + (lo - lo_min))
+    else:
+        order = np.lexsort((lo, owner))
+    owner, lo, hi = owner[order], lo[order], hi[order]
+    first = np.empty(n, bool)
+    first[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    segment = np.cumsum(first) - 1
+    reach = np.empty(n, np.int64)
+    batch = _INT64_MAX // width  # owners whose lifted ends fit
+    for start in range(0, int(segment[-1]) + 1, batch):
+        begin, end = np.searchsorted(segment, (start, start + batch))
+        lift = (segment[begin:end] - start) * width - lo_min
+        reach[begin:end] = np.maximum.accumulate(hi[begin:end] + lift) - lift
+    opens = first
+    opens[1:] |= lo[1:] > reach[:-1] + 1
+    starts = np.flatnonzero(opens)
+    ends = np.append(starts[1:], n) - 1
+    return owner[starts], lo[starts], reach[ends]
 
 
 def _element_payloads(blobs: Sequence[bytes]):
@@ -418,24 +447,41 @@ def _element_payloads(blobs: Sequence[bytes]):
     return ok, np.repeat(np.flatnonzero(ok), count[ok]), periods
 
 
-def element_arrays(values: Sequence, now_seconds: int, mismatch: str):
-    """A fetched Element column grounded at *now_seconds*, as flat arrays.
+class ElementParse:
+    """An Element column parsed once and grounded at any ``NOW``.
 
-    Returns ``(row, lo, hi, fallbacks)``: int64 arrays with one entry
-    per grounded pair (the index of its value in *values* and its
-    bounds), ordered by row and canonically within a row, plus the
-    number of values decoded one at a time.  NULLs add no pairs.  Every
-    well-formed Element blob, NOW-relative ones included, is unpacked
-    and grounded in one vectorized pass: NOW-relative bounds clamp to
-    the calendar, periods empty at *now_seconds* drop out, and blobs
-    whose grounded pairs are not sorted, disjoint and non-adjacent are
-    normalized by one segmented :func:`merge_pairs`.  What the per-blob
-    ``decode()`` would reject — a bad header, length or flavor, an
-    out-of-range payload, an inverted determinate period — and
-    non-bytes values, other TIP types and every value while a fault
-    plan is armed take :func:`element_pairs`'s ``decode()`` path one
-    value at a time, in row order, so errors are exactly the per-blob
-    ones.
+    ``row``, ``lo`` and ``hi`` hold one entry per stored period of the
+    well-formed blobs, in row order (row ``r``'s from ``first[r]`` to
+    ``first[r + 1]``): its value's index and its bounds, each a
+    determinate second or, where ``lo_now``/``hi_now`` is set, an
+    offset from ``NOW``.  ``slow_rows`` (ascending) and ``slow_values``
+    are the values the per-blob ``decode()`` path takes instead.
+    :func:`ground_elements` grounds any subset of the rows.
+    """
+
+    __slots__ = ("n", "row", "first", "lo", "hi", "lo_now", "hi_now",
+                 "slow_rows", "slow_values")
+
+    def __init__(self, n, row, lo, hi, lo_now, hi_now, slow_rows,
+                 slow_values) -> None:
+        self.n = n
+        self.row, self.lo, self.hi = row, lo, hi
+        self.first = np.zeros(n + 1, np.int64)  # row r's first record
+        np.cumsum(np.bincount(row, minlength=n), out=self.first[1:])
+        self.lo_now, self.hi_now = lo_now, hi_now
+        self.slow_rows, self.slow_values = slow_rows, slow_values
+
+
+def parse_elements(values: Sequence) -> ElementParse:
+    """The NOW-independent half of :func:`element_arrays`.
+
+    Every well-formed Element blob, NOW-relative ones included, is
+    unpacked in one vectorized pass.  What the per-blob ``decode()``
+    would reject — a bad header, length or flavor, an out-of-range
+    payload, an inverted determinate period — and non-bytes values,
+    other TIP types and every value while a fault plan is armed are
+    left to :func:`element_pairs`'s ``decode()`` path, one value at a
+    time when grounded.  NULLs add nothing.
     """
     armed = _FAULTS.plan is not None
     if not armed and set(map(type, values)) <= {bytes}:
@@ -447,33 +493,92 @@ def element_arrays(values: Sequence, now_seconds: int, mismatch: str):
         slow = [i for i, value in enumerate(values)
                 if value is not None and (armed or type(value) is not bytes)]
     row = lo = hi = np.empty(0, np.int64)
+    lo_now = hi_now = np.empty(0, bool)
     if at:
         ok, blob_of, periods = _element_payloads(
             list(map(values.__getitem__, at)))
-        lo_flavor, hi_flavor = periods["lo_flavor"], periods["hi_flavor"]
-        lo, lo_invalid = _ground(lo_flavor, periods["lo"], now_seconds)
-        hi, hi_invalid = _ground(hi_flavor, periods["hi"], now_seconds)
+        lo, lo_now, lo_invalid = _unground(periods["lo_flavor"],
+                                           periods["lo"])
+        hi, hi_now, hi_invalid = _unground(periods["hi_flavor"],
+                                           periods["hi"])
         ok[blob_of[lo_invalid | hi_invalid
-                   | ((lo_flavor == 0) & (hi_flavor == 0) & (lo > hi))]] = False
-        fine = ok[blob_of] & (lo <= hi)  # empty at NOW: no chronons
-        blob_of, lo, hi = blob_of[fine], lo[fine], hi[fine]
-        if ((blob_of[1:] == blob_of[:-1]) & (lo[1:] <= hi[:-1] + 1)).any():
-            blob_of, lo, hi = merge_pairs(blob_of, lo, hi)
-        row = np.asarray(at, np.int64)[blob_of]
+                   | (~lo_now & ~hi_now & (lo > hi))]] = False
+        fine = ok[blob_of]
+        row = np.asarray(at, np.int64)[blob_of[fine]]
+        lo, hi, lo_now, hi_now = lo[fine], hi[fine], lo_now[fine], \
+            hi_now[fine]
         slow = sorted(slow + [at[b] for b in np.flatnonzero(~ok).tolist()])
-    if slow:
-        grounded = [_decoded_pairs(values[i], now_seconds, mismatch)
-                    for i in slow]
-        counts = np.fromiter(map(len, grounded), np.int64, len(slow))
+    return ElementParse(len(values), row, lo, hi, lo_now, hi_now,
+                        np.asarray(slow, np.int64),
+                        list(map(values.__getitem__, slow)))
+
+
+def ground_elements(parse: ElementParse, at, now_seconds: int,
+                    mismatch: str):
+    """The rows *at* of a parsed Element column grounded at *now_seconds*.
+
+    *at* is an ascending int64 array of row indexes, or None for every
+    row.  Returns ``(row, lo, hi, fallbacks)`` as :func:`element_arrays`
+    does, ``row`` indexing *at*: NOW-relative bounds clamp to the
+    calendar, periods empty at *now_seconds* drop out, and rows whose
+    grounded pairs are not sorted, disjoint and non-adjacent are
+    normalized by one segmented :func:`merge_pairs`.  Only the chosen
+    slow values are decoded, in row order, so a value outside *at*
+    never raises.
+    """
+    row, lo, hi = parse.row, parse.lo, parse.hi
+    lo_now, hi_now = parse.lo_now, parse.hi_now
+    slow, slow_values = parse.slow_rows, parse.slow_values
+    if at is not None:
+        start = parse.first[at]
+        counts = parse.first[at + 1] - start
+        # Chosen row k owns records start[k] .. start[k] + counts[k].
+        pick = np.arange(int(counts.sum())) \
+            + np.repeat(start - (np.cumsum(counts) - counts), counts)
+        row = np.repeat(np.arange(len(at)), counts)
+        lo, hi, lo_now, hi_now = lo[pick], hi[pick], lo_now[pick], \
+            hi_now[pick]
+        if len(slow):
+            where = np.searchsorted(at, slow)
+            kept = where < len(at)
+            kept[kept] = at[where[kept]] == slow[kept]
+            slow_values = list(compress(slow_values, kept.tolist()))
+            slow = where[kept]
+    bounds = granularity.MIN_SECONDS, granularity.MAX_SECONDS
+    if lo_now.any():
+        lo = np.where(lo_now, np.clip(lo + now_seconds, *bounds), lo)
+    if hi_now.any():
+        hi = np.where(hi_now, np.clip(hi + now_seconds, *bounds), hi)
+    fine = lo <= hi  # empty at NOW: no chronons
+    if not fine.all():
+        row, lo, hi = row[fine], lo[fine], hi[fine]
+    if ((row[1:] == row[:-1]) & (lo[1:] <= hi[:-1] + 1)).any():
+        row, lo, hi = merge_pairs(row, lo, hi)
+    if slow_values:
+        grounded = [_decoded_pairs(value, now_seconds, mismatch)
+                    for value in slow_values]
+        counts = np.fromiter(map(len, grounded), np.int64, len(grounded))
         flat = np.fromiter(chain.from_iterable(chain.from_iterable(grounded)),
                            np.int64, 2 * int(counts.sum()))
-        row = np.concatenate((row, np.repeat(np.asarray(slow, np.int64),
-                                             counts)))
+        row = np.concatenate((row, np.repeat(slow, counts)))
         order = np.argsort(row, kind="stable")
         row = row[order]
         lo = np.concatenate((lo, flat[0::2]))[order]
         hi = np.concatenate((hi, flat[1::2]))[order]
-    return row, lo, hi, len(slow)
+    return row, lo, hi, len(slow_values)
+
+
+def element_arrays(values: Sequence, now_seconds: int, mismatch: str):
+    """A fetched Element column grounded at *now_seconds*, as flat arrays.
+
+    Returns ``(row, lo, hi, fallbacks)``: int64 arrays with one entry
+    per grounded pair (the index of its value in *values* and its
+    bounds), ordered by row and canonically within a row, plus the
+    number of values decoded one at a time (:func:`parse_elements`
+    says which).  Errors are exactly the per-blob ones.
+    """
+    return ground_elements(parse_elements(values), None, now_seconds,
+                           mismatch)
 
 
 #: Below this many blobs :func:`decode_many` decodes one at a time: the
@@ -497,13 +602,11 @@ def decode_many(blobs: Sequence[bytes]) -> list:
     if _FAULTS.plan is not None or len(blobs) < _VECTOR_MIN:
         return list(map(decode, blobs))
     ok, blob_of, periods = _element_payloads(blobs)
-    lo_flavor, hi_flavor = periods["lo_flavor"], periods["hi_flavor"]
-    lo, lo_invalid = _ground(lo_flavor, periods["lo"], 0)
-    hi, hi_invalid = _ground(hi_flavor, periods["hi"], 0)
+    lo, lo_now, lo_invalid = _unground(periods["lo_flavor"], periods["lo"])
+    hi, hi_now, hi_invalid = _unground(periods["hi_flavor"], periods["hi"])
     # Canonical: determinate, in the calendar, each period non-empty
     # and strictly after its predecessor's end plus one.
-    bad = (lo_flavor != 0) | (hi_flavor != 0) | lo_invalid | hi_invalid \
-        | (lo > hi)
+    bad = lo_now | hi_now | lo_invalid | hi_invalid | (lo > hi)
     bad[1:] |= (blob_of[1:] == blob_of[:-1]) & (lo[1:] <= hi[:-1] + 1)
     ok[blob_of[bad]] = False
     bounds = np.zeros(len(blobs) + 1, np.int64)

@@ -3,14 +3,14 @@
 These are the paper's integrated temporal support made concrete:
 instead of letting SQLite grind ``overlaps(a.valid, b.valid)`` over the
 full cross product (one UDF call and two blob decodes per candidate
-tuple), the planner bulk-fetches both sides once and joins them with
-interval algorithms:
+tuple), the planner reads both sides from table images and joins them
+with interval algorithms:
 
 ``hash``
     Cross-alias equality conjuncts become hash-join keys (the
     temporal-graph path query joins on ``e1.dst = e2.src``), numbered
-    by one dict and bucketed by one stable sort; the overlap test runs
-    only within each bucket.
+    by one dict over the key columns' distinct values and bucketed by
+    one stable sort; the overlap test runs only within each bucket.
 ``merge``
     No equalities: two periods overlap exactly when one starts inside
     the other, so two ``np.searchsorted`` passes over the sorted
@@ -29,23 +29,41 @@ window.  The strategy depends on the shape and on the window grounded
 at the statement ``NOW`` alone (:func:`join_plan`), so ``EXPLAIN
 TEMPORAL`` names the plan that runs.
 
-The bulk fetch reads only what a kernel uses, column by column.
-Single-side filters (``p1.drug = 'X'``, a coalesce's ``WHERE``) go
-into its SQL ``WHERE`` with the literals bound as parameters, so SQLite
-applies its own NULL, storage-class, affinity and collation rules to
-them.  ``NOT INDEXED`` keeps the fetch in table order whatever indexes
-the filters could use, so the emit order never depends on the schema.
-The validity column is selected as ``+valid``, which no converter
-touches, and :func:`repro.codec.binary.element_arrays` turns it into
-flat int64 ``(row, lo, hi)`` arrays grounded at the statement ``NOW``
-in one vectorized pass, NOW-relative and non-canonical blobs included;
-only values the per-blob decoder would reject (and non-blob values)
-decode one at a time (counted as ``fallback_decodes``).
+Every input comes from a table image (:mod:`repro.plan.images`): the
+table's rowids, its used columns dictionary-encoded (int64 codes over
+the distinct stored values) and its validity column's ungrounded
+Element parse.  All of a statement's reads — the image key, the
+planner's row-count probe, the rowid selections and any build — run
+in **one read transaction**, so a join's two sides and the probe see
+one snapshot even while other connections commit.  A connection keeps
+a whole-table image while ``PRAGMA schema_version``, ``PRAGMA
+data_version``, its ``total_changes`` and the compiled-statement
+generation stay put; inside a transaction (or under an armed fault
+plan) it neither uses nor keeps one.  The **churn rule** builds and
+retains a whole-table image only when the table's key was already
+seen unchanged by an earlier kernel statement, and only while the
+connection's retained images hold at most
+:data:`~repro.plan.images.RETAINED_ROWS` rows; otherwise a side builds
+a transient image of the rows its filters select, the pushed-down bulk
+fetch in the same type, so a table written between kernel statements
+costs what it always did.  Single-side filters (``p1.drug = 'X'``, a
+coalesce's ``WHERE``) run in SQLite with the literals bound as
+parameters, so SQLite applies its own NULL, storage-class, affinity
+and collation rules to them: as the ``WHERE`` of a transient build, or
+as one ``SELECT group_concat(rowid) … WHERE`` whose rowids
+``np.searchsorted`` finds in a retained image.  ``NOT INDEXED`` keeps
+every fetch in table order whatever indexes the filters could use, so
+the emit order never depends on the schema.
+:func:`repro.codec.binary.ground_elements` grounds the chosen rows'
+periods at the statement ``NOW`` in one vectorized pass, NOW-relative
+and non-canonical blobs included; only values the per-blob decoder
+would reject (and non-blob values) decode one at a time (counted as
+``fallback_decodes``), and only when a statement selects them.
 
 A kernel result is a :class:`repro.columns.ColumnTable`.  The emit
-gathers each projected column by row index from its side's fetched
-values — an all-integer column as an int64 array, straight from the
-candidate index arrays — and builds the validity column as an
+gathers each projected column by code from its image column — an
+all-integer column as an int64 array, straight from the candidate
+index arrays — and builds the validity column as an
 :class:`~repro.columns.ElementColumn`: the distinct intersections
 (single-pair ones deduplicated in one vectorized pass, ``np.lexsort``
 and run boundaries, the rest through a dict) and each row's slot among
@@ -54,11 +72,12 @@ object per row and no Element at all; only an embedded caller builds
 Elements and row tuples (:meth:`ColumnTable.tuples`).
 
 Every kernel grounds elements at one statement ``NOW`` and produces
-rows value-identical to the naive path — the differential suite
-(``tests/test_plan_kernels.py``) holds them equal as multisets.  Keys,
-residuals and group keys compare the values SQLite stored (the type
-map runs only over the projected columns that hold blobs): hash keys
-and group keys by dict hashing, the cross-side residuals in
+rows value-identical to the naive path — the differential suites
+(``tests/test_plan_kernels.py``, ``tests/test_plan_images.py``) hold
+them equal as multisets.  Keys, residuals and group keys compare the
+values SQLite stored (the type map runs only over the projected
+columns that hold blobs): hash keys and group keys by dict hashing
+over each column's distinct values, the cross-side residuals in
 ``JoinShape.cross`` through :func:`sql_compare`, both with SQLite's
 storage-class semantics (NULL never matches; numeric < text < blob
 across classes; ``1 = 1.0``; blobs by bytes); the planner keeps a
@@ -69,14 +88,17 @@ compared columns' affinities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.codec.binary import element_arrays, merge_pairs
+from repro.codec.binary import ground_elements, merge_pairs
 from repro.columns import ColumnTable, ElementColumn
+from repro.core.granularity import MAX_SPAN_SECONDS
 from repro.core.span import Span
+from repro.plan import images
+from repro.plan.images import Coded
 from repro.plan.shapes import CoalesceShape, Condition, JoinShape
 from repro.tsql.parser import Column
 
@@ -145,47 +167,31 @@ def sql_compare(left: object, op: str, right: object) -> bool:
 _BYTES = frozenset((bytes, bytearray, memoryview))
 
 
-def _map_output(connection, values: Sequence) -> Sequence:
-    """*values* through the connection's type map, when any is a blob
-    (the map transforms nothing else)."""
-    if _BYTES.isdisjoint(map(type, values)):
-        return values
-    map_value = connection.type_map.map_value
-    return [map_value(value) if type(value) in _BYTES else value
-            for value in values]
-
-
-def _int_array(values: Sequence) -> Sequence:
-    """*values* as an int64 array when every one is an int that fits,
-    so the emit gathers it by row index; otherwise as they are."""
-    if set(map(type, values)) == {int}:
-        try:
-            return np.fromiter(values, np.int64, len(values))
-        except OverflowError:
-            pass
-    return values
-
-
 class _Side:
-    """One fetched, grounded join input: its surviving rows' stored
-    columns, and its validity pairs as flat int64 arrays, row-major
-    (``row`` ascending, canonical per row)."""
+    """One join input at the statement ``NOW``: the positions of its
+    surviving rows in its image, their coded columns, and their
+    validity pairs as flat int64 arrays, row-major (``row`` ascending,
+    canonical per row)."""
 
-    __slots__ = ("cols", "outs", "n", "row", "lo", "hi", "counts",
-                 "offsets", "fetched", "fallbacks")
+    __slots__ = ("cols", "at", "n", "row", "lo", "hi", "counts", "offsets",
+                 "fetched", "fallbacks")
 
-    def __init__(self, cols: Dict[str, Sequence], outs: Dict[str, Sequence],
-                 n: int, row, lo, hi, fetched: int, fallbacks: int) -> None:
-        self.cols = cols            # column name -> stored values
-        self.outs = outs            # projected column -> type-mapped
-                                    # values (int64 array if all ints)
-        self.n = n                  # surviving rows, fetch order
+    def __init__(self, cols: Dict[str, Coded], at: np.ndarray, row, lo, hi,
+                 fetched: int, fallbacks: int) -> None:
+        self.cols = cols            # column name -> the image's column
+        self.at = at                # surviving rows' image positions
+        self.n = len(at)
         self.row, self.lo, self.hi = row, lo, hi  # one entry per pair
-        self.counts = np.bincount(row, minlength=n)
-        self.offsets = np.zeros(n + 1, np.int64)
+        self.counts = np.bincount(row, minlength=self.n)
+        self.offsets = np.zeros(self.n + 1, np.int64)
         np.cumsum(self.counts, out=self.offsets[1:])
-        self.fetched = fetched      # rows SQLite returned (post-pushdown)
+        self.fetched = fetched      # rows the filters selected
         self.fallbacks = fallbacks  # blobs decoded one at a time
+
+    def codes(self, name: str, rows: Optional[np.ndarray] = None):
+        """Column *name*'s codes for the side's rows (or its *rows*)."""
+        at = self.at if rows is None else self.at[rows]
+        return self.cols[name].codes[at]
 
 
 def _columns_for_side(shape: JoinShape, alias: str) -> List[str]:
@@ -203,99 +209,115 @@ def _columns_for_side(shape: JoinShape, alias: str) -> List[str]:
     return sorted(needed)
 
 
-def _fetch(connection, table: str, columns: List[str], valid: str,
-           filters: Sequence[Condition]) -> List[Sequence]:
-    """The stored *columns* and *valid* values (last) of the rows of
-    *table* that pass *filters*, column by column, in table order."""
-    params: List[object] = []
-
-    def sql(operand) -> str:
-        if isinstance(operand, Column):
-            return operand.name
-        value = operand.value
-        if isinstance(value, int) and not -2**63 <= value < 2**63:
-            value = float(value)  # SQLite reads such a literal as REAL
-        params.append(value)
-        return "?"
-
-    where = " AND ".join(
-        f"{sql(c.left)} {c.op} {sql(c.right)}" for c in filters
-    )
-    return connection.query_stored_columns(
-        f"SELECT {', '.join(columns + ['+' + valid])} "
-        f"FROM {table} NOT INDEXED" + (f" WHERE {where}" if where else ""),
-        params,
-    )
+def _read(snap: images.Snapshot, table: str, columns: List[str], valid: str,
+          filters: Sequence[Condition], now_seconds: int, mismatch: str):
+    """A side's image, its coded *columns*, the positions of the rows
+    *filters* select, and their validity pairs grounded at
+    *now_seconds* (``row`` indexing those positions)."""
+    image, at = snap.side(table, valid, columns, filters)
+    cols = {name: image.column(snap.connection, name) for name in columns}
+    row, lo, hi, fallbacks = ground_elements(image.elements, at,
+                                             now_seconds, mismatch)
+    return cols, np.arange(image.n) if at is None else at, row, lo, hi, \
+        fallbacks
 
 
-def _prepare_side(connection, table: str, columns: List[str],
-                  outputs: Sequence[str], valid: str,
-                  filters: Sequence[Condition], now_seconds: int,
+def _prepare_side(snap: images.Snapshot, table: str, columns: List[str],
+                  valid: str, filters: Sequence[Condition], now_seconds: int,
                   window_pair: Optional[Pair]) -> _Side:
-    *fetched, stored = _fetch(connection, table, columns, valid, filters)
-    row, lo, hi, fallbacks = element_arrays(
-        stored, now_seconds, f"expected Element in {table}.{valid}")
+    cols, at, row, lo, hi, fallbacks = _read(
+        snap, table, columns, valid, filters, now_seconds,
+        f"expected Element in {table}.{valid}")
+    fetched = len(at)
     # NULL and empty elements overlap nothing; under a VALIDTIME PERIOD
     # a row joins only if some period meets the window (whole element
     # kept).
     hit = row if window_pair is None else \
         row[(lo <= window_pair[1]) & (hi >= window_pair[0])]
-    keep = np.zeros(len(stored), bool)
+    keep = np.zeros(fetched, bool)
     keep[hit] = True
     if not keep.all():
         kept = keep[row]
         row, lo, hi = (np.cumsum(keep) - 1)[row[kept]], lo[kept], hi[kept]
-        keep_list = keep.tolist()
-        fetched = [list(compress(values, keep_list)) for values in fetched]
-    cols = dict(zip(columns, fetched))
-    outs = {name: _int_array(_map_output(connection, cols[name]))
-            for name in outputs}
-    return _Side(cols, outs, int(np.count_nonzero(keep)), row, lo, hi,
-                 len(stored), fallbacks)
+        at = at[keep]
+    return _Side(cols, at, row, lo, hi, fetched, fallbacks)
 
 
 # -- candidate generation ----------------------------------------------
+
+
+#: Tuple ids past this many combinations are renumbered densely first.
+_DENSE_LIMIT = 1 << 62
+
+
+def _dense(*ids: np.ndarray) -> Tuple[List[np.ndarray], int]:
+    """*ids* renumbered densely over their union, −1 kept; and the
+    number of distinct ids."""
+    joined = np.concatenate(ids)
+    real = joined >= 0
+    distinct, joined[real] = np.unique(joined[real], return_inverse=True)
+    return np.split(joined, np.cumsum([len(part) for part in ids])[:-1]), \
+        len(distinct)
 
 
 def _hash_candidates(shape: JoinShape, left: _Side,
                      right: _Side) -> Tuple[np.ndarray, np.ndarray]:
     """Equality-bucketed candidates as parallel ``(i, j)`` index arrays.
 
-    Keys are numbered by one dict (``None``, a NULL key, gets no
-    number: ``NULL = anything`` is never true); Python's dict groups 1
-    with 1.0 exactly as SQLite's `=` does, and text, blob, and numeric
-    values never collide across classes (the planner vetoes key pairs
-    SQLite would convert between).  A stable sort of the right rows by
-    key number makes each bucket one run in fetch order, so every left
-    row expands to its bucket's run and the pairs come out unique and
-    in (i, j) order with no dedup.
+    Each key column's distinct values are numbered by one dict (NULL,
+    code −1, gets no number: ``NULL = anything`` is never true), and
+    the rows take their value's number through their codes; Python's
+    dict groups 1 with 1.0 exactly as SQLite's `=` does, and text,
+    blob, and numeric values never collide across classes (the planner
+    vetoes key pairs SQLite would convert between).  Several key
+    columns combine into one tuple id.  A stable sort of the right
+    rows by key number makes each bucket one run in fetch order, so
+    every left row expands to its bucket's run and the pairs come out
+    unique and in (i, j) order with no dedup.
     """
-    right_keys = _keys([right.cols[col] for _, col in shape.equalities])
-    left_keys = _keys([left.cols[col] for col, _ in shape.equalities])
-    number = {key: at for at, key in enumerate(dict.fromkeys(right_keys))}
-    number[None] = -1
-    right_codes = np.fromiter(map(number.__getitem__, right_keys), np.int64,
-                              right.n)
-    left_codes = np.fromiter(map(number.get, left_keys, repeat(-1)),
-                             np.int64, left.n)
-    order = np.argsort(right_codes, kind="stable")
-    bucket_size = np.bincount(right_codes + 1, minlength=len(number) + 1)
+    left_ids = right_ids = None
+    width = 1
+    for left_col, right_col in shape.equalities:
+        column = left.cols[left_col]
+        if column is right.cols[right_col] and not column.mixed:
+            # One image column on both sides numbers its values already.
+            size = len(column.values) - 1
+            left_part, right_part = left.codes(left_col), \
+                right.codes(right_col)
+        else:
+            number: Dict[object, int] = {}
+            right_map = np.array(
+                [number.setdefault(value, len(number))
+                 for value in right.cols[right_col].values[:-1]] + [-1],
+                np.int64)
+            left_map = np.array([number.get(value, -1)
+                                 for value in column.values[:-1]] + [-1],
+                                np.int64)
+            size = len(number)
+            left_part = left_map[left.codes(left_col)]
+            right_part = right_map[right.codes(right_col)]
+        if left_ids is None:
+            left_ids, right_ids, width = left_part, right_part, size
+            continue
+        if width * size > _DENSE_LIMIT:
+            (left_ids, right_ids), width = _dense(left_ids, right_ids)
+        left_ids = np.where((left_ids < 0) | (left_part < 0), -1,
+                            left_ids * size + left_part)
+        right_ids = np.where((right_ids < 0) | (right_part < 0), -1,
+                             right_ids * size + right_part)
+        width *= size
+    if len(shape.equalities) > 1:
+        (left_ids, right_ids), width = _dense(left_ids, right_ids)
+    order = np.argsort(right_ids, kind="stable")
+    bucket_size = np.bincount(right_ids + 1, minlength=width + 1)
     bucket_at = np.cumsum(bucket_size) - bucket_size
     bucket_size[0] = 0  # NULL keys (first in order) match nothing
-    counts = bucket_size[left_codes + 1]
-    # Run k lists order[bucket_at[code] : bucket_at[code] + counts[k]].
+    counts = bucket_size[left_ids + 1]
+    # Run k lists order[bucket_at[id] : bucket_at[id] + counts[k]].
     runs_at = np.cumsum(counts) - counts
     rights = order[np.arange(counts.sum())
-                   + np.repeat(bucket_at[left_codes + 1] - runs_at, counts)]
+                   + np.repeat(bucket_at[left_ids + 1] - runs_at, counts)]
     return np.repeat(np.arange(left.n), counts), rights
-
-
-def _keys(columns: List[Sequence]) -> Sequence:
-    """Per-row hash-join keys, None where a key column is NULL
-    (``NULL = anything`` is never true)."""
-    if len(columns) == 1:
-        return columns[0]
-    return [None if None in key else key for key in zip(*columns)]
 
 
 def _overlap_candidates(left: _Side, right: _Side) -> Tuple[np.ndarray,
@@ -394,7 +416,7 @@ class _Validities:
         return ElementColumn(slots, counts, flat[0::2], flat[1::2])
 
 
-def _vector_emit(left: _Side, right: _Side,
+def _vector_emit(connection, left: _Side, right: _Side,
                  all_lefts: np.ndarray, all_rights: np.ndarray,
                  window_pair: Optional[Pair],
                  slots: Sequence[Tuple[int, str]]) -> ColumnTable:
@@ -463,12 +485,23 @@ def _vector_emit(left: _Side, right: _Side,
         if side == 2:
             columns.append(validities.column())
             continue
-        values = (left if side == 0 else right).outs[name]
-        if isinstance(values, np.ndarray):
-            columns.append(values[at[side]])
-        else:
-            columns.append(list(map(values.__getitem__, at[side].tolist())))
+        source = left if side == 0 else right
+        columns.append(_gather(connection, source.cols[name],
+                               source.codes(name, at[side])))
     return ColumnTable(columns, len(at[0]))
+
+
+def _gather(connection, column: Coded, codes: np.ndarray) -> Sequence:
+    """The values of *codes*: an int64 array for an all-int column,
+    else a list, blobs through the connection's type map."""
+    if column.ints is not None:
+        return column.ints[codes]
+    values = column.values
+    if column.blobs:
+        map_value = connection.type_map.map_value
+        values = [map_value(value) if type(value) in _BYTES else value
+                  for value in values]
+    return list(map(values.__getitem__, codes.tolist()))
 
 
 # -- the kernels --------------------------------------------------------
@@ -483,34 +516,20 @@ def execute_join(connection, shape: JoinShape,
                             strategy, now_seconds,
                             {"candidates": 0, "fallback_decodes": 0})
 
-    def projected(alias: str) -> List[str]:
-        return [output.column for output in shape.outputs
-                if output.alias == alias]
-
     left_columns = _columns_for_side(shape, shape.left_alias)
     right_columns = _columns_for_side(shape, shape.right_alias)
-    if (shape.left_table == shape.right_table
-            and shape.left_valid == shape.right_valid
-            and not shape.left_filters and not shape.right_filters):
-        # Unfiltered self-join (the temporal-graph path query): fetch
-        # and decode the table once, share it between both sides.
-        left = right = _prepare_side(
-            connection, shape.left_table,
-            sorted(set(left_columns) | set(right_columns)),
-            set(projected(shape.left_alias) + projected(shape.right_alias)),
-            shape.left_valid, (), now_seconds, window_pair,
-        )
-    else:
-        left = _prepare_side(
-            connection, shape.left_table, left_columns,
-            set(projected(shape.left_alias)), shape.left_valid,
-            shape.left_filters, now_seconds, window_pair,
-        )
-        right = _prepare_side(
-            connection, shape.right_table, right_columns,
-            set(projected(shape.right_alias)), shape.right_valid,
-            shape.right_filters, now_seconds, window_pair,
-        )
+    if (shape.left_table.lower(), shape.left_valid) \
+            == (shape.right_table.lower(), shape.right_valid):
+        # One image serves both sides: fetch their columns together.
+        left_columns = right_columns = sorted({*left_columns,
+                                               *right_columns})
+    with images.snapshot(connection) as snap:
+        left = _prepare_side(snap, shape.left_table, left_columns,
+                             shape.left_valid, shape.left_filters,
+                             now_seconds, window_pair)
+        right = _prepare_side(snap, shape.right_table, right_columns,
+                              shape.right_valid, shape.right_filters,
+                              now_seconds, window_pair)
 
     if shape.equalities:
         lefts, rights = _hash_candidates(shape, left, right)
@@ -518,15 +537,15 @@ def execute_join(connection, shape: JoinShape,
         lefts, rights = _overlap_candidates(left, right)
     stats = {"candidates": len(lefts), "left_rows": left.fetched,
              "right_rows": right.fetched,
-             "fallback_decodes": left.fallbacks
-             + (right.fallbacks if right is not left else 0)}
+             "fallback_decodes": left.fallbacks + right.fallbacks}
 
     # match() normalized cross conditions left-operand-first.
     for condition in shape.cross:
-        left_values = map(left.cols[condition.left.name].__getitem__,
-                          lefts.tolist())
-        right_values = map(right.cols[condition.right.name].__getitem__,
-                           rights.tolist())
+        left_values = map(left.cols[condition.left.name].values.__getitem__,
+                          left.codes(condition.left.name, lefts).tolist())
+        right_values = map(
+            right.cols[condition.right.name].values.__getitem__,
+            right.codes(condition.right.name, rights).tolist())
         keep = np.fromiter(map(sql_compare, left_values,
                                repeat(condition.op), right_values),
                            bool, len(lefts))
@@ -536,7 +555,8 @@ def execute_join(connection, shape: JoinShape,
              for output in shape.outputs]
     slots.insert(shape.valid_at, (2, ""))
     return KernelResult(
-        _vector_emit(left, right, lefts, rights, window_pair, slots),
+        _vector_emit(connection, left, right, lefts, rights, window_pair,
+                     slots),
         names, strategy, now_seconds, stats)
 
 
@@ -581,47 +601,75 @@ def _order_key(value: object):
 
 def execute_coalesce(connection, shape: CoalesceShape,
                      now_seconds: int) -> KernelResult:
-    # The fetched columns are exactly the GROUP BY columns, in key
-    # order, so each fetched row is its own group key.
     columns = list(dict.fromkeys(shape.group_by))
-    positions = {name: at for at, name in enumerate(columns)}
-    *fetched, stored = _fetch(connection, shape.table, columns,
-                              shape.agg_column, shape.filters)
+    with images.snapshot(connection) as snap:
+        cols, at, row, lo, hi, fallbacks = _read(
+            snap, shape.table, columns, shape.agg_column, shape.filters,
+            now_seconds, "group_union expects Elements")
+    coded = [cols[name] for name in columns]
 
-    # A group's key hashes 1 and 1.0 together (dict semantics == SQLite
-    # GROUP BY) and keeps NULLs in one group, also like SQLite; the
-    # first row of a group stays its key and supplies its outputs.
-    # NULL validities add no periods, but their group still exists.
-    group_keys = list(zip(*fetched))
-    keys = sorted(dict.fromkeys(group_keys),
-                  key=lambda k: tuple(map(_order_key, k)))
-    rank = {key: at for at, key in enumerate(keys)}
-    group_of = np.fromiter(map(rank.__getitem__, group_keys), np.int64,
-                           len(group_keys))
-    row, lo, hi, fallbacks = element_arrays(
-        stored, now_seconds, "group_union expects Elements")
+    # Rows group by their key columns' values with dict semantics (1
+    # and 1.0 together, as SQLite's GROUP BY; NULLs in one group, also
+    # like SQLite), in _order_key order: each column's codes map to the
+    # ranks of their values, which combine into one tuple id.  A
+    # group's first row stays its key and supplies its outputs.  NULL
+    # validities add no periods, but their group still exists.
+    key = np.zeros(len(at), np.int64)
+    width = 1
+    for column in coded:
+        ranks = _ranks(column)
+        if width * len(ranks) > _DENSE_LIMIT:
+            (key,), width = _dense(key)
+        key = key * len(ranks) + ranks[column.codes[at]]
+        width *= len(ranks)
+    _ids, first, group_of = np.unique(key, return_index=True,
+                                      return_inverse=True)
+    n_groups = len(first)
     group, lo, hi = merge_pairs(group_of[row], lo, hi)
 
     if shape.agg_wrapper in ("length", "length_seconds"):
-        totals = np.zeros(len(keys), np.int64)
+        totals = np.zeros(n_groups, np.int64)
         np.add.at(totals, group, hi - lo + 1)
-        aggregates: Sequence = [Span(n) for n in totals.tolist()]
-        if shape.agg_wrapper == "length_seconds":
-            aggregates = [span.seconds for span in aggregates]
+        aggregates: Sequence = totals
+        if shape.agg_wrapper == "length":
+            aggregates = [Span(n) for n in totals.tolist()]
+        elif len(totals) and totals.max() > MAX_SPAN_SECONDS:
+            Span(int(totals.max()))  # raises as the blade's length() does
     else:  # the coalesced element itself, one per group
         aggregates = ElementColumn(
-            np.arange(len(keys)), np.bincount(group, minlength=len(keys)),
+            np.arange(n_groups), np.bincount(group, minlength=n_groups),
             lo, hi)
 
-    key_columns = list(zip(*keys)) if keys else [()] * len(columns)
-    out: List[Sequence] = [
-        _map_output(connection, key_columns[positions[output.column]])
-        for output in shape.outputs]
+    position = {name: index for index, name in enumerate(columns)}
+    out: List[Sequence] = []
+    for output in shape.outputs:
+        column = coded[position[output.column]]
+        out.append(_gather(connection, column, column.codes[at[first]]))
     out.insert(shape.agg_at, aggregates)
     names = [output.name for output in shape.outputs]
     names.insert(shape.agg_at, shape.agg_name)
     return KernelResult(
-        ColumnTable(out, len(keys)), names, "sweep", now_seconds,
-        {"groups": len(keys), "input_rows": len(stored),
+        ColumnTable(out, n_groups), names, "sweep", now_seconds,
+        {"groups": n_groups, "input_rows": len(at),
          "fallback_decodes": fallbacks},
     )
+
+
+def _ranks(column: Coded) -> np.ndarray:
+    """Each code's rank (NULL's last) among the column's values in
+    :func:`_order_key` order, equal values (1 and 1.0 in a column that
+    codes them apart) sharing one; computed once per image column."""
+    if column.ranks is None:
+        number: Dict[object, int] = {}
+        groups = [number.setdefault(value, len(number))
+                  for value in column.values]
+        keys = list(map(_order_key, column.values))
+        ranks = np.empty(len(groups), np.int64)
+        rank, last = -1, None
+        for code in sorted(range(len(groups)),
+                           key=lambda code: (keys[code], groups[code])):
+            if groups[code] != last:
+                rank, last = rank + 1, groups[code]
+            ranks[code] = rank
+        column.ranks = ranks
+    return column.ranks

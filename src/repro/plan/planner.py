@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import gc
 import weakref
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.client.literals import literal
 from repro.core.nowctx import bind_now_seconds, reset_now
@@ -41,7 +41,7 @@ from repro.faults import state as _FAULTS
 from repro.obs import flight as _flight
 from repro.obs.registry import get_registry as _obs_registry
 from repro.obs.registry import state as _obs_state
-from repro.plan import kernels, shapes
+from repro.plan import images, kernels, shapes
 from repro.plan.kernels import KernelResult
 from repro.tsql import compiled
 from repro.tsql.parser import Column, tokens
@@ -121,9 +121,10 @@ def _fallback(reason: str) -> None:
 
 def _schemas(connection):
     """``({table: {column: DECLTYPE}}, {table: {column}})`` for every
-    table (lower-cased), generation-cached: the declared types, and the
-    lower-cased columns declared with a collation other than BINARY.
-    If the collations cannot be read, every column counts as collated."""
+    rowid table (lower-cased), generation-cached: the declared types,
+    and the lower-cased columns declared with a collation other than
+    BINARY.  If the collations cannot be read, every column counts as
+    collated."""
     generation = compiled.generation()
     cached = _SCHEMA_CACHE.get(connection)
     if cached is None or cached[0] != generation:
@@ -134,15 +135,24 @@ def _schemas(connection):
         schemas = {key: {column: decltype.upper() for column, decltype in columns}
                    for key, (_name, columns, _valid) in declared.items()}
         try:
+            tables = connection.query(
+                "SELECT name, sql FROM sqlite_master WHERE type = 'table'")
+        except Exception:
+            tables = []
+        try:
             collated = {name.lower(): {column for column, collation
                                        in _collations(sql or "").items()
                                        if collation != "BINARY"}
-                        for name, sql in connection.query(
-                            "SELECT name, sql FROM sqlite_master "
-                            "WHERE type = 'table'")}
+                        for name, sql in tables}
         except Exception:
             collated = {key: {column.lower() for column in columns}
                         for key, columns in schemas.items()}
+        # The kernels address rows by rowid: a WITHOUT ROWID table, or
+        # one whose definition could not be read, is not theirs.
+        rowid = {name.lower() for name, sql in tables
+                 if not _without_rowid(sql or "")}
+        schemas = {key: columns for key, columns in schemas.items()
+                   if key in rowid}
         cached = _SCHEMA_CACHE[connection] = (generation, schemas, collated)
     return cached[1], cached[2]
 
@@ -150,6 +160,22 @@ def _schemas(connection):
 #: Words that open a table constraint, not a column definition.
 _TABLE_CONSTRAINTS = frozenset({"CONSTRAINT", "PRIMARY", "UNIQUE", "CHECK",
                                 "FOREIGN"})
+
+
+def _without_rowid(create_sql: str) -> bool:
+    """Whether a ``CREATE TABLE`` statement declares ``WITHOUT ROWID``
+    after its column definitions."""
+    depth = 0
+    closed = False
+    for token in tokens(create_sql):
+        if token.text == "(":
+            depth += 1
+        elif token.text == ")":
+            depth -= 1
+            closed = closed or depth == 0
+        elif closed and not depth and token.key == "WITHOUT":
+            return True
+    return False
 
 
 def _unquoted(text: str) -> str:
@@ -266,18 +292,12 @@ def _schema_ok(connection, shape) -> bool:
     return True
 
 
-def _input_counts(connection, shape) -> List[int]:
+def _sources(shape) -> List[Tuple[str, str]]:
+    """The ``(table, validity column)`` pairs *shape* reads."""
     if shape.kind == "join":
-        tables = [shape.left_table, shape.right_table]
-    else:
-        tables = [shape.table]
-    counts = []
-    for table in tables:
-        # On the raw connection: a planner probe, not a statement of
-        # its own (a profiler would otherwise record it as one).
-        row = connection.raw.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
-        counts.append(int(row[0]) if row else 0)
-    return counts
+        return [(shape.left_table, shape.left_valid),
+                (shape.right_table, shape.right_valid)]
+    return [(shape.table, shape.agg_column)]
 
 
 def maybe_execute_kernel(
@@ -317,13 +337,26 @@ def maybe_execute_kernel(
     if not _schema_ok(connection, shape):
         _fallback("schema")
         return None
-    if max(_input_counts(connection, shape)) < state.min_rows:
-        _fallback("small")
-        return None
-    if armed is not None:
-        # The dedicated injection point: fires before the bulk fetch,
-        # so a raise leaves the connection with nothing to roll back.
-        armed.apply("plan.kernel")
+    with images.snapshot(connection) as snap:
+        if max(snap.rows(*source) for source in _sources(shape)) \
+                < state.min_rows:
+            _fallback("small")
+            return None
+        if armed is not None:
+            # The dedicated injection point: fires before the bulk
+            # fetch, so a raise leaves the connection with nothing to
+            # roll back.
+            armed.apply("plan.kernel")
+        result = _run_kernel(connection, shape)
+    if _flight.state.enabled:
+        _flight.record(
+            "plan.kernel", shape=shape.kind, strategy=result.strategy,
+            rows=len(result.rows), image=snap.state, **result.stats,
+        )
+    return result
+
+
+def _run_kernel(connection, shape) -> KernelResult:
     now_seconds = connection.statement_now_seconds()
     token = bind_now_seconds(now_seconds)
     # Kernels allocate result rows in bulk and drop nothing cyclic;
@@ -347,11 +380,6 @@ def maybe_execute_kernel(
         reset_now(token)
         if gc_was_enabled:
             gc.enable()
-    if _flight.state.enabled:
-        _flight.record(
-            "plan.kernel", shape=shape.kind, strategy=result.strategy,
-            rows=len(result.rows), **result.stats,
-        )
     return result
 
 
@@ -371,7 +399,9 @@ def describe(connection, sql: str) -> Dict[str, object]:
         return {"strategy": "naive",
                 "reason": "column types outside kernel support"}
     try:
-        counts = _input_counts(connection, shape)
+        with images.snapshot(connection) as snap:
+            counts = [snap.rows(*source) for source in _sources(shape)]
+            image = [snap.expect(*source) for source in _sources(shape)]
     except TipError:
         counts = []
     if not counts or max(counts) < state.min_rows:
@@ -383,15 +413,14 @@ def describe(connection, sql: str) -> Dict[str, object]:
         kernel, _window = kernels.join_plan(
             shape, connection.statement_now_seconds()
         )
-        tables = [shape.left_table, shape.right_table]
         pushed = shape.left_filters + shape.right_filters
     else:
         kernel = "sweep"
-        tables = [shape.table]
         pushed = shape.filters
     return {
         "strategy": "kernel", "shape": shape.kind, "kernel": kernel,
-        "tables": tables, "rows": counts,
+        "tables": [table for table, _valid in _sources(shape)],
+        "rows": counts, "image": image,
         "pushdown": [_condition_text(condition) for condition in pushed],
     }
 

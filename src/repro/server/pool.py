@@ -9,9 +9,11 @@ actual concurrency model:
   proceed concurrently with one writer;
 * a **pool of reader connections** (the TIP blade installed on each,
   ``PRAGMA query_only`` armed so a misrouted write fails loudly) serves
-  read statements — an idle reader is checked out per statement, the
-  session's ``NOW`` override applied at checkout, and returned after
-  the fetch;
+  read statements — the most recently returned idle reader is checked
+  out per statement (last in, first out, so the kernels' table images,
+  :mod:`repro.plan.images`, live only on the readers the sessions keep
+  busy), the session's ``NOW`` override applied at checkout, and
+  returned after the fetch;
 * a **single writer connection** behind its own lock serves write
   statements, preserving the one total write order SQLite enforces
   anyway (writer linearizability comes for free);
@@ -236,7 +238,7 @@ class ConnectionPool:
                     obs.histogram("server.pool.checkout.wait_seconds").observe(
                         perf_counter() - waited_from
                     )
-            connection = self._idle.popleft()
+            connection = self._idle.pop()
         if _flight.state.enabled:
             _flight.record("pool.checkout", session=key, busy=busy, waited=waited)
         return connection

@@ -121,7 +121,10 @@ class ExplainReport:
                 pushed = self.plan_strategy.get("pushdown")
                 if pushed:
                     detail += f"; pushed down: {' AND '.join(pushed)}"
-                lines.append(f"temporal strategy: kernel ({detail})")
+                image = self.plan_strategy.get("image")
+                lines.append(f"temporal strategy: kernel ({detail})"
+                             + (f" [image: {', '.join(image)}]"
+                                if image else ""))
             else:
                 lines.append(
                     "temporal strategy: naive "
