@@ -156,7 +156,8 @@ class TipConnection:
     ) -> List[Sequence]:
         """All rows of *sql*, column by column, exactly as stored.
 
-        The planner kernels' bulk fetch: no type map runs, so their
+        The planner kernels' table-image fetch
+        (:mod:`repro.plan.images`): no type map runs, so their
         hash keys, residuals and group keys compare the values SQLite
         stored (the kernels map only the projected columns that hold
         blobs), and the validity column, selected last as an

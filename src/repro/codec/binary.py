@@ -322,8 +322,9 @@ def _canonical_pairs(data: bytes, offset: int, count: int):
 def element_pairs(data: object, now_seconds: int, mismatch: str):
     """The grounded ``(lo, hi)`` pairs of a stored Element at *now_seconds*.
 
-    The one-blob form of :func:`element_arrays` (which the kernels use
-    on whole columns) and the reference it is tested against: a
+    The one-blob form of :func:`element_arrays` (whose two halves,
+    :func:`parse_elements` and :func:`ground_elements`, the kernels
+    use on whole columns) and the reference it is tested against: a
     canonical all-determinate blob unpacks straight to its pairs — no
     Element object, no decode cache get/put.  Everything else takes
     ``decode(data)``: NOW-relative or non-canonical blobs, non-blob
