@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import codec, obs, plan
@@ -28,7 +30,10 @@ from repro.client.connection import TipConnection
 from repro.tsql import TsqlSession
 from repro.tsql.explain import explain_temporal
 from tests.conftest import DEMO_NOW, E
-from tests.test_plan_kernels import _forced, _multiset
+from tests.test_plan_kernels import (
+    _filters, _forced, _load_mixed, _mixed_tables, _multiset, _where,
+    _windows,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -282,6 +287,43 @@ class TestCodedKeys:
                     kernel = _kernel(session, query)[0]
                     assert _multiset(kernel) \
                         == _multiset(_naive(session, query)), query
+
+
+class TestRetainedDifferential:
+    """The generated mixed tables of the pushdown suite, read three
+    times — a transient image, then the built one, then a hit — with
+    per-side filters run as rowid selections over the retained image:
+    kernel rows equal naive rows, in (left, right) table order."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=_mixed_tables, left_filters=_filters,
+           right_filters=_filters, window=_windows,
+           key=st.sampled_from(["k", "u"]))
+    def test_kernel_equals_naive(self, forced_planner, rows, left_filters,
+                                 right_filters, window, key):
+        conjuncts = _where("l", left_filters) + _where("r", right_filters)
+        join = ((f"VALIDTIME PERIOD '{window}' " if window else "VALIDTIME ")
+                + "SELECT l.id, r.id, l.u, r.s FROM L AS l, L AS r "
+                + " WHERE " + " AND ".join([f"l.{key} = r.{key}"]
+                                           + conjuncts))
+        where = " AND ".join(_where("", left_filters))
+        coalesce = (f"SELECT {key}, group_union(valid) FROM L "
+                    + (f"WHERE {where} " if where else "")
+                    + f"GROUP BY {key}")
+        with repro.connect(now=DEMO_NOW) as connection:
+            _load_mixed(connection, "L", rows)
+            session = TsqlSession(connection)
+            states = []
+            for query in (join, coalesce) * 2:
+                kernel, state = _kernel(session, query)
+                states.append(state)
+                assert _multiset(kernel) \
+                    == _multiset(_naive(session, query)), query
+                if query is join:
+                    ids = [row[:2] for row in kernel]
+                    assert ids == sorted(ids)
+            assert states == ["transient", "miss", "hit", "hit"]
 
 
 class TestSnapshot:
