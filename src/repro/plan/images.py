@@ -8,8 +8,9 @@ which every statement grounds at its own ``NOW``.
 
 :func:`snapshot` runs all of one kernel statement's reads in one read
 transaction, and checks the key that keeps a connection's retained
-images current: ``PRAGMA schema_version``, ``PRAGMA data_version``,
-the connection's ``total_changes`` and
+images current: ``PRAGMA schema_version`` (of ``main`` and of
+``temp``, where a table can be shadowed), ``PRAGMA data_version``, the
+connection's ``total_changes`` and
 :func:`repro.tsql.compiled.generation`.  :meth:`Snapshot.side` applies
 the churn rule: a whole-table image once the key was seen unchanged
 and within :data:`RETAINED_ROWS`, else a transient image of the rows
@@ -268,6 +269,7 @@ class Snapshot:
         """Drop the retained images if the key moved."""
         raw = self.connection.raw
         key = (raw.execute("PRAGMA schema_version").fetchone()[0],
+               raw.execute("PRAGMA temp.schema_version").fetchone()[0],
                raw.execute("PRAGMA data_version").fetchone()[0],
                raw.total_changes, compiled.generation())
         images = self._images

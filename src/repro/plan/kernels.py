@@ -36,10 +36,10 @@ Element parse.  All of a statement's reads — the image key, the
 planner's row-count probe, the rowid selections and any build — run
 in **one read transaction**, so a join's two sides and the probe see
 one snapshot even while other connections commit.  A connection keeps
-a whole-table image while ``PRAGMA schema_version``, ``PRAGMA
-data_version``, its ``total_changes`` and the compiled-statement
-generation stay put; inside a transaction (or under an armed fault
-plan) it neither uses nor keeps one.  The **churn rule** builds and
+a whole-table image while ``PRAGMA schema_version`` (of ``main`` and
+``temp``), ``PRAGMA data_version``, its ``total_changes`` and the
+compiled-statement generation stay put; inside a transaction (or under
+an armed fault plan) it neither uses nor keeps one.  The **churn rule** builds and
 retains a whole-table image only when the table's key was already
 seen unchanged by an earlier kernel statement, and only while the
 connection's retained images hold at most

@@ -150,6 +150,13 @@ class TestImageMatrix:
         conn.commit()
         assert _agree(session)[0] == "transient"
 
+    def test_temp_table_shadowing(self, conn, forced_planner):
+        session = TsqlSession(conn)
+        _warm(session)
+        conn.execute(f"CREATE TEMP TABLE t AS SELECT * FROM main.t "
+                     "WHERE k < 2")
+        assert _agree(session)[0] == "transient"
+
     def test_vacuum_renumbers_rowids(self, tmp_path, forced_planner):
         path, writer = _wal_pair(tmp_path)
         writer.execute("DELETE FROM t WHERE rowid % 3 = 0")
