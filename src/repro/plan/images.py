@@ -37,7 +37,7 @@ from repro.tsql import compiled
 from repro.tsql.parser import Column
 
 __all__ = ["RETAINED_ROWS", "Coded", "TableImage", "Snapshot", "snapshot",
-           "where_clause"]
+           "selection", "where_clause"]
 
 #: Rows of retained images one connection may hold.  An image costs
 #: about 110 bytes per row (measured on the benchmark's tables: the
@@ -60,13 +60,13 @@ class Coded:
     converters decode, is only ever an output — keeps one code per row.
     """
 
-    __slots__ = ("codes", "values", "ints", "blobs", "mixed", "ranks")
+    __slots__ = ("codes", "values", "ints", "blobs", "ranks")
 
     def __init__(self, values: Sequence) -> None:
         kinds = set(map(type, values))
         self.ints = self.ranks = None
         self.blobs = not kinds.isdisjoint((bytes, bytearray, memoryview))
-        self.mixed = {int, float} <= kinds
+        mixed = {int, float} <= kinds
         if kinds == {int}:
             try:
                 stored = np.fromiter(values, np.int64, len(values))
@@ -76,8 +76,8 @@ class Coded:
                 self.ints, self.codes = np.unique(stored, return_inverse=True)
                 self.values = self.ints.tolist() + [None]
                 return
-        keys = list(zip(map(type, values), values)) if self.mixed else values
-        null = (type(None), None) if self.mixed else None
+        keys = list(zip(map(type, values), values)) if mixed else values
+        null = (type(None), None) if mixed else None
         try:
             distinct = dict.fromkeys(keys)
         except TypeError:  # decoded TIP values (output columns only)
@@ -89,8 +89,16 @@ class Coded:
         number[null] = -1
         self.codes = np.fromiter(map(number.__getitem__, keys), np.int64,
                                  len(keys))
-        self.values = ([value for _kind, value in distinct] if self.mixed
+        self.values = ([value for _kind, value in distinct] if mixed
                        else list(distinct)) + [None]
+
+
+def selection(filters) -> tuple:
+    """What decides the rows *filters* select: their SQL and their
+    bound parameters with the parameters' types (``1`` and ``1.0``
+    can select different rows)."""
+    where, params = where_clause(filters)
+    return where, tuple(params), tuple(map(type, params))
 
 
 def where_clause(filters) -> Tuple[str, List[object]]:
@@ -238,8 +246,7 @@ class Snapshot:
         if image is not None:
             return image, (image.select(self.connection, where, params)
                            if where else None)
-        key = (table.lower(), valid, where, tuple(params),
-               tuple(map(type, params)))
+        key = (table.lower(), valid, *selection(filters))
         image = self._transient.get(key)
         if image is None:
             image = self._transient[key] = TableImage(

@@ -278,24 +278,17 @@ def _hash_candidates(shape: JoinShape, left: _Side,
     left_ids = right_ids = None
     width = 1
     for left_col, right_col in shape.equalities:
-        column = left.cols[left_col]
-        if column is right.cols[right_col] and not column.mixed:
-            # One image column on both sides numbers its values already.
-            size = len(column.values) - 1
-            left_part, right_part = left.codes(left_col), \
-                right.codes(right_col)
-        else:
-            number: Dict[object, int] = {}
-            right_map = np.array(
-                [number.setdefault(value, len(number))
-                 for value in right.cols[right_col].values[:-1]] + [-1],
-                np.int64)
-            left_map = np.array([number.get(value, -1)
-                                 for value in column.values[:-1]] + [-1],
-                                np.int64)
-            size = len(number)
-            left_part = left_map[left.codes(left_col)]
-            right_part = right_map[right.codes(right_col)]
+        number: Dict[object, int] = {}
+        right_map = np.array(
+            [number.setdefault(value, len(number))
+             for value in right.cols[right_col].values[:-1]] + [-1],
+            np.int64)
+        left_map = np.array([number.get(value, -1)
+                             for value in left.cols[left_col].values[:-1]]
+                            + [-1], np.int64)
+        size = len(number)
+        left_part = left_map[left.codes(left_col)]
+        right_part = right_map[right.codes(right_col)]
         if left_ids is None:
             left_ids, right_ids, width = left_part, right_part, size
             continue
@@ -518,8 +511,9 @@ def execute_join(connection, shape: JoinShape,
 
     left_columns = _columns_for_side(shape, shape.left_alias)
     right_columns = _columns_for_side(shape, shape.right_alias)
-    if (shape.left_table.lower(), shape.left_valid) \
-            == (shape.right_table.lower(), shape.right_valid):
+    same_image = (shape.left_table.lower(), shape.left_valid) \
+        == (shape.right_table.lower(), shape.right_valid)
+    if same_image:
         # One image serves both sides: fetch their columns together.
         left_columns = right_columns = sorted({*left_columns,
                                                *right_columns})
@@ -527,9 +521,15 @@ def execute_join(connection, shape: JoinShape,
         left = _prepare_side(snap, shape.left_table, left_columns,
                              shape.left_valid, shape.left_filters,
                              now_seconds, window_pair)
-        right = _prepare_side(snap, shape.right_table, right_columns,
-                              shape.right_valid, shape.right_filters,
-                              now_seconds, window_pair)
+        if same_image and images.selection(shape.left_filters) \
+                == images.selection(shape.right_filters):
+            # Same rows on both sides (the temporal-graph path query):
+            # ground and prepare them once.
+            right = left
+        else:
+            right = _prepare_side(snap, shape.right_table, right_columns,
+                                  shape.right_valid, shape.right_filters,
+                                  now_seconds, window_pair)
 
     if shape.equalities:
         lefts, rights = _hash_candidates(shape, left, right)
@@ -537,7 +537,8 @@ def execute_join(connection, shape: JoinShape,
         lefts, rights = _overlap_candidates(left, right)
     stats = {"candidates": len(lefts), "left_rows": left.fetched,
              "right_rows": right.fetched,
-             "fallback_decodes": left.fallbacks + right.fallbacks}
+             "fallback_decodes": left.fallbacks
+             + (right.fallbacks if right is not left else 0)}
 
     # match() normalized cross conditions left-operand-first.
     for condition in shape.cross:

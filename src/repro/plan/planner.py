@@ -147,15 +147,20 @@ def _schemas(connection):
         except Exception:
             collated = {key: {column.lower() for column in columns}
                         for key, columns in schemas.items()}
-        # The kernels address rows by rowid: a WITHOUT ROWID table, or
-        # one whose definition could not be read, is not theirs.
+        # The kernels address rows by rowid: a WITHOUT ROWID table, one
+        # whose definition could not be read, or one with a column that
+        # hides the rowid's name is not theirs.
         rowid = {name.lower() for name, sql in tables
                  if not _without_rowid(sql or "")}
         schemas = {key: columns for key, columns in schemas.items()
-                   if key in rowid}
+                   if key in rowid and _ROWID_NAMES.isdisjoint(
+                       column.lower() for column in columns)}
         cached = _SCHEMA_CACHE[connection] = (generation, schemas, collated)
     return cached[1], cached[2]
 
+
+#: The names SQLite reads as the rowid unless a column takes them.
+_ROWID_NAMES = frozenset({"rowid", "oid", "_rowid_"})
 
 #: Words that open a table constraint, not a column definition.
 _TABLE_CONSTRAINTS = frozenset({"CONSTRAINT", "PRIMARY", "UNIQUE", "CHECK",

@@ -447,6 +447,30 @@ class TestObservability:
             assert not counters.get("plan.kernel.coalesce")
             assert _multiset(rows) == _multiset(_naive(session, query))
 
+    @pytest.mark.parametrize("name", ["rowid", "OID", "_rowid_"])
+    @pytest.mark.parametrize("stored", ["text", "shuffled"])
+    def test_columns_named_like_the_rowid_stay_naive(self, forced_planner,
+                                                     name, stored):
+        # Such a column hides the real rowid from the image's reads.
+        with repro.connect(now=DEMO_NOW) as connection:
+            connection.execute(f"CREATE TABLE s ({name}, k INTEGER, "
+                               "tag TEXT, valid ELEMENT)")
+            rows = _rows(20)
+            connection.executemany("INSERT INTO s VALUES (?, ?, ?, ?)", [
+                (f"r{n}" if stored == "text" else (7 * n) % 5, *row)
+                for n, row in enumerate(rows)])
+            connection.commit()
+            session = TsqlSession(connection)
+            for query in (JOIN_Q.replace(" t ", " s "),
+                          COALESCE_Q.replace(" t ", " s ")):
+                with obs.capture():
+                    for _ in range(3):  # past the churn rule's first read
+                        got = session.query(query)
+                    counters = obs.snapshot()["counters"]
+                assert counters.get("plan.fallback.schema") == 3
+                assert not counters.get("plan.image.misses")
+                assert _multiset(got) == _multiset(_naive(session, query))
+
 
 class TestPool:
     def test_checkout_takes_the_last_returned_reader(self, tmp_path):

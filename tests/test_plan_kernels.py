@@ -1087,6 +1087,11 @@ class TestPushdownObservability:
             flight.disable()
         assert [event["data"]["fallback_decodes"] for event
                 in flight.snapshot(kind="plan.kernel")] == [0, 0]
+        # Under an armed fault plan every blob decodes one at a time:
+        # L's 7 and R's 4.  The unfiltered self-join prepares its one
+        # side once, so it counts each of L's blobs once.
+        with faults.inject("wal.checkpoint:raise:p=0"):
+            assert fallbacks() == [11, 7, 7]
 
 
 # -- edge cases: blob keys, mixed classes, remote == embedded -----------
