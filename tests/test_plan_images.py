@@ -8,8 +8,9 @@ table under an image — writes on the same connection, another
 connection's commit, ``DROP`` and re-``CREATE``, ``VACUUM``, a rolled
 back insert, an old read snapshot, a new ``NOW`` — kernel rows equal
 naive rows.  The churn rule, the retained-rows ceiling, the image
-counters and ``WITHOUT ROWID`` tables are covered too, as is
-:func:`repro.codec.binary.merge_pairs` past its one-key headroom.
+counters, ``WITHOUT ROWID`` tables and columns named like the rowid
+are covered too, as is :func:`repro.codec.binary.merge_pairs` past its
+one-key headroom.
 """
 
 from __future__ import annotations
