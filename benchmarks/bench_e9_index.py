@@ -1,17 +1,21 @@
-"""E9 (extension) — temporal indexing for period timestamps.
+"""E9 (extension) — the temporal join without a temporal index.
 
 The paper's related work (reference [2]) built a DataBlade index for
-period-valued timestamps.  This experiment measures what such an index
-buys on top of our blade:
+period-valued timestamps; TIP itself shipped without one.  This
+experiment asks what the integrated engine needs to win the temporal
+join today, and answers it with the planner's set-based kernel
+(:mod:`repro.plan`), which sorts both sides' periods per statement and
+keeps no persistent index:
 
-* window (timeslice) probes: interval-tree lookup vs full-table
-  ``overlaps()`` scan;
-* the temporal self-join: index-nested-loop vs the quadratic UDF scan
-  vs the layered flat join (the three-way follow-up to E2's nuance).
+* window (timeslice) probes: the full-table ``overlaps()`` scan;
+* the temporal join, three ways: the planner's kernel, the
+  tuple-at-a-time UDF scan, and the layered flat join (the three-way
+  follow-up to E2's nuance).
 
-Expected shape: the index wins on selective window probes and turns the
-join from quadratic to near-linear in the output size, overtaking both
-the scan *and* the layered rewrite as tables grow.
+Expected shape: the UDF scan stays quadratic; the kernel (from
+:data:`repro.plan.planner.DEFAULT_MIN_ROWS` rows up) grows with the
+output and beats both the scan and the layered rewrite.  Below that
+threshold the planner leaves the statement on the UDF path.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import make_layered_db, make_tip_db
-from repro.index import IndexedTable, indexed_overlap_join
+from repro import plan
+from repro.plan.planner import DEFAULT_MIN_ROWS
+from repro.tsql import TsqlSession
 
 SIZES = [200, 500, 1000, 2000]
 
@@ -28,8 +34,9 @@ WINDOW_SQL = (
     "WHERE overlaps(valid, element('{[1995-03-01, 1995-03-07]}'))"
 )
 
+# Declared columns only: a projected rowid keeps the join off the kernel.
 JOIN_SQL = (
-    "SELECT p1.rowid, p2.rowid, tintersect(p1.valid, p2.valid) "
+    "SELECT p1.patient, p2.patient, tintersect(p1.valid, p2.valid) "
     "FROM Prescription p1, Prescription p2 "
     "WHERE p1.drug = 'Diabeta' AND p2.drug = 'Aspirin' "
     "AND overlaps(p1.valid, p2.valid)"
@@ -41,19 +48,7 @@ def databases():
     cache = {}
     for n in SIZES:
         conn, rows = make_tip_db(n, seed=42)
-        conn.execute(
-            "CREATE TABLE Diabeta AS SELECT rowid AS rid, * FROM Prescription "
-            "WHERE drug = 'Diabeta'"
-        )
-        conn.execute(
-            "CREATE TABLE Aspirin AS SELECT rowid AS rid, * FROM Prescription "
-            "WHERE drug = 'Aspirin'"
-        )
-        index = IndexedTable(conn, "Prescription", "valid")
-        left = IndexedTable(conn, "Diabeta", "valid", key_column="rid")
-        right = IndexedTable(conn, "Aspirin", "valid", key_column="rid")
-        layered = make_layered_db(rows)
-        cache[n] = (conn, index, left, right, layered)
+        cache[n] = (conn, TsqlSession(conn), make_layered_db(rows))
     yield cache
     for conn, *_rest in cache.values():
         conn.close()
@@ -65,23 +60,32 @@ def databases():
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.benchmark(group="e9-window-scan")
 def test_window_probe_scan(benchmark, databases, n):
-    conn, _index, *_ = databases[n]
+    conn, *_ = databases[n]
     benchmark(conn.query, WINDOW_SQL)
 
 
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.benchmark(group="e9-window-indexed")
-def test_window_probe_indexed(benchmark, databases, n):
-    conn, index, *_ = databases[n]
-    from tests.conftest import sec
-
-    lo, hi = sec("1995-03-01"), sec("1995-03-07")
-    indexed = benchmark(index.overlapping_keys, (lo, hi))
-    scan = [rowid for (rowid,) in conn.query(WINDOW_SQL)]
-    assert sorted(indexed) == sorted(scan)
-
-
 # -- the temporal join, three ways ----------------------------------------
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.benchmark(group="e9-join-kernel")
+def test_join_kernel(benchmark, databases, n):
+    conn, session, _layered = databases[n]
+    decision = plan.describe(conn, JOIN_SQL)
+    if n >= DEFAULT_MIN_ROWS:
+        assert decision["strategy"] == "kernel", decision
+    else:
+        assert decision == {
+            "strategy": "naive",
+            "reason": f"input below threshold ({DEFAULT_MIN_ROWS} rows)",
+        }
+    rows = benchmark(session.query, JOIN_SQL)
+    plan.configure(enabled=False)
+    try:
+        naive = session.query(JOIN_SQL)
+    finally:
+        plan.configure(enabled=True)
+    assert rows and sorted(map(repr, rows)) == sorted(map(repr, naive))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -89,14 +93,6 @@ def test_window_probe_indexed(benchmark, databases, n):
 def test_join_udf_scan(benchmark, databases, n):
     conn, *_ = databases[n]
     benchmark(conn.query, JOIN_SQL)
-
-
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.benchmark(group="e9-join-indexed")
-def test_join_indexed(benchmark, databases, n):
-    _conn, _index, left, right, _layered = databases[n]
-    result = benchmark(indexed_overlap_join, left, right)
-    assert isinstance(result, list)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -109,13 +105,3 @@ def test_join_layered(benchmark, databases, n):
         "Prescription",
         "d1.drug = 'Diabeta' AND d2.drug = 'Aspirin'",
     )
-
-
-# -- index build cost -------------------------------------------------------
-
-
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.benchmark(group="e9-index-build")
-def test_index_build(benchmark, databases, n):
-    _conn, index, *_ = databases[n]
-    benchmark(index.refresh)

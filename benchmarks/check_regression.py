@@ -86,7 +86,6 @@ SMOKE_NOW = "2000-01-01"
 SMOKE_COUNTER_PREFIXES = (
     "element.periods_processed",
     "tempagg.sweep.periods_processed",
-    "index.probes",
     "layered.op.",
     "blade.aggregate.",
     "plan.",

@@ -16,10 +16,9 @@ import time
 
 import repro
 from repro.core import interval_algebra as ia
-from repro.core.chronon import Chronon
-from repro.index import IndexedTable, indexed_overlap_join
 from repro.layered import LayeredEngine
 from repro.tempagg import AggregateTree, temporal_count
+from repro.tsql import TsqlSession
 from repro.workload import MedicalConfig, generate_prescriptions, load_layered, load_tip, striped_element
 
 NOW = "2000-01-01"
@@ -169,24 +168,20 @@ def e7():
 
 def e9():
     conn, layered = medical_pair(400)
-    conn.execute("CREATE TABLE D AS SELECT rowid AS rid, * FROM Prescription WHERE drug='Diabeta'")
-    conn.execute("CREATE TABLE A AS SELECT rowid AS rid, * FROM Prescription WHERE drug='Aspirin'")
-    left = IndexedTable(conn, "D", "valid", key_column="rid")
-    right = IndexedTable(conn, "A", "valid", key_column="rid")
-    t_scan, _ = clock(
-        conn.query,
-        "SELECT p1.rowid, p2.rowid FROM Prescription p1, Prescription p2 "
-        "WHERE p1.drug='Diabeta' AND p2.drug='Aspirin' AND overlaps(p1.valid, p2.valid)",
-        repeats=1,
+    join = (
+        "SELECT p1.patient, p2.patient, tintersect(p1.valid, p2.valid) "
+        "FROM Prescription p1, Prescription p2 "
+        "WHERE p1.drug='Diabeta' AND p2.drug='Aspirin' AND overlaps(p1.valid, p2.valid)"
     )
-    t_idx, _ = clock(indexed_overlap_join, left, right)
+    t_kernel, _ = clock(TsqlSession(conn).query, join)
+    t_scan, _ = clock(conn.query, join, repeats=1)
     t_lay, _ = clock(
         layered.overlap_join, "Prescription", "Prescription",
         "d1.drug='Diabeta' AND d2.drug='Aspirin'",
     )
     table("E9 — temporal join, three ways (400 rows)",
-          ["UDF scan", "layered", "indexed"],
-          [(fmt(t_scan), fmt(t_lay), fmt(t_idx))])
+          ["kernel", "UDF scan", "layered"],
+          [(fmt(t_kernel), fmt(t_scan), fmt(t_lay))])
     conn.close()
     layered.close()
 

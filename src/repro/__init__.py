@@ -11,7 +11,7 @@ Informix* (SIGMOD 2000).  The public API:
 * temporal warehouse views — :mod:`repro.warehouse`;
 * deterministic fault injection — :mod:`repro.faults`;
 * workload generators — :mod:`repro.workload`;
-* the temporal index — :mod:`repro.index`;
+* the temporal planner's set-based kernels — :mod:`repro.plan`;
 * TSQL2 statement modifiers — :mod:`repro.tsql`.
 """
 

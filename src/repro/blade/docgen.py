@@ -165,8 +165,8 @@ _CLI_SECTION = [
     "modifiers included.  The statement is executed twice — once on the",
     "integrated blade, once as the translated TimeDB-style equivalent over",
     "a flat mirror of the referenced temporal tables — and the report shows",
-    "wall/fetch time, rows, periods processed, index probes, per-routine",
-    "breakdowns, the translated SQL with its static complexity metrics",
+    "wall/fetch time, rows, periods processed, per-routine breakdowns,",
+    "the translated SQL with its static complexity metrics",
     "(chars / selects / joins / NOT EXISTS / predicates), and both SQLite",
     "query plans side by side.",
     "",

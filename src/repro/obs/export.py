@@ -259,7 +259,6 @@ def render_profile(profile: Dict) -> str:
         + f"  rows={profile.get('rows', 0)} rowcount={profile.get('rowcount', -1)}"
         + (f" retries={profile['retries']}" if profile.get("retries") else ""),
         f"  periods_processed={profile.get('periods_processed', 0)} "
-        f"index_probes={profile.get('index_probes', 0)} "
         f"ok={profile.get('ok', True)}"
         + (f" stmt_cache={profile['stmt_cache']}" if profile.get("stmt_cache") else ""),
     ]

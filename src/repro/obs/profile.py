@@ -8,7 +8,7 @@ path win?  Three pieces:
 * :class:`QueryProfile` — one statement's cost record: wall time, the
   per-routine call/latency breakdown (scoped to the statement by
   diffing the active metrics registry around it), periods processed,
-  index probes, row counts, and retry counts;
+  row counts, and retry counts;
 * a **trace context** — a ``trace_id``/``span_id`` pair threaded
   through the wire protocol so the client-side span and the
   server-side span of one statement join into a single trace;
@@ -61,7 +61,6 @@ _ROUTINE_PREFIXES = ("blade.routine.", "blade.aggregate.", "blade.cast.", "layer
 
 #: Counters surfaced as first-class QueryProfile fields.
 _PERIOD_COUNTERS = ("element.periods_processed", "tempagg.sweep.periods_processed")
-_PROBE_COUNTER = "index.probes"
 
 
 def new_trace_id() -> str:
@@ -91,7 +90,6 @@ class QueryProfile:
     rowcount: int = -1             # DB-API rowcount (DML row traffic)
     retries: int = 0               # transport retries (remote client)
     periods_processed: int = 0
-    index_probes: int = 0
     routines: Dict[str, Dict[str, float]] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
     statement_now: Optional[str] = None
@@ -118,7 +116,6 @@ class QueryProfile:
             "rowcount": self.rowcount,
             "retries": self.retries,
             "periods_processed": self.periods_processed,
-            "index_probes": self.index_probes,
             "routines": self.routines,
             "counters": self.counters,
             "ok": self.ok,
@@ -318,7 +315,7 @@ class StatementRecorder:
         profile = recorder.finish(rowcount=..., ok=True)
 
     ``start``/``finish`` snapshot the active metrics registry, so the
-    routine breakdown and the periods/probes counters cover exactly the
+    routine breakdown and the periods counters cover exactly the
     work between the two calls.
     """
 
@@ -393,7 +390,6 @@ class StatementRecorder:
         profile.periods_processed = sum(
             counter_deltas.get(name, 0) for name in _PERIOD_COUNTERS
         )
-        profile.index_probes = counter_deltas.get(_PROBE_COUNTER, 0)
         profile.routines = _routine_breakdown(
             self._before.get("histograms", {}), after.get("histograms", {}),
             counter_deltas,

@@ -20,7 +20,7 @@ prepared statements invalidates kernel plans with it.  Callers without
 a compiled statement (EXPLAIN, :func:`describe`) match directly.
 Declared column types
 (:func:`repro.tsql.compiled.declared_columns`) are cached per
-connection under the same generation key.
+connection under the same generation and the schema versions.
 
 :func:`configure` sets ``enabled`` (off runs every statement on the
 naive UDF path, the semantics oracle) and ``min_rows`` (start value
@@ -73,7 +73,7 @@ class PlanState:
 
 state = PlanState()
 
-#: connection -> (generation, {table: {column: decltype-or-""}}).
+#: connection -> ((generation, schema versions), types, collated columns).
 _SCHEMA_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -121,13 +121,17 @@ def _fallback(reason: str) -> None:
 
 def _schemas(connection):
     """``({table: {column: DECLTYPE}}, {table: {column}})`` for every
-    rowid table (lower-cased), generation-cached: the declared types,
+    rowid table (lower-cased), cached per generation and schema
+    version (DDL need not pass through a session): the declared types,
     and the lower-cased columns declared with a collation other than
     BINARY.  If the collations cannot be read, every column counts as
     collated."""
-    generation = compiled.generation()
+    raw = connection.raw
+    key = (compiled.generation(),
+           raw.execute("PRAGMA schema_version").fetchone()[0],
+           raw.execute("PRAGMA temp.schema_version").fetchone()[0])
     cached = _SCHEMA_CACHE.get(connection)
-    if cached is None or cached[0] != generation:
+    if cached is None or cached[0] != key:
         try:
             declared = compiled.declared_columns(connection)
         except Exception:
@@ -155,7 +159,7 @@ def _schemas(connection):
         schemas = {key: columns for key, columns in schemas.items()
                    if key in rowid and _ROWID_NAMES.isdisjoint(
                        column.lower() for column in columns)}
-        cached = _SCHEMA_CACHE[connection] = (generation, schemas, collated)
+        cached = _SCHEMA_CACHE[connection] = (key, schemas, collated)
     return cached[1], cached[2]
 
 

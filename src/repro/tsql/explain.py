@@ -7,7 +7,7 @@ tool.  Given one statement (TSQL2 modifiers included), it
 
 1. runs it on the TIP connection under the query profiler
    (:mod:`repro.obs.profile`) — wall time, per-routine breakdown,
-   periods processed, index probes — with the plan an unprofiled run
+   periods processed — with the plan an unprofiled run
    takes (a set-based kernel whenever :mod:`repro.plan` takes it);
 2. mirrors the referenced temporal tables into a layered
    :class:`~repro.layered.engine.LayeredEngine`
@@ -179,9 +179,6 @@ def _side_by_side(blade: EnginePlan, layered: EnginePlan) -> List[str]:
         ("periods processed",
          profile_cell(blade.profile, "periods_processed"),
          profile_cell(layered.profile, "periods_processed")),
-        ("index probes",
-         profile_cell(blade.profile, "index_probes"),
-         profile_cell(layered.profile, "index_probes")),
         ("routine calls",
          str(sum(int(r.get("calls", 0)) for r in blade.profile.routines.values()))
          if blade.profile else "-",

@@ -160,10 +160,12 @@ class TsqlSession:
 
     def __init__(self, connection: TipConnection) -> None:
         self._connection = connection
-        self._discovered: Dict[str, str] = {}
+        # Seeded without a bump: the compiled-cache key carries the
+        # registry, so a new session over an unchanged schema keeps
+        # every connection's plans and table images.
+        self._discovered = compiled.discover_valid_columns(connection)
         self._overrides: Dict[str, str] = {}
-        self._merged: Dict[str, str] = {}
-        self.rescan()
+        self._merged = dict(self._discovered)
 
     def rescan(self) -> None:
         """Re-discover temporal tables from sqlite_master.

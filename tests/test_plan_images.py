@@ -151,11 +151,36 @@ class TestImageMatrix:
         conn.commit()
         assert _agree(session)[0] == "transient"
 
+    def test_recreated_with_a_collation(self, conn, forced_planner):
+        # DDL outside a session moves no generation, and neither does a
+        # new session: the planner must still see the new collation.
+        old = TsqlSession(conn)
+        _warm(old)
+        conn.execute("DROP TABLE t")
+        conn.execute("CREATE TABLE t (k INTEGER, tag TEXT COLLATE NOCASE, "
+                     "valid ELEMENT)")
+        conn.executemany("INSERT INTO t VALUES (?, ?, ?)", [
+            (k, tag.upper() if n % 2 else tag, valid)
+            for n, (k, tag, valid) in enumerate(_rows(40))])
+        conn.commit()
+
+        def check(session):
+            with obs.capture():
+                rows = session.query(ELEMENT_Q)
+                counters = obs.snapshot()["counters"]
+            assert counters.get("plan.fallback.schema") == 1
+            assert _multiset(rows) == _multiset(_naive(session, ELEMENT_Q))
+
+        check(old)
+        check(TsqlSession(conn))
+
     def test_temp_table_shadowing(self, conn, forced_planner):
         session = TsqlSession(conn)
         _warm(session)
-        conn.execute(f"CREATE TEMP TABLE t AS SELECT * FROM main.t "
-                     "WHERE k < 2")
+        # Declared like main.t: the planner reads the shadowing table's
+        # own column types.
+        conn.execute(TABLE.replace("TABLE", "TEMP TABLE", 1))
+        conn.execute("INSERT INTO temp.t SELECT * FROM main.t WHERE k < 2")
         assert _agree(session)[0] == "transient"
 
     def test_vacuum_renumbers_rowids(self, tmp_path, forced_planner):
@@ -426,10 +451,10 @@ class TestObservability:
             states.append(plan.describe(conn, COALESCE_Q)["image"])
             session.query(COALESCE_Q)
         assert states == [["transient"], ["miss"], ["hit"]]
+        # EXPLAIN's own session moves no generation: the image stays.
         report = explain_temporal(conn, COALESCE_Q)
-        (state,) = report.plan_strategy["image"]
         assert ("temporal strategy: kernel (coalesce via sweep; pushed down: "
-                f"tag != 'b') [image: {state}]") in report.render()
+                "tag != 'b') [image: hit]") in report.render()
 
     def test_without_rowid_tables_stay_naive(self, forced_planner):
         with repro.connect(now=DEMO_NOW) as connection:

@@ -216,6 +216,17 @@ class TestInvalidation:
         assert stats["misses"] == 2
         assert stats["invalidations"] >= 1
 
+    def test_new_session_over_an_unchanged_schema_keeps_plans(self, rx):
+        connection, session = rx
+        statement = "SNAPSHOT SELECT patient FROM Rx"
+        session.query(statement)
+        generation = compiled.generation()
+        TsqlSession(connection)
+        TsqlSession(connection)
+        assert compiled.generation() == generation
+        session.query(statement)
+        assert compiled.stats()["hits"] == 1
+
 
 def test_armed_faults_bypass_the_cache(rx):
     _, session = rx
