@@ -13,48 +13,19 @@ by more than the threshold (default 20%), so CI can gate merges on it.
 Benchmarks that appear in only one file are reported but never fail
 the check — adding or retiring an experiment is not a regression.
 
-There is also a self-contained smoke mode::
-
-    PYTHONPATH=src python benchmarks/check_regression.py --smoke \\
-        [--out BENCH_PR10.json] [--repeats 5] [--size 200] \\
-        [--baseline benchmarks/BENCH_PR9.json] [--concurrency] [--scale]
-
-which runs a fixed set of representative temporal workloads in-process
-(no pytest-benchmark needed) and writes a machine-readable JSON report:
-per-benchmark median wall time, the work counters
-(``element.periods_processed`` and friends) captured through
-:mod:`repro.obs`, and the marshalling- and statement-cache hit/miss
-deltas (``repro.codec.cache``, ``repro.tsql.compiled``) per benchmark.
-The ``e7.prepared.hot`` / ``e7.adhoc.retranslate`` pair A/Bs the
-compiled-statement cache and the report's ``prepared`` section records
-the speedup; ``e7.executemany.ingest`` times remote bulk ingest over
-the prepared-statement ``many`` frames.  When a committed baseline
-report exists (auto-detected as the highest-numbered ``BENCH_PR*.json``
-next to this script, or given via ``--baseline``) the smoke run also
-compares median wall times against it and **warns** — without failing —
-on any shared benchmark slower than ``SMOKE_WARN_RATIO`` (1.5x).  CI
-runs the smoke mode on every push and uploads the report as an
-artifact, so perf *and* algorithmic-work trends are inspectable per
-commit.
-
-``--concurrency`` (implies ``--smoke``) additionally runs the N-client
-read-throughput sweep against the pooled WAL server — a serialized
-single-connection baseline versus batched clients over a reader pool —
-and records the sweep plus ``speedup_at_max`` in the report's
-``concurrency`` section.
-
-The ``e10.join.kernel`` / ``e10.join.naive`` pair A/Bs the temporal
-query planner's set-based join kernels (:mod:`repro.plan`) against the
-naive UDF path on a CI-sized temporal-graph workload (the ``plan``
-section records the smoke-scale speedup), and ``e10.coalesce.kernel``
-covers the sweep-coalesce kernel.  ``--scale`` (implies ``--smoke``)
-additionally runs the full-scale headline join — 5x10^4 edge rows per
-side, kernel vs naive, results differentially compared — and records
-it in the report's ``scale`` section; this is the committed evidence
-for ISSUE 10's >= 10x acceptance bound.
+The smoke mode (``--smoke``) times one declared case table in-process
+and writes a JSON report (schema ``tip-bench-smoke/3``): per case, the
+median wall time, the runs, the work counters and the cache deltas.
+Each A/B is a declared :data:`Pair` whose two cases run interleaved;
+it reports the median of its per-round ratios (B time / A time: above 1
+means A is faster), their interquartile band, and ``faster``,
+``slower``, or ``no change`` when the band holds 1.0.  A case with an
+oracle fails the run unless its first result equals the oracle case's.
+A committed ``BENCH_PR*.json`` of the same ``--size`` is compared median
+by median, warning (never failing) above ``SMOKE_WARN_RATIO``.
 
 The compare path is stdlib only: it runs on a bare CI runner without
-the test extras.  Only ``--smoke`` imports :mod:`repro` (point
+the test extras.  Only the smoke mode imports :mod:`repro` (point
 ``PYTHONPATH`` at ``src``).
 """
 
@@ -68,7 +39,8 @@ import re
 import statistics
 import sys
 import time
-from typing import Dict, Optional
+from collections import namedtuple
+from typing import Dict, List, Optional
 
 DEFAULT_THRESHOLD = 0.20
 
@@ -90,6 +62,16 @@ SMOKE_COUNTER_PREFIXES = (
     "blade.aggregate.",
     "plan.",
 )
+
+CACHES = ("decode", "parse", "statement")
+
+#: A timed workload: *setup* returns ``(run, teardown)``; *oracle* names
+#: the case whose first result this case's first result must equal.
+#: *warmup* untimed runs precede *repeats* timed ones (None: ``--repeats``).
+Case = namedtuple("Case", "name setup oracle warmup repeats", defaults=(None, 1, None))
+
+#: An A/B of two cases, run interleaved.
+Pair = namedtuple("Pair", "name a b")
 
 
 def load_means(path: str) -> Dict[str, float]:
@@ -133,639 +115,339 @@ def compare(
     return regressions, improvements, only_in_one
 
 
-def _smoke_cases(size: int):
-    """``(name, setup)`` pairs; each setup returns ``(run, teardown)``.
+def _loop(call, times: int):
+    """A run making *times* calls; it returns the last call's result."""
+    def run():
+        for _ in range(times):
+            result = call()
+        return result
+    return run
 
-    The cases mirror the flagship E1/E2 comparisons: the integrated
-    blade's coalescing aggregate and overlap join, and the layered
-    translation of the same coalescing query.
+
+def _remote(make_run, clients: int = 1, readers: Optional[int] = None):
+    """A case setup over a TipServer holding an 8-row ``Rx`` table.
+
+    *make_run* gets *clients* connections.  Given *readers*, the server
+    serves a file through that many pooled readers (``:memory:`` has no
+    pool).
     """
+    def setup():
+        import tempfile
+
+        from repro.server import RemoteTipConnection, TipServer
+
+        directory = tempfile.TemporaryDirectory(prefix="tip-bench-")
+        db = ":memory:" if readers is None else os.path.join(directory.name, "rx.db")
+        server = TipServer(db, observability=False, readers=readers or 0).start()
+        connections = [RemoteTipConnection(*server.address) for _ in range(clients)]
+        connections[0].execute("CREATE TABLE Rx (patient TEXT, drug TEXT, valid ELEMENT)")
+        connections[0].executemany(
+            "INSERT INTO Rx VALUES (?, 'Tylenol', element('{[1999-10-01, NOW]}'))",
+            [(f"p{i}",) for i in range(8)])
+        for connection in connections:
+            connection.set_now(SMOKE_NOW)
+
+        def teardown():
+            for connection in connections:
+                connection.close()
+            server.stop()
+            directory.cleanup()
+
+        return make_run(connections), teardown
+    return setup
+
+
+def _graph_rows(session, query: str, kernel: bool):
+    """*query* on the planner's kernels from zero rows up, or naive."""
+    from repro import plan
+
+    plan.configure(enabled=kernel, min_rows=0)
+    return session.query(query)
+
+
+def _canon(rows) -> List[tuple]:
+    """*rows* sorted, each element grounded to its period pairs."""
+    return sorted(
+        tuple(tuple(v.ground_pairs(0)) if hasattr(v, "ground_pairs") else v for v in row)
+        for row in rows
+    )
+
+
+def _cases(size: int, concurrency: bool = False, scale: bool = False):
+    """The declared case table: ``(smoke, probes)``.  Smoke cases make
+    the report's ``benchmarks``; probes report only through their pairs."""
+    from concurrent.futures import ThreadPoolExecutor
+
     import repro
     from repro.layered import LayeredEngine
+    from repro.linq import param
+    from repro.obs import flight
+    from repro.server.client import RemoteError
+    from repro.tsql import TsqlSession
     from repro.workload import (
-        MedicalConfig, generate_prescriptions, load_layered, load_tip,
+        MedicalConfig, generate_prescriptions, graphs, load_layered, load_tip,
     )
 
     rows = generate_prescriptions(
         MedicalConfig(n_prescriptions=size, n_patients=max(10, size // 10), seed=42)
     )
 
-    def tip_setup(sql):
+    def embedded(make_run, load=lambda conn: load_tip(conn, rows)):
+        """A local connection filled by *load*, and a session over it."""
         def setup():
             conn = repro.connect(now=SMOKE_NOW)
-            load_tip(conn, rows)
-            return (lambda: conn.query(sql)), conn.close
+            load(conn)
+            return make_run(conn, TsqlSession(conn)), conn.close
         return setup
 
-    def layered_setup():
+    def query(sql):
+        return embedded(lambda conn, _: lambda: conn.query(sql))
+
+    def layered():
         engine = LayeredEngine(now=SMOKE_NOW)
         load_layered(engine, rows)
-        return (
-            lambda: engine.total_length("Prescription", ["patient"]),
-            engine.close,
-        )
+        return (lambda: engine.total_length("Prescription", ["patient"])), engine.close
 
-    def insert_setup():
-        def setup():
-            conn = repro.connect(now=SMOKE_NOW)
-            conn.execute(
-                "CREATE TABLE Rx (doctor TEXT, patient TEXT, patientdob CHRONON, "
-                "drug TEXT, dosage INTEGER, frequency SPAN, valid ELEMENT)"
-            )
-            statement = (
-                "INSERT INTO Rx VALUES ('Dr.Pepper', 'Mr.Showbiz', "
-                "chronon('1975-03-26'), 'Diabeta', 1, span('0 08:00:00'), "
-                "element('{[1999-10-01, NOW]}'))"
-            )
+    def inserts(conn, _):
+        return _loop(lambda: conn.execute(
+            "INSERT INTO Rx VALUES ('Dr.Pepper', 'Mr.Showbiz', chronon('1975-03-26'), "
+            "'Diabeta', 1, span('0 08:00:00'), element('{[1999-10-01, NOW]}'))"), size)
 
-            def run():
-                for _ in range(size):
-                    conn.execute(statement)
+    def retranslated(cached):
+        """A translation-heavy statement over empty tables.  The ad hoc
+        side's comment makes it uncacheable, so each call translates
+        afresh while the hot side's plan stays cached."""
+        statement = ("" if cached else "/* ad hoc */ ") + (
+            "VALIDTIME PERIOD '1999-01-01, 1999-12-31' "
+            "SELECT p1.patient, p1.ward, p2.ward, p3.bed FROM Visit p1, Visit p2, Stay p3 "
+            "WHERE p1.patient = p2.patient AND p2.patient = p3.patient "
+            "AND p1.ward = 'icu' AND p2.ward = 'er' AND p3.bed = 'b1'")
+        return embedded(lambda _, session: _loop(lambda: session.query(statement), size),
+                        lambda conn: conn.executescript(
+                            "CREATE TABLE Visit (patient TEXT, ward TEXT, valid ELEMENT);"
+                            "CREATE TABLE Stay (patient TEXT, bed TEXT, valid ELEMENT)"))
 
-            return run, conn.close
-        return setup
+    def ingest(connections):
+        """Remote bulk ingest: one PREPARE plus chunked ``many`` frames."""
+        connections[0].execute(
+            "CREATE TABLE Ingest (doctor TEXT, patient TEXT, drug TEXT, dosage INTEGER)")
+        params = [(f"dr{i % 7}", f"patient{i % 31}", f"drug{i % 13}", i) for i in range(size)]
+        return lambda: connections[0].executemany("INSERT INTO Ingest VALUES (?, ?, ?, ?)", params)
 
-    def prepared_setup(cached):
-        """The statement-cache A/B: a translation-heavy tSQL statement
-        over *empty* temporal tables, so per-call cost is dominated by
-        the preprocessor — exactly what the compiled-statement cache
-        amortizes and per-call translation re-pays (``cached`` false
-        clears the cache before each query, so every query misses).
-        """
-        def setup():
-            from repro.tsql import TsqlSession
-            from repro.tsql import compiled as stmt_cache
+    def composed(conn, _):
+        """The builder composing and compiling its query every call."""
+        front = conn.linq()
 
-            conn = repro.connect(now=SMOKE_NOW)
-            conn.execute("CREATE TABLE Visit (patient TEXT, ward TEXT, valid ELEMENT)")
-            conn.execute("CREATE TABLE Stay (patient TEXT, bed TEXT, valid ELEMENT)")
-            session = TsqlSession(conn)
-            statement = (
-                "VALIDTIME PERIOD '1999-01-01, 1999-12-31' "
-                "SELECT p1.patient, p1.ward, p2.ward, p3.bed "
-                "FROM Visit p1, Visit p2, Stay p3 "
-                "WHERE p1.patient = p2.patient AND p2.patient = p3.patient "
-                "AND p1.ward = 'icu' AND p2.ward = 'er' AND p3.bed = 'b1'"
-            )
-            stmt_cache.clear_cache()
+        def call():
+            p = front.table("Prescription", "p")
+            return p.where(p.drug == "Tylenol").select(p.patient).snapshot().run()
+        return _loop(call, max(1, size // 10))
 
-            def run():
-                for _ in range(max(1, size)):
-                    if not cached:
-                        stmt_cache.clear_cache()
-                    session.query(statement)
+    def handwritten(_, session):
+        statement = "SNAPSHOT SELECT patient FROM Prescription WHERE drug = 'Tylenol'"
+        return _loop(lambda: session.query(statement), max(1, size // 10))
 
-            def teardown():
-                stmt_cache.clear_cache()
-                conn.close()
-
-            return run, teardown
-        return setup
-
-    def executemany_setup():
-        """Remote bulk ingest: one PREPARE plus chunked ``many`` frames
-        instead of one round trip (and one commit) per row."""
-        def setup():
-            from repro.server import RemoteTipConnection, TipServer
-
-            server = TipServer(":memory:", observability=False).start()
-            host, port = server.address
-            connection = RemoteTipConnection(host, port)
-            connection.execute(
-                "CREATE TABLE Ingest (doctor TEXT, patient TEXT, "
-                "drug TEXT, dosage INTEGER)"
-            )
-            params = [
-                (f"dr{i % 7}", f"patient{i % 31}", f"drug{i % 13}", i)
-                for i in range(size)
-            ]
-
-            def run():
-                connection.executemany(
-                    "INSERT INTO Ingest VALUES (?, ?, ?, ?)", params
-                )
-
-            def teardown():
-                connection.close()
-                server.stop()
-
-            return run, teardown
-        return setup
-
-    def linq_local_setup(use_builder):
-        """The query-builder A/B on the local path: the same snapshot
-        query per call as composed builder combinators (full AST
-        construction + compile every iteration) versus the hand-written
-        tSQL string through the session's statement cache."""
-        def setup():
-            from repro.tsql import TsqlSession
-
-            conn = repro.connect(now=SMOKE_NOW)
-            load_tip(conn, rows)
-            session = TsqlSession(conn)
-            front = conn.linq()
-            handwritten = (
-                "SNAPSHOT SELECT patient FROM Prescription "
-                "WHERE drug = 'Tylenol'"
-            )
-            iterations = max(1, size // 10)
-
-            def run_builder():
-                for _ in range(iterations):
-                    p = front.table("Prescription", "p")
-                    (p.where(p.drug == "Tylenol")
-                     .select(p.patient).snapshot().run())
-
-            def run_string():
-                for _ in range(iterations):
-                    session.query(handwritten)
-
-            return (run_builder if use_builder else run_string), conn.close
-        return setup
-
-    def linq_prepared_setup(use_builder):
-        """The hot prepared path: one PREPARE at setup, then bound
-        executions only — builder compile cost must be fully amortized,
-        leaving just the per-call parameter check."""
-        def setup():
-            from repro.linq import param as linq_param
-            from repro.server import RemoteTipConnection, TipServer
-
-            server = TipServer(":memory:", observability=False).start()
-            host, port = server.address
-            connection = RemoteTipConnection(host, port)
-            connection.execute(
-                "CREATE TABLE Rx (patient TEXT, drug TEXT, valid ELEMENT)"
-            )
-            for i in range(8):
-                connection.execute(
-                    f"INSERT INTO Rx VALUES ('p{i}', 'Tylenol', "
-                    "element('{[1999-10-01, NOW]}'))"
-                )
-            connection.set_now(SMOKE_NOW)
+    def hot(use_builder=False, recorder=None, calls=size):
+        """The hot prepared path: PREPARE once, then bound executions;
+        *recorder* switches the flight recorder before each run."""
+        def make_run(connections):
             if use_builder:
-                front = connection.linq()
-                p = front.table("Rx", "p")
-                prepared = (
-                    p.where(p.drug == linq_param("drug", "text"))
-                    .select(p.patient).snapshot().prepare()
-                )
-
-                def run():
-                    for _ in range(max(1, size)):
-                        prepared.rows(drug="Tylenol")
-            else:
-                prepared = connection.prepare(
-                    "SNAPSHOT SELECT p.patient FROM Rx AS p "
-                    "WHERE (p.drug = ?)"
-                )
-
-                def run():
-                    for _ in range(max(1, size)):
-                        prepared.execute(("Tylenol",)).rows
-
-            def teardown():
-                prepared.deallocate()
-                connection.close()
-                server.stop()
-
-            return run, teardown
-        return setup
-
-    def plan_setup(query_name, kernel):
-        """The E10 planner A/B: the temporal-graph path join (and the
-        group-coalesce) through the set-based kernels versus the same
-        statement pinned to the naive UDF path.  The graph is sized off
-        *size* so the smoke run stays CI-fast; the committed headline
-        ratio comes from the full-scale run (ISSUE 10's 5x10^4-row
-        workload), but the A/B here tracks the same code paths."""
-        def setup():
-            from repro import plan
-            from repro.tsql import TsqlSession
-            from repro.workload import graphs
-
-            config = graphs.GraphConfig(
-                n_nodes=max(20, size // 4), n_edges=size * 5, seed=7
-            )
-            conn = repro.connect(now=SMOKE_NOW)
-            graphs.load_graph(conn, graphs.generate_edges(config))
-            session = TsqlSession(conn)
-            query = (graphs.coalesce_query() if query_name == "coalesce"
-                     else graphs.path_query())
-            plan.configure(enabled=kernel, min_rows=0 if kernel else None)
+                p = connections[0].linq().table("Rx", "p")
+                built = p.where(p.drug == param("drug", "text")).select(p.patient)
+                prepared = built.snapshot().prepare()
+                return _loop(lambda: prepared.rows(drug="Tylenol"), calls)
+            prepared = connections[0].prepare(
+                "SNAPSHOT SELECT p.patient FROM Rx AS p WHERE (p.drug = ?)")
+            burst = _loop(lambda: prepared.execute(("Tylenol",)).rows, calls)
+            if recorder is None:
+                return burst
 
             def run():
-                session.query(query)
+                (flight.enable if recorder else flight.disable)()
+                return burst()
+            return run
+        return _remote(make_run)
 
-            def teardown():
-                plan.configure(
-                    enabled=True, min_rows=plan.planner.DEFAULT_MIN_ROWS
-                )
-                conn.close()
+    def graph(config, sql, kernel):
+        return embedded(lambda _, session: lambda: _graph_rows(session, sql, kernel),
+                        load=lambda conn: graphs.load_graph(conn, graphs.generate_edges(config)))
 
-            return run, teardown
-        return setup
+    def reads(clients, batch, readers):
+        """2 400 point reads split across *clients* threads, *batch* per
+        frame (a frame of one is one round trip per statement)."""
+        def client(connection):
+            for start in range(0, 2400 // clients, batch):
+                frame = [("SELECT patient, drug FROM Rx WHERE rowid = ?", ((start + i) % 8 + 1,))
+                         for i in range(batch)]
+                for result in connection.execute_batch(frame):
+                    if isinstance(result, RemoteError):
+                        raise result
 
-    coalesce_sql = (
-        "SELECT patient, length_seconds(group_union(valid)) "
-        "FROM Prescription GROUP BY patient"
-    )
-    join_sql = (
-        "SELECT p1.patient, p2.patient, tintersect(p1.valid, p2.valid) "
-        "FROM Prescription p1, Prescription p2 "
-        "WHERE p1.drug = 'Diabeta' AND p2.drug = 'Aspirin' "
-        "AND overlaps(p1.valid, p2.valid)"
-    )
-    # E5 worked queries (paper Section 2): Q1's constant-window scan and
-    # the literal-heavy INSERT path — both dominated by marshalling.
-    q1_sql = (
-        "SELECT patient FROM Prescription WHERE drug = 'Tylenol' "
-        "AND tlt(tsub(start(valid), patientdob), tmul(span('7'), 1000))"
-    )
-    return [
-        ("e2.coalesce.integrated", tip_setup(coalesce_sql)),
-        ("e2.join.integrated", tip_setup(join_sql)),
-        ("e2.coalesce.layered", layered_setup),
-        ("e5.q1.infant_tylenol", tip_setup(q1_sql)),
-        ("e5.insert.literals", insert_setup()),
-        # E7: the compiled-statement cache A/B plus remote bulk ingest.
-        ("e7.prepared.hot", prepared_setup(True)),
-        ("e7.adhoc.retranslate", prepared_setup(False)),
-        ("e7.executemany.ingest", executemany_setup()),
-        # E8: the query builder vs hand-written tSQL, per-call and hot.
-        ("e8.linq.compile.builder", linq_local_setup(True)),
-        ("e8.linq.compile.handwritten", linq_local_setup(False)),
-        ("e8.linq.prepared.builder", linq_prepared_setup(True)),
-        ("e8.linq.prepared.handwritten", linq_prepared_setup(False)),
-        # E10: the temporal join planner A/B on the graph workload.
-        ("e10.join.kernel", plan_setup("join", True)),
-        ("e10.join.naive", plan_setup("join", False)),
-        ("e10.coalesce.kernel", plan_setup("coalesce", True)),
+        def make_run(connections):
+            def run():
+                with ThreadPoolExecutor(len(connections)) as pool:
+                    list(pool.map(client, connections))  # raises a client's error
+            return run
+        return _remote(make_run, clients, readers)
+
+    small = graphs.GraphConfig(n_nodes=max(20, size // 4), n_edges=size * 5, seed=7)
+    path = graphs.path_query()
+    smoke = [
+        # E2/E5: the blade's coalescing aggregate and overlap join, the
+        # layered coalescing rewrite, paper Q1 and literal-heavy INSERTs.
+        Case("e2.coalesce.integrated", query(
+            "SELECT patient, length_seconds(group_union(valid)) "
+            "FROM Prescription GROUP BY patient")),
+        Case("e2.join.integrated", query(
+            "SELECT p1.patient, p2.patient, tintersect(p1.valid, p2.valid) "
+            "FROM Prescription p1, Prescription p2 WHERE p1.drug = 'Diabeta' "
+            "AND p2.drug = 'Aspirin' AND overlaps(p1.valid, p2.valid)")),
+        Case("e2.coalesce.layered", layered),
+        Case("e5.q1.infant_tylenol", query(
+            "SELECT patient FROM Prescription WHERE drug = 'Tylenol' "
+            "AND tlt(tsub(start(valid), patientdob), tmul(span('7'), 1000))")),
+        Case("e5.insert.literals", embedded(inserts, lambda conn: conn.execute(
+            "CREATE TABLE Rx (doctor TEXT, patient TEXT, patientdob CHRONON, "
+            "drug TEXT, dosage INTEGER, frequency SPAN, valid ELEMENT)"))),
+        Pair("prepared", Case("e7.prepared.hot", retranslated(True), oracle="e7.adhoc.retranslate"),
+             Case("e7.adhoc.retranslate", retranslated(False))),
+        Case("e7.executemany.ingest", _remote(ingest)),
+        Pair("linq.compile", Case("e8.linq.compile.builder", embedded(composed),
+                                  oracle="e8.linq.compile.handwritten"),
+             Case("e8.linq.compile.handwritten", embedded(handwritten))),
+        Pair("linq.prepared", Case("e8.linq.prepared.builder", hot(use_builder=True),
+                                   oracle="e8.linq.prepared.handwritten"),
+             Case("e8.linq.prepared.handwritten", hot())),
+        Pair("plan", Case("e10.join.kernel", graph(small, path, True), oracle="e10.join.naive"),
+             Case("e10.join.naive", graph(small, path, False))),
+        Case("e10.coalesce.kernel", graph(small, graphs.coalesce_query(), True)),
     ]
+    # Many short rounds: the recorder costs a few percent at most.
+    probes = [Pair("flight", Case("flight.on", hot(recorder=True, calls=50), repeats=max(10, size)),
+                   Case("flight.off", hot(recorder=False, calls=50), repeats=max(10, size)))]
+    if concurrency:
+        probes.append(Pair("concurrency", Case("concurrency.pooled", reads(8, 100, readers=8)),
+                           Case("concurrency.serialized", reads(1, 1, readers=0))))
+    if scale:
+        # 5x10^4 edge rows per side.  Naive once: it runs for tens of
+        # seconds, stable to a few percent.  The kernel runs three times;
+        # its first run pays numpy page faults and cold caches.
+        full = graphs.GraphConfig(n_nodes=2500, n_edges=50_000, seed=7)
+        probes.append(Pair("scale", Case("scale.kernel", graph(full, path, True),
+                                         oracle="scale.naive", warmup=0, repeats=3),
+                           Case("scale.naive", graph(full, path, False), warmup=0, repeats=1)))
+    return smoke, probes
 
 
-def run_concurrency_sweep(
-    size: int = 200,
-    statements: int = 600,
-    batch: int = 100,
-    clients: tuple = (1, 2, 4, 8),
-    readers: int = 8,
-    repeats: int = 3,
-) -> Dict:
-    """The N-client read-throughput sweep over the pooled WAL server.
+def pair_stats(a_runs: List[float], b_runs: List[float]) -> Dict:
+    """Median, interquartile band and verdict of the per-round B/A ratios.
 
-    Two configurations over the same file-backed Prescription database:
-
-    * **baseline** — the pre-pool model: ``readers=0`` (every statement
-      serializes on the single writer connection), one client, one
-      statement per frame;
-    * **sweep** — the pooled server (``readers`` reader connections),
-      N clients each pipelining *batch* statements per BATCH frame.
-
-    The workload is a light native-SQL point read, so the measured gap
-    is the server's dispatch + protocol overhead — on a small machine
-    the win comes from pipelining (amortizing per-statement round
-    trips), with reader-pool overlap on top where cores allow.  The
-    returned section records throughput per N and the pool gauges, plus
-    ``speedup_at_max`` = max-N sweep throughput / baseline throughput.
-
-    Each point is measured *repeats* times and the median-throughput
-    run is recorded — thread scheduling and TCP latency jitter swing
-    single runs by tens of percent on a busy host, and a median of
-    three is stable enough to gate on.
+    Round *i* pairs A's *i*-th run with B's; a side with fewer runs
+    (the scale case's single naive run) reuses its last one.
     """
-    import tempfile
-    import threading
-
-    import repro
-    from repro.server import RemoteTipConnection, TipServer
-    from repro.server.client import RemoteError
-    from repro.workload import MedicalConfig, generate_prescriptions, load_tip
-
-    rows = generate_prescriptions(
-        MedicalConfig(n_prescriptions=size, n_patients=max(10, size // 10), seed=42)
-    )
-    sql = "SELECT patient, drug, dosage FROM Prescription WHERE rowid = ?"
-
-    def seeded_database(directory: str, name: str) -> str:
-        path = os.path.join(directory, name)
-        connection = repro.connect(path, now=SMOKE_NOW)
-        load_tip(connection, rows)
-        connection.commit()
-        connection.close()
-        return path
-
-    def measure(server, n_clients: int, per_frame: int) -> Dict:
-        host, port = server.address
-        barrier = threading.Barrier(n_clients + 1)
-        failures = []
-
-        def worker():
-            try:
-                with RemoteTipConnection(host, port) as connection:
-                    barrier.wait(timeout=30)
-                    done = 0
-                    while done < statements:
-                        take = min(per_frame, statements - done)
-                        pairs = [
-                            (sql, ((done + i) % size + 1,)) for i in range(take)
-                        ]
-                        if take == 1:
-                            connection.execute(*pairs[0])
-                        else:
-                            for result in connection.execute_batch(pairs):
-                                if isinstance(result, RemoteError):
-                                    raise result
-                        done += take
-            except Exception as exc:  # pragma: no cover - surfaced below
-                failures.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(n_clients)]
-        for thread in threads:
-            thread.start()
-        barrier.wait(timeout=30)
-        started = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - started
-        if failures:
-            raise failures[0]
-        total = n_clients * statements
-        return {
-            "clients": n_clients,
-            "statements": total,
-            "seconds": elapsed,
-            "throughput_stmt_per_s": total / elapsed,
-        }
-
-    def measure_median(server, n_clients: int, per_frame: int) -> Dict:
-        runs = sorted(
-            (measure(server, n_clients, per_frame) for _ in range(repeats)),
-            key=lambda entry: entry["throughput_stmt_per_s"],
-        )
-        chosen = runs[len(runs) // 2]
-        chosen["repeats"] = repeats
-        return chosen
-
-    section: Dict = {
-        "statements_per_client": statements,
-        "batch_size": batch,
-        "readers": readers,
-        "workload_rows": size,
-        "sweep": [],
-    }
-    with tempfile.TemporaryDirectory(prefix="tip-bench-") as directory:
-        # Baseline: the old serialized single-connection model, one
-        # statement per round trip.
-        with TipServer(seeded_database(directory, "baseline.db"),
-                       readers=0, observability=False) as server:
-            section["baseline"] = measure_median(server, 1, 1)
-            section["baseline"]["pool"] = server.pool.stats()
-        print(f"concurrency baseline (1 client, serialized, per-frame): "
-              f"{section['baseline']['throughput_stmt_per_s']:.0f} stmt/s")
-        # Sweep: pooled readers + pipelined batches, N clients.
-        with TipServer(seeded_database(directory, "pooled.db"),
-                       readers=readers, observability=False) as server:
-            for n_clients in clients:
-                entry = measure_median(server, n_clients, batch)
-                entry["pool"] = server.pool.stats()
-                section["sweep"].append(entry)
-                print(f"concurrency sweep N={n_clients} (pooled, batched): "
-                      f"{entry['throughput_stmt_per_s']:.0f} stmt/s")
-    at_max = max(section["sweep"], key=lambda e: e["clients"])
-    section["speedup_at_max"] = (
-        at_max["throughput_stmt_per_s"]
-        / section["baseline"]["throughput_stmt_per_s"]
-    )
-    print(f"concurrency speedup at N={max(clients)}: "
-          f"{section['speedup_at_max']:.2f}x over the serialized baseline")
-    return section
+    rounds = max(len(a_runs), len(b_runs))
+    ratios = [b_runs[min(i, len(b_runs) - 1)] / a_runs[min(i, len(a_runs) - 1)]
+              for i in range(rounds)]
+    low, _, high = (statistics.quantiles(ratios, n=4, method="inclusive")
+                    if rounds > 1 else ratios * 3)
+    verdict = "faster" if low > 1.0 else "slower" if high < 1.0 else "no change"
+    return {"ratios": ratios, "ratio": statistics.median(ratios),
+            "band": [low, high], "verdict": verdict}
 
 
-def run_scale_benchmark(
-    n_nodes: int = 2500,
-    n_edges: int = 50_000,
-    seed: int = 7,
-    kernel_trials: int = 3,
-) -> Dict:
-    """The E10 headline run: the sequenced path join at full scale.
+def _tally(registry) -> Dict:
+    """The smoke counters, and each cache's counts keyed ``(cache, field)``."""
+    from repro import codec
+    from repro.tsql import compiled
 
-    One temporal-graph edge table of *n_edges* rows self-joined on
-    ``e1.dst = e2.src`` — both join sides are the full table, so this
-    is the acceptance criterion's ">= 5x10^4 rows per side" workload.
-    The kernel side is timed ``kernel_trials`` times (min wall time:
-    the first run pays numpy page-faults and cold caches); the naive
-    UDF side is timed once, first, in the same fresh process — at this
-    scale it runs for tens of seconds and one measurement is stable to
-    a few percent.  Both result sets are canonicalized (elements
-    grounded to period pairs) and compared for **exact equality**, so
-    the recorded speedup is certified differential-equal.
+    tally = {name: value for name, value in registry.snapshot()["counters"].items()
+             if name.startswith(SMOKE_COUNTER_PREFIXES)}
+    stats = {**codec.cache.stats(), "statement": compiled.CACHE.stats()}
+    for which in CACHES:
+        for field in ("hits", "misses", "evictions"):
+            tally[which, field] = stats[which][field]
+    return tally
+
+
+def _run_group(group: List[Case], repeats: int, registry) -> Dict[str, Dict]:
+    """Time *group*, rotating which case goes first each round.
+
+    Caches start cold, so hit ratios are the group's own; counters and
+    cache deltas cover each case's own runs; the planner and recorder
+    switches are left as found.
     """
-    from repro import plan
-    from repro.client.connection import connect
-    from repro.tsql import TsqlSession
-    from repro.workload import graphs
-
-    section: Dict = {
-        "n_nodes": n_nodes, "n_edges": n_edges, "seed": seed,
-        "query": "path join (e1.dst = e2.src, sequenced)",
-    }
-    config = graphs.GraphConfig(n_nodes=n_nodes, n_edges=n_edges, seed=seed)
-    connection = connect(now=SMOKE_NOW)
-    try:
-        graphs.load_graph(connection, graphs.generate_edges(config))
-        session = TsqlSession(connection)
-        query = graphs.path_query()
-
-        def canon(rows):
-            return sorted(
-                (r[0], r[1], r[2], tuple(r[3].ground_pairs(0))) for r in rows
-            )
-
-        plan.configure(enabled=False)
-        started = time.perf_counter()
-        naive_rows = session.query(query)
-        section["naive_seconds"] = time.perf_counter() - started
-        section["rows"] = len(naive_rows)
-        print(f"scale: naive UDF path {_fmt(section['naive_seconds'])} "
-              f"({len(naive_rows)} rows)")
-        naive_canon = canon(naive_rows)
-        del naive_rows
-
-        plan.configure(enabled=True, min_rows=0)
-        kernel_times = []
-        kernel_rows = None
-        for _ in range(kernel_trials):
-            del kernel_rows  # only one result set retained across trials
-            started = time.perf_counter()
-            kernel_rows = session.query(query)
-            kernel_times.append(time.perf_counter() - started)
-        section["kernel_seconds"] = min(kernel_times)
-        section["kernel_runs"] = kernel_times
-        print(f"scale: kernel path {_fmt(section['kernel_seconds'])} "
-              f"(min of {kernel_trials}; {len(kernel_rows)} rows)")
-
-        section["differential_equal"] = canon(kernel_rows) == naive_canon
-        section["speedup"] = (
-            section["naive_seconds"] / section["kernel_seconds"]
-        )
-        print(f"scale: kernel speedup {section['speedup']:.1f}x, "
-              f"differential_equal={section['differential_equal']}")
-        if not section["differential_equal"]:
-            raise AssertionError(
-                "scale run: kernel and naive result sets differ"
-            )
-    finally:
-        plan.configure(enabled=True, min_rows=plan.planner.DEFAULT_MIN_ROWS)
-        connection.close()
-    return section
-
-
-def _measure_linq_overhead(size: int, rounds: int = 9) -> Dict[str, float]:
-    """Interleaved A/B of the hot prepared builder query vs raw tSQL.
-
-    Both handles live on one server and the loops alternate round by
-    round, so CPU-frequency drift and socket-scheduling noise hit both
-    sides equally; best-of-rounds is the estimator (the noise is
-    strictly additive).  This is the number the acceptance criterion
-    cares about — the per-call cost the builder adds once compilation
-    is amortized behind PREPARE.
-    """
-    from repro.linq import param as linq_param
-    from repro.server import RemoteTipConnection, TipServer
-
-    iterations = max(1, size)
-    server = TipServer(":memory:", observability=False).start()
-    host, port = server.address
-    connection = RemoteTipConnection(host, port)
-    try:
-        connection.execute(
-            "CREATE TABLE Rx (patient TEXT, drug TEXT, valid ELEMENT)"
-        )
-        for i in range(8):
-            connection.execute(
-                f"INSERT INTO Rx VALUES ('p{i}', 'Tylenol', "
-                "element('{[1999-10-01, NOW]}'))"
-            )
-        connection.set_now(SMOKE_NOW)
-        front = connection.linq()
-        p = front.table("Rx", "p")
-        built = (
-            p.where(p.drug == linq_param("drug", "text"))
-            .select(p.patient).snapshot().prepare()
-        )
-        raw = connection.prepare(built.query.sql())
-        best_built = best_raw = float("inf")
-        for _ in range(rounds):
-            started = time.perf_counter()
-            for _ in range(iterations):
-                built.rows(drug="Tylenol")
-            best_built = min(best_built, time.perf_counter() - started)
-            started = time.perf_counter()
-            for _ in range(iterations):
-                raw.execute(("Tylenol",)).rows
-            best_raw = min(best_raw, time.perf_counter() - started)
-        built.deallocate()
-        raw.deallocate()
-    finally:
-        connection.close()
-        server.stop()
-    return {
-        "hot_builder_best_seconds": best_built,
-        "hot_handwritten_best_seconds": best_raw,
-        "hot_overhead": best_built / best_raw - 1.0,
-    }
-
-
-def _measure_flight_overhead(size: int, burst: int = 50) -> Dict[str, float]:
-    """Paired A/B of the hot prepared path: flight recorder on vs off.
-
-    One server, one prepared handle.  The loop runs many short
-    *adjacent* on/off burst pairs (order alternating pair by pair) and
-    the estimator is the **median of within-pair differences** over
-    the median off-burst time.  Adjacent pairing cancels the slow
-    machine drift that makes best-of-rounds comparisons of long
-    separate loops unreliable on shared hardware, and the median
-    throws away scheduler outliers on both sides.  This is the
-    always-on-diagnostics acceptance number: the ring appends per
-    statement (``stmt.begin`` + ``stmt.end``) must stay under a few
-    percent of the hot path, and the disabled side must cost exactly
-    one attribute load.
-    """
+    from repro import codec, plan
     from repro.obs import flight
-    from repro.server import RemoteTipConnection, TipServer
+    from repro.tsql import compiled
 
-    pairs = max(10, size)
-    server = TipServer(":memory:", observability=False,
-                       flight_recorder=False).start()
-    host, port = server.address
-    connection = RemoteTipConnection(host, port)
+    codec.clear_caches()
+    compiled.clear_cache()
+    found = (plan.state.enabled, plan.state.min_rows, flight.state.enabled)
+    checked = {c.name for c in group if c.oracle} | {c.oracle for c in group}
+    live, runs, totals, first = [], {}, {}, {}
+
+    def once(case, run, timed):
+        before = _tally(registry)
+        started = time.perf_counter()
+        result = run()
+        seconds = time.perf_counter() - started
+        for key, value in _tally(registry).items():
+            totals[case.name][key] = totals[case.name].get(key, 0) + value - before.get(key, 0)
+        if timed:
+            runs[case.name].append(seconds)
+        if case.name in checked and case.name not in first:
+            first[case.name] = _canon(result)
+
     try:
-        connection.execute(
-            "CREATE TABLE Rx (patient TEXT, drug TEXT, valid ELEMENT)"
-        )
-        for i in range(8):
-            connection.execute(
-                f"INSERT INTO Rx VALUES ('p{i}', 'Tylenol', "
-                "element('{[1999-10-01, NOW]}'))"
-            )
-        connection.set_now(SMOKE_NOW)
-        prepared = connection.prepare(
-            "SNAPSHOT SELECT p.patient FROM Rx AS p WHERE (p.drug = ?)"
-        )
-        def timed(enabled: bool) -> float:
-            (flight.enable if enabled else flight.disable)()
-            started = time.perf_counter()
-            for _ in range(burst):
-                prepared.execute(("Tylenol",)).rows
-            return time.perf_counter() - started
-
-        for _ in range(4):  # warm the path before either arm is scored
-            timed(False)
-        diffs = []
-        on_times = []
-        off_times = []
-        for pair_index in range(pairs):
-            # Alternate which arm goes first so within-pair warm-up
-            # never systematically taxes one side.
-            if pair_index % 2 == 0:
-                on = timed(True)
-                off = timed(False)
-            else:
-                off = timed(False)
-                on = timed(True)
-            diffs.append(on - off)
-            on_times.append(on)
-            off_times.append(off)
-        prepared.deallocate()
+        for case in group:
+            live.append((case, *case.setup()))
+            runs[case.name], totals[case.name] = [], {}
+        for case, run, _ in live:
+            for _ in range(case.warmup):
+                once(case, run, False)
+        for index in range(max(case.repeats or repeats for case in group)):
+            turn = index % len(live)
+            for case, run, _ in live[turn:] + live[:turn]:
+                if len(runs[case.name]) < (case.repeats or repeats):
+                    once(case, run, True)
     finally:
-        flight.disable()
-        flight.clear()
-        connection.close()
-        server.stop()
-    median_off = statistics.median(off_times)
-    return {
-        "hot_enabled_median_seconds": statistics.median(on_times),
-        "hot_disabled_median_seconds": median_off,
-        "hot_overhead": statistics.median(diffs) / median_off,
-    }
-
-
-def _cache_delta(before: Dict, after: Dict) -> Dict[str, Dict[str, float]]:
-    """Per-cache ``{hits, misses, evictions, hit_ratio}`` across a case."""
-    delta: Dict[str, Dict[str, float]] = {}
-    for which in ("decode", "parse", "statement"):
-        b, a = before.get(which, {}), after.get(which, {})
-        hits = a.get("hits", 0) - b.get("hits", 0)
-        misses = a.get("misses", 0) - b.get("misses", 0)
-        looked_up = hits + misses
-        delta[which] = {
-            "hits": hits,
-            "misses": misses,
-            "evictions": a.get("evictions", 0) - b.get("evictions", 0),
-            "hit_ratio": (hits / looked_up) if looked_up else 0.0,
+        for _, _, teardown in reversed(live):
+            teardown()
+        plan.configure(enabled=found[0], min_rows=found[1])
+        (flight.enable if found[2] else flight.disable)()
+    entries = {}
+    for case in group:
+        if case.oracle and first[case.name] != first[case.oracle]:
+            raise AssertionError(f"{case.name} returned other rows than its oracle {case.oracle}")
+        total, cache = totals[case.name], {}
+        for which in CACHES:
+            hits, misses = total[which, "hits"], total[which, "misses"]
+            cache[which] = {"hits": hits, "misses": misses, "evictions": total[which, "evictions"],
+                            "hit_ratio": hits / (hits + misses) if hits + misses else 0.0}
+        entries[case.name] = {
+            "median_seconds": statistics.median(runs[case.name]),
+            "runs": runs[case.name],
+            "counters": {name: value for name, value in total.items()
+                         if isinstance(name, str) and value},
+            "cache": cache,
         }
-    return delta
+    return entries
+
+
+def run_cases(table: List, repeats: int, registry):
+    """Time every case of *table*: ``(entries by case, stats by pair)``."""
+    entries: Dict[str, Dict] = {}
+    pairs: Dict[str, Dict] = {}
+    for item in table:
+        entries.update(_run_group([item.a, item.b] if isinstance(item, Pair) else [item],
+                                  repeats, registry))
+        if isinstance(item, Pair):
+            a, b = entries[item.a.name], entries[item.b.name]
+            pairs[item.name] = {"a": item.a.name, "b": item.b.name,
+                                "a_median_seconds": a["median_seconds"],
+                                "b_median_seconds": b["median_seconds"],
+                                **pair_stats(a["runs"], b["runs"])}
+    return entries, pairs
 
 
 def find_baseline(out: str) -> Optional[str]:
@@ -786,43 +468,34 @@ def find_baseline(out: str) -> Optional[str]:
 
 
 def _compare_with_baseline(report: Dict, baseline_path: str) -> int:
-    """Print per-benchmark deltas vs *baseline_path*; return warning count.
+    """Compare medians with *baseline_path*; return the warning count.
 
-    Medians are compared across the shared benchmark names; anything
-    slower than :data:`SMOKE_WARN_RATIO` is warned about (never failed:
-    the baseline was committed from a different machine).  The deltas
-    are also folded into the report for the committed record.
+    Only a baseline of the same ``size`` is compared: medians of
+    different work say nothing.  Slowdowns past :data:`SMOKE_WARN_RATIO`
+    are warned about, never failed: the baseline was committed from a
+    different machine.  The deltas are folded into the report.
     """
+    label = os.path.basename(baseline_path)
     try:
         with open(baseline_path, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
     except (OSError, ValueError) as exc:
         print(f"baseline {baseline_path} unreadable ({exc}); skipping comparison")
         return 0
-    base_benchmarks = baseline.get("benchmarks", {})
-    deltas: Dict[str, Dict[str, float]] = {}
-    warnings = 0
-    for name, entry in sorted(report["benchmarks"].items()):
-        base_entry = base_benchmarks.get(name)
-        base_median = (base_entry or {}).get("median_seconds")
-        if not base_median or base_median <= 0.0:
-            print(f"baseline: {name} not in {os.path.basename(baseline_path)}; skipped")
-            continue
-        head_median = entry["median_seconds"]
-        speedup = base_median / head_median
-        deltas[name] = {
-            "baseline_median_seconds": base_median,
-            "median_seconds": head_median,
-            "speedup": speedup,
-        }
-        direction = f"{speedup:.2f}x faster" if speedup >= 1.0 else f"{1 / speedup:.2f}x slower"
-        print(f"baseline: {name} {_fmt(base_median)} -> {_fmt(head_median)} ({direction})")
-        if head_median > base_median * SMOKE_WARN_RATIO:
-            warnings += 1
-            print(f"WARNING: {name} regressed more than {SMOKE_WARN_RATIO}x "
-                  f"vs {os.path.basename(baseline_path)}")
-    report["baseline"] = {"path": os.path.basename(baseline_path), "deltas": deltas}
-    return warnings
+    if baseline.get("size") != report["size"]:
+        print(f"baseline {label} was written at --size {baseline.get('size')}, "
+              f"this run at --size {report['size']}; skipping comparison")
+        return 0
+    base = {name: entry.get("median_seconds") or 0.0
+            for name, entry in baseline.get("benchmarks", {}).items()}
+    head = {name: entry["median_seconds"] for name, entry in report["benchmarks"].items()}
+    shared = [name for name in sorted(set(base) & set(head)) if base[name] > 0.0]
+    print(f"baseline: {label}, {len(shared)} shared benchmarks, "
+          f"warning past {SMOKE_WARN_RATIO}x slower")
+    report["baseline"] = {"path": label, "deltas": {
+        name: {"baseline_median_seconds": base[name], "median_seconds": head[name],
+               "speedup": base[name] / head[name]} for name in shared}}
+    return len(_print_comparison(base, head, SMOKE_WARN_RATIO - 1.0))
 
 
 def run_smoke(
@@ -830,107 +503,28 @@ def run_smoke(
     baseline: Optional[str] = None, concurrency: bool = False,
     scale: bool = False,
 ) -> int:
-    """Run the smoke benchmarks and write the JSON report to *out*."""
-    from repro import codec, obs
-    from repro.tsql import compiled as stmt_cache
+    """Run the smoke cases and pairs and write the JSON report to *out*."""
+    from repro import obs
 
-    report = {
-        "schema": "tip-bench-smoke/2",
-        "now": SMOKE_NOW,
-        "repeats": repeats,
-        "size": size,
-        "benchmarks": {},
-    }
-
-    def cache_stats() -> Dict:
-        return {**codec.cache.stats(), "statement": stmt_cache.CACHE.stats()}
-
-    for name, setup in _smoke_cases(size):
-        # Cold caches per case, so the recorded hit ratio is the
-        # benchmark's own steady-state behaviour, not leakage from the
-        # previous case.
-        codec.clear_caches()
-        stmt_cache.clear_cache()
-        cache_before = cache_stats()
-        with obs.capture():
-            run, teardown = setup()
-            try:
-                run()  # warm-up: exclude first-call setup from the timings
-                timings = []
-                for _ in range(repeats):
-                    started = time.perf_counter()
-                    run()
-                    timings.append(time.perf_counter() - started)
-                counters = {
-                    counter_name: value
-                    for counter_name, value in obs.snapshot()["counters"].items()
-                    if counter_name.startswith(SMOKE_COUNTER_PREFIXES)
-                }
-            finally:
-                teardown()
-        cache = _cache_delta(cache_before, cache_stats())
-        report["benchmarks"][name] = {
-            "median_seconds": statistics.median(timings),
-            "runs": timings,
-            "counters": counters,
-            "cache": cache,
-        }
-        ratios = "/".join(
-            f"{cache[which]['hit_ratio'] * 100:.0f}%"
-            for which in ("decode", "parse", "statement")
-        )
-        print(f"{name}: median {_fmt(statistics.median(timings))} "
-              f"over {repeats} runs (decode/parse/statement cache hit {ratios})")
-    hot = report["benchmarks"].get("e7.prepared.hot")
-    adhoc = report["benchmarks"].get("e7.adhoc.retranslate")
-    if hot and adhoc and hot["median_seconds"] > 0.0:
-        speedup = adhoc["median_seconds"] / hot["median_seconds"]
-        report["prepared"] = {
-            "hot_median_seconds": hot["median_seconds"],
-            "adhoc_median_seconds": adhoc["median_seconds"],
-            "speedup": speedup,
-        }
-        print(f"prepared speedup: {speedup:.2f}x over per-call translation")
-    adhoc_built = report["benchmarks"].get("e8.linq.compile.builder")
-    adhoc_hand = report["benchmarks"].get("e8.linq.compile.handwritten")
-    if report["benchmarks"].get("e8.linq.prepared.builder"):
-        # The per-case medians above run minutes apart, so CPU-frequency
-        # drift swamps the few-percent signal; the dedicated probe
-        # interleaves builder and raw rounds against one server.
-        report["linq"] = _measure_linq_overhead(size)
-        if adhoc_built and adhoc_hand and adhoc_hand["runs"]:
-            report["linq"]["adhoc_overhead"] = (
-                min(adhoc_built["runs"]) / min(adhoc_hand["runs"]) - 1.0
-            )
-        print(f"linq hot prepared overhead: "
-              f"{report['linq']['hot_overhead'] * 100:+.1f}% "
-              "vs raw prepared tSQL (compile amortized)")
-    kernel_join = report["benchmarks"].get("e10.join.kernel")
-    naive_join = report["benchmarks"].get("e10.join.naive")
-    if kernel_join and naive_join and kernel_join["median_seconds"] > 0.0:
-        speedup = naive_join["median_seconds"] / kernel_join["median_seconds"]
-        report["plan"] = {
-            "kernel_median_seconds": kernel_join["median_seconds"],
-            "naive_median_seconds": naive_join["median_seconds"],
-            "speedup": speedup,
-        }
-        print(f"plan kernel speedup: {speedup:.2f}x over the naive UDF path "
-              "(smoke-sized graph; see the scale section for the headline run)")
-    # E9: the always-on flight recorder must stay nearly free on the
-    # hot prepared path (acceptance bound: < 5% added latency).
-    report["flight"] = _measure_flight_overhead(size)
-    print(f"flight recorder overhead (e9.flight.overhead): "
-          f"{report['flight']['hot_overhead'] * 100:+.1f}% "
-          "on the hot prepared path (recorder on vs off)")
-    if concurrency:
-        report["concurrency"] = run_concurrency_sweep(size=size)
-    if scale:
-        report["scale"] = run_scale_benchmark()
-    if baseline is None:
-        baseline = find_baseline(out)
-    warnings = 0
-    if baseline:
-        warnings = _compare_with_baseline(report, baseline)
+    smoke, probes = _cases(size, concurrency, scale)
+    with obs.capture() as registry:
+        benchmarks, pairs = run_cases(smoke, repeats, registry)
+    # Probes report no counters, so they run with metrics off, as a
+    # server does unless asked.
+    with obs.capture(enabled=False) as registry:
+        pairs.update(run_cases(probes, repeats, registry)[1])
+    report = {"schema": "tip-bench-smoke/3", "now": SMOKE_NOW, "repeats": repeats,
+              "size": size, "benchmarks": benchmarks, "pairs": pairs}
+    for name, entry in benchmarks.items():
+        ratios = "/".join(f"{entry['cache'][which]['hit_ratio'] * 100:.0f}%" for which in CACHES)
+        print(f"{name}: median {_fmt(entry['median_seconds'])} over "
+              f"{len(entry['runs'])} runs (decode/parse/statement cache hit {ratios})")
+    for name, pair in pairs.items():
+        print(f"{name}: {pair['a']} vs {pair['b']} x{pair['ratio']:.3f} (band "
+              f"{pair['band'][0]:.3f}-{pair['band'][1]:.3f}, {len(pair['ratios'])} rounds) "
+              f"{pair['verdict']}")
+    baseline = baseline or find_baseline(out)
+    warnings = _compare_with_baseline(report, baseline) if baseline else 0
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -945,6 +539,21 @@ def _fmt(seconds: float) -> str:
     if seconds < 1.0:
         return f"{seconds * 1e3:.2f}ms"
     return f"{seconds:.3f}s"
+
+
+def _print_comparison(base: Dict[str, float], head: Dict[str, float], threshold: float):
+    """Print how *head* compares with *base*; return the regressions."""
+    regressions, improvements, only_in_one = compare(base, head, threshold)
+    for name, base_mean, head_mean, ratio in improvements:
+        print(f"faster  {name}: {_fmt(base_mean)} -> {_fmt(head_mean)} "
+              f"({(1 - ratio) * 100:.1f}% faster)")
+    for name in only_in_one:
+        print(f"skipped {name}: present in only one run")
+    for name, base_mean, head_mean, ratio in regressions:
+        print(f"SLOWER  {name}: {_fmt(base_mean)} -> {_fmt(head_mean)} "
+              f"({(ratio - 1) * 100:.1f}% over the "
+              f"{threshold * 100:.0f}% budget)")
+    return regressions
 
 
 def main(argv=None) -> int:
@@ -965,18 +574,18 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--concurrency", action="store_true",
-        help="smoke mode: also run the N-client throughput sweep over the "
-             "pooled WAL server (implies --smoke)",
+        help="smoke mode: also A/B the pooled, batched server against the "
+             "serialized one (implies --smoke)",
     )
     parser.add_argument(
         "--scale", action="store_true",
-        help="smoke mode: also run the full-scale E10 graph join "
-             "(5x10^4 rows per side, kernel vs naive, differential-"
-             "checked; takes about a minute) (implies --smoke)",
+        help="smoke mode: also A/B the full-scale E10 graph join "
+             "(5x10^4 rows per side, kernel vs naive, kernel rows checked "
+             "against naive; takes about a minute) (implies --smoke)",
     )
     parser.add_argument(
-        "--out", default="BENCH_PR10.json",
-        help="smoke mode: report path (default BENCH_PR10.json)",
+        "--out", default="bench-smoke.json",
+        help="smoke mode: report path (default bench-smoke.json)",
     )
     parser.add_argument(
         "--baseline", default=None,
@@ -1002,6 +611,9 @@ def main(argv=None) -> int:
         except ImportError as exc:
             print(f"error: {exc} (run with PYTHONPATH=src)", file=sys.stderr)
             return 2
+        except AssertionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     if not options.base or not options.head:
         parser.error("base and head are required unless --smoke is given")
 
@@ -1012,20 +624,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    regressions, improvements, only_in_one = compare(
-        base, head, options.threshold
-    )
-
-    for name, base_mean, head_mean, ratio in improvements:
-        print(f"faster  {name}: {_fmt(base_mean)} -> {_fmt(head_mean)} "
-              f"({(1 - ratio) * 100:.1f}% faster)")
-    for name in only_in_one:
-        print(f"skipped {name}: present in only one run")
-    for name, base_mean, head_mean, ratio in regressions:
-        print(f"SLOWER  {name}: {_fmt(base_mean)} -> {_fmt(head_mean)} "
-              f"({(ratio - 1) * 100:.1f}% over the "
-              f"{options.threshold * 100:.0f}% budget)")
-
+    regressions = _print_comparison(base, head, options.threshold)
     shared = len(set(base) & set(head))
     if regressions:
         print(f"{len(regressions)} of {shared} shared benchmarks regressed")

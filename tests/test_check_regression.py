@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from benchmarks.check_regression import compare, load_means, main
+from benchmarks import check_regression
+from benchmarks.check_regression import compare, load_means, main, pair_stats
 
 
 def bench_json(path, means):
@@ -107,7 +108,7 @@ class TestSmoke:
         stdout = capsys.readouterr().out
         assert f"wrote {out}" in stdout
         report = json.loads(out.read_text())
-        assert report["schema"] == "tip-bench-smoke/2"
+        assert report["schema"] == "tip-bench-smoke/3"
         assert report["repeats"] == 2 and report["size"] == 30
         names = set(report["benchmarks"])
         assert names == {
@@ -132,25 +133,46 @@ class TestSmoke:
         literal_cache = report["benchmarks"]["e5.insert.literals"]["cache"]
         assert literal_cache["parse"]["hits"] > 0
         # The statement-cache A/B: hot hits its plan, ad-hoc never does,
-        # and the report's prepared section records the speedup.
+        # and the prepared pair records the speedup.
         hot_cache = report["benchmarks"]["e7.prepared.hot"]["cache"]
         assert hot_cache["statement"]["hits"] > 0
         adhoc_cache = report["benchmarks"]["e7.adhoc.retranslate"]["cache"]
         assert adhoc_cache["statement"]["hits"] == 0
-        assert report["prepared"]["speedup"] > 1.0
-        # The builder A/B rides along: the interleaved probe records
-        # the hot prepared overhead next to the ad-hoc compile one.
-        linq = report["linq"]
-        assert linq["hot_builder_best_seconds"] > 0
-        assert linq["hot_handwritten_best_seconds"] > 0
-        assert "hot_overhead" in linq and "adhoc_overhead" in linq
+        pairs = report["pairs"]
+        assert pairs["prepared"]["ratio"] > 1.0
+        # Every A/B comes from the one interleaved runner, with its band.
+        assert set(pairs) == {"prepared", "linq.compile", "linq.prepared", "plan", "flight"}
+        for pair in pairs.values():
+            low, high = pair["band"]
+            assert 0 < low <= pair["ratio"] <= high
+            assert pair["verdict"] in {"faster", "slower", "no change"}
+            assert pair["a_median_seconds"] > 0 and pair["b_median_seconds"] > 0
+        assert len(pairs["linq.prepared"]["ratios"]) == 2
+        assert pairs["linq.compile"]["a"] == "e8.linq.compile.builder"
         # The planner A/B: same graph, kernel vs naive, with the
         # decision counters proving which path each case took.
+        assert pairs["plan"]["a"] == "e10.join.kernel"
         kernel = report["benchmarks"]["e10.join.kernel"]["counters"]
         assert kernel.get("plan.kernel.join", 0) > 0
         naive = report["benchmarks"]["e10.join.naive"]["counters"]
         assert naive.get("plan.kernel.join", 0) == 0
-        assert report["plan"]["speedup"] > 0
+
+    def test_smoke_fails_when_a_case_disagrees_with_its_oracle(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        real = check_regression._graph_rows
+
+        def lossy(session, query, kernel):
+            rows = real(session, query, kernel)
+            return rows if kernel else rows[1:]
+
+        monkeypatch.setattr(check_regression, "_graph_rows", lossy)
+        out = tmp_path / "b.json"
+        assert main(["--smoke", "--out", str(out), "--size", "20", "--repeats", "1"]) == 1
+        assert "e10.join.kernel returned other rows than its oracle e10.join.naive" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_smoke_compares_against_baseline(self, tmp_path, capsys):
         out_a = tmp_path / "BENCH_A.json"
@@ -169,9 +191,54 @@ class TestSmoke:
             assert entry["speedup"] > 0
 
     def test_smoke_leaves_global_obs_state_alone(self, tmp_path):
-        from repro import obs
+        from repro import obs, plan
+        from repro.obs import flight
 
         was_enabled = obs.is_enabled()
-        main(["--smoke", "--out", str(tmp_path / "b.json"),
-              "--size", "20", "--repeats", "1"])
-        assert obs.is_enabled() == was_enabled
+        flight.enable()
+        flight.record("test.marker")
+        ring = flight.signatures()
+        plan.configure(enabled=False, min_rows=7)
+        try:
+            assert main(["--smoke", "--out", str(tmp_path / "b.json"),
+                         "--size", "20", "--repeats", "1"]) == 0
+            assert obs.is_enabled() == was_enabled
+            assert (plan.state.enabled, plan.state.min_rows) == (False, 7)
+            assert flight.is_enabled()
+            assert flight.signatures() == ring
+        finally:
+            flight.disable()
+            flight.clear()
+            plan.configure(enabled=True, min_rows=plan.planner.DEFAULT_MIN_ROWS)
+
+
+class TestPairStats:
+    def test_equal_rounds_give_the_median_ratio_and_its_band(self):
+        stats = pair_stats([1.0, 1.0, 1.0, 1.0, 1.0], [2.0, 3.0, 4.0, 5.0, 6.0])
+        assert stats["ratios"] == [2.0, 3.0, 4.0, 5.0, 6.0]
+        assert stats["ratio"] == 4.0
+        assert stats["band"] == [3.0, 5.0]
+        assert stats["verdict"] == "faster"
+
+    def test_a_band_below_one_is_slower(self):
+        stats = pair_stats([2.0, 2.0, 2.0], [1.0, 1.2, 1.0])
+        assert stats["ratio"] == 0.5
+        assert stats["band"] == pytest.approx([0.5, 0.55])
+        assert stats["verdict"] == "slower"
+
+    def test_a_band_holding_one_is_no_change(self):
+        stats = pair_stats([1.0, 1.0, 1.0, 1.0], [0.9, 1.05, 1.1, 0.95])
+        low, high = stats["band"]
+        assert low < 1.0 < high
+        assert stats["verdict"] == "no change"
+
+    def test_a_shorter_side_reuses_its_last_run(self):
+        # The scale plan: the naive side (B) runs once, the kernel three times.
+        stats = pair_stats([2.0, 1.0, 4.0], [8.0])
+        assert stats["ratios"] == [4.0, 8.0, 2.0]
+        assert stats["ratio"] == 4.0
+        assert stats["verdict"] == "faster"
+
+    def test_a_single_round_has_a_point_band(self):
+        stats = pair_stats([2.0], [1.0])
+        assert stats["band"] == [0.5, 0.5] and stats["verdict"] == "slower"
