@@ -34,7 +34,7 @@ WINDOW_SQL = (
     "WHERE overlaps(valid, element('{[1995-03-01, 1995-03-07]}'))"
 )
 
-# Declared columns only: a projected rowid keeps the join off the kernel.
+# Declared columns; a projected ``p1.rowid`` runs on the kernel as well.
 JOIN_SQL = (
     "SELECT p1.patient, p2.patient, tintersect(p1.valid, p2.valid) "
     "FROM Prescription p1, Prescription p2 "

@@ -13,7 +13,7 @@ semantics oracle (``tests/test_plan_kernels.py`` holds the two paths
 differentially equal).
 """
 
-from repro.plan.kernels import KernelResult, execute_coalesce, execute_join, sql_compare
+from repro.plan.kernels import KernelResult, execute_coalesce, execute_join
 from repro.plan.planner import (
     clear_caches,
     configure,
@@ -25,7 +25,7 @@ from repro.plan.planner import (
 from repro.plan.shapes import CoalesceShape, JoinShape, match
 
 __all__ = [
-    "KernelResult", "execute_join", "execute_coalesce", "sql_compare",
+    "KernelResult", "execute_join", "execute_coalesce",
     "configure", "describe", "is_candidate", "maybe_execute_kernel",
     "clear_caches", "state",
     "JoinShape", "CoalesceShape", "match",

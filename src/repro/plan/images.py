@@ -6,6 +6,17 @@ column a kernel used as a :class:`Coded` column, and the validity
 column's ungrounded parse (:class:`repro.codec.binary.ElementParse`),
 which every statement grounds at its own ``NOW``.
 
+The kernels compare no stored value in Python.  :meth:`Snapshot.ranks`
+has SQLite rank a compared column's values (``GROUP BY column ORDER
+BY column``), or two columns' values together as one ``UNION ALL``
+whose first arm is the comparison's first-written column, so the order
+is SQLite's own: its storage classes, ``1 = 1.0``, and the collation
+SQLite would compare under.  Equal values share a rank, NULL ranks −1,
+and every key equality, residual and group id becomes an int64
+compare.  A column's own ranks live on its :class:`Coded`; the
+joint ranks of two retained images' columns live with the retained
+images; either is computed once per data version.
+
 :func:`snapshot` runs all of one kernel statement's reads in one read
 transaction, and checks the key that keeps a connection's retained
 images current: ``PRAGMA schema_version`` (of ``main`` and of
@@ -36,8 +47,8 @@ from repro.obs.registry import state as _obs_state
 from repro.tsql import compiled
 from repro.tsql.parser import Column
 
-__all__ = ["RETAINED_ROWS", "Coded", "TableImage", "Snapshot", "snapshot",
-           "selection", "where_clause"]
+__all__ = ["RETAINED_ROWS", "ROWID_NAMES", "Coded", "TableImage", "Snapshot",
+           "snapshot", "selection", "where_clause"]
 
 #: Rows of retained images one connection may hold.  An image costs
 #: about 110 bytes per row (measured on the benchmark's tables: the
@@ -45,6 +56,9 @@ __all__ = ["RETAINED_ROWS", "Coded", "TableImage", "Snapshot", "snapshot",
 #: bounds a connection's images near 3.6 MB; past it, sides build
 #: transient images as if nothing were retained.
 RETAINED_ROWS = 1 << 15
+
+#: The names SQLite reads as the rowid unless a column takes them.
+ROWID_NAMES = frozenset({"rowid", "oid", "_rowid_"})
 
 
 class Coded:
@@ -55,9 +69,10 @@ class Coded:
     ``None``; ``ints`` is ``values`` as an int64 array when every row
     holds an int that fits, so gathers stay in numpy.  ``blobs`` says
     whether any value is a blob (only those pass the type map), and
-    ``ranks`` caches the coalesce kernel's group order.  A
-    column whose values do not hash — a declared TIP column, which the
-    converters decode, is only ever an output — keeps one code per row.
+    ``ranks`` holds each code's SQLite rank once a kernel compared the
+    column (:meth:`Snapshot.ranks`).  A column whose values do not hash
+    — a declared TIP column, which the converters decode, is only ever
+    an output — keeps one code per row.
     """
 
     __slots__ = ("codes", "values", "ints", "blobs", "ranks")
@@ -130,6 +145,7 @@ class TableImage:
                  columns: Sequence[str], where: str,
                  params: Sequence) -> None:
         self.table, self.where, self.params = table, where, list(params)
+        columns = [name for name in columns if name.lower() not in ROWID_NAMES]
         rowids, *fetched, stored = self._fetch(
             connection, ["rowid", *columns, "+" + valid])
         self.n = len(stored)
@@ -147,10 +163,14 @@ class TableImage:
 
     def column(self, connection, name: str) -> Coded:
         """Column *name*, fetched on first use (inside a snapshot whose
-        key equals the image's, so the rows are the same)."""
+        key equals the image's, so the rows are the same); a rowid name
+        reads :attr:`rowids`."""
         coded = self.columns.get(name)
         if coded is None:
-            (values,) = self._fetch(connection, [name])
+            if name.lower() in ROWID_NAMES:
+                values = self.rowids.tolist()
+            else:
+                (values,) = self._fetch(connection, [name])
             coded = self.columns[name] = Coded(values)
         return coded
 
@@ -167,14 +187,51 @@ class TableImage:
         return at
 
 
+#: One ranked column: an image and one of its loaded columns.
+Arm = Tuple[TableImage, str]
+
+
+def _rank(connection, arms: Sequence[Arm]) -> List[np.ndarray]:
+    """Each arm's ranks by code.  SQLite groups and orders the arms'
+    non-NULL stored values together (``GROUP BY v ORDER BY v``, under
+    the first arm's column collation, the one its comparison uses); a
+    value's rank is its group's place in that order, and NULL's code
+    ranks −1."""
+    union = " UNION ALL ".join(
+        f"SELECT {at} AS arm, rowid AS id, {name} AS v FROM {image.table} "
+        f"NOT INDEXED{image.where or ' WHERE 1'} AND {name} IS NOT NULL"
+        for at, (image, name) in enumerate(arms))
+    concats = ", ".join(f"group_concat(CASE arm WHEN {at} THEN id END)"
+                        for at in range(len(arms)))
+    groups = connection.raw.execute(
+        f"SELECT {concats} FROM ({union}) GROUP BY v ORDER BY v",
+        [param for image, _name in arms for param in image.params]).fetchall()
+    out = []
+    for (image, name), texts in zip(arms, zip(*groups) if groups
+                                    else [()] * len(arms)):
+        coded = image.columns[name]
+        by_code = np.full(len(coded.values), -1, np.int64)
+        ranked = [(rank, text) for rank, text in enumerate(texts)
+                  if text is not None]  # groups holding this arm's rows
+        if ranked:
+            ranks, texts = zip(*ranked)
+            rowids = np.fromstring(",".join(texts), np.int64, sep=",")
+            by_code[coded.codes[np.searchsorted(image.rowids, rowids)]] = \
+                np.repeat(ranks, [text.count(",") + 1 for text in texts])
+        out.append(by_code)
+    return out
+
+
 class _Images:
     """One connection's retained images and what its key last was."""
 
-    __slots__ = ("key", "images", "seen", "rows", "active")
+    __slots__ = ("key", "images", "joint", "seen", "rows", "active")
 
     def __init__(self) -> None:
         self.key: Optional[tuple] = None
         self.images: Dict[Tuple[str, str], TableImage] = {}
+        # Joint ranks of two arms on retained images, by (arm, arm).
+        self.joint: Dict[Tuple[Arm, Arm], List[np.ndarray]] = {}
         self.seen: set = set()   # tables read once at this key
         self.rows = 0            # rows held by the retained images
         self.active: Optional[Snapshot] = None
@@ -253,6 +310,24 @@ class Snapshot:
                 self.connection, table, valid, columns, where, params)
         return image, None
 
+    def ranks(self, first: Arm, second: Arm) -> List[np.ndarray]:
+        """The ranks by code of two loaded columns in one order, SQLite
+        comparing under *first*'s collation: a column against itself
+        reads its own cached ranks, two retained images' columns their
+        cached joint ranks, anything else ranks afresh."""
+        if first == second:
+            coded = first[0].columns[first[1]]
+            if coded.ranks is None:
+                (coded.ranks,) = _rank(self.connection, [first])
+            return [coded.ranks, coded.ranks]
+        retained = self._images.images.values()
+        if first[0] not in retained or second[0] not in retained:
+            return _rank(self.connection, [first, second])
+        joint = self._images.joint
+        if (first, second) not in joint:
+            joint[first, second] = _rank(self.connection, [first, second])
+        return joint[first, second]
+
     def _retained(self, table: str, valid: str,
                   columns: Sequence[str]) -> Optional[TableImage]:
         ident = (table.lower(), valid)
@@ -283,6 +358,7 @@ class Snapshot:
         if key != images.key:
             _count("plan.image.invalidations", len(images.images))
             images.images.clear()
+            images.joint.clear()
             images.seen.clear()
             images.rows = 0
             images.key = key

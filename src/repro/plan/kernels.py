@@ -8,9 +8,9 @@ with interval algorithms:
 
 ``hash``
     Cross-alias equality conjuncts become hash-join keys (the
-    temporal-graph path query joins on ``e1.dst = e2.src``), numbered
-    by one dict over the key columns' distinct values and bucketed by
-    one stable sort; the overlap test runs only within each bucket.
+    temporal-graph path query joins on ``e1.dst = e2.src``): each
+    row's key is its value's SQLite rank, and one stable sort buckets
+    the rows by key; the overlap test runs only within each bucket.
 ``merge``
     No equalities: two periods overlap exactly when one starts inside
     the other, so two ``np.searchsorted`` passes over the sorted
@@ -23,7 +23,7 @@ with interval algorithms:
 A join is one pipeline whatever its strategy: the candidate step
 yields parallel ``(i, j)`` row-index lists in (left, right) fetch
 order, the cross-side residuals in ``JoinShape.cross`` drop candidates
-through one :func:`sql_compare` mask, and one vectorized emit
+through one rank compare each, and one vectorized emit
 intersects every surviving pair's periods and clips them to the
 window.  The strategy depends on the shape and on the window grounded
 at the statement ``NOW`` alone (:func:`join_plan`), so ``EXPLAIN
@@ -74,21 +74,24 @@ Elements and row tuples (:meth:`ColumnTable.tuples`).
 Every kernel grounds elements at one statement ``NOW`` and produces
 rows value-identical to the naive path — the differential suites
 (``tests/test_plan_kernels.py``, ``tests/test_plan_images.py``) hold
-them equal as multisets.  Keys, residuals and group keys compare the
-values SQLite stored (the type map runs only over the projected
-columns that hold blobs): hash keys and group keys by dict hashing
-over each column's distinct values, the cross-side residuals in
-``JoinShape.cross`` through :func:`sql_compare`, both with SQLite's
-storage-class semantics (NULL never matches; numeric < text < blob
-across classes; ``1 = 1.0``; blobs by bytes); the planner keeps a
-statement off the kernels when SQLite would first convert between two
-compared columns' affinities.
+them equal as multisets.  No stored value is compared in Python: hash
+keys, cross-side residuals and group keys compare the ranks SQLite's
+own ``ORDER BY`` gives the stored values
+(:meth:`repro.plan.images.Snapshot.ranks`), so its storage classes,
+``1 = 1.0``, blob bytes and the declared collation (NOCASE, RTRIM)
+apply as they do in the naive plan; NULL ranks −1 and matches nothing,
+but groups with the other NULLs.  A comparison between two columns
+ranks them together under the collation of the column written first,
+the one SQLite compares under.  The planner keeps a statement off the
+kernels when SQLite would first convert between two compared columns'
+affinities (``ORDER BY`` converts none); the type map runs only over
+the projected columns that hold blobs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -100,10 +103,8 @@ from repro.core.span import Span
 from repro.plan import images
 from repro.plan.images import Coded
 from repro.plan.shapes import CoalesceShape, Condition, JoinShape
-from repro.tsql.parser import Column
 
-__all__ = ["KernelResult", "execute_join", "execute_coalesce",
-           "join_plan", "sql_compare"]
+__all__ = ["KernelResult", "execute_join", "execute_coalesce", "join_plan"]
 
 Pair = Tuple[int, int]
 
@@ -119,66 +120,27 @@ class KernelResult:
     stats: Dict[str, int] = field(default_factory=dict)
 
 
-# -- SQLite comparison semantics ---------------------------------------
-
-
-def _storage_class(value: object) -> int:
-    if isinstance(value, (int, float)):
-        return 0
-    if isinstance(value, str):
-        return 1
-    return 2  # blob
-
-
-def sql_compare(left: object, op: str, right: object) -> bool:
-    """``left <op> right`` with SQLite's comparison rules.
-
-    NULL comparisons are not true (the WHERE filter drops them); values
-    of different storage classes never compare equal and order as
-    numeric < text < blob; within a class, ordinary ordering applies
-    (so ``1 = 1.0``, just like SQLite's numeric affinity).
-    """
-    if left is None or right is None:
-        return False
-    left_class = _storage_class(left)
-    right_class = _storage_class(right)
-    if left_class != right_class:
-        if op == "=":
-            return False
-        if op == "!=":
-            return True
-        ordered = left_class < right_class
-        return ordered if op in ("<", "<=") else not ordered
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
-
-
 # -- side preparation ---------------------------------------------------
 
 _BYTES = frozenset((bytes, bytearray, memoryview))
 
+#: A cross-side residual's compare over two rank arrays.
+_COMPARE = {"!=": np.not_equal, "<": np.less, "<=": np.less_equal,
+            ">": np.greater, ">=": np.greater_equal}
+
 
 class _Side:
-    """One join input at the statement ``NOW``: the positions of its
-    surviving rows in its image, their coded columns, and their
-    validity pairs as flat int64 arrays, row-major (``row`` ascending,
-    canonical per row)."""
+    """One join input at the statement ``NOW``: its image, the
+    positions of its surviving rows there, and their validity pairs as
+    flat int64 arrays, row-major (``row`` ascending, canonical per
+    row)."""
 
-    __slots__ = ("cols", "at", "n", "row", "lo", "hi", "counts", "offsets",
+    __slots__ = ("image", "at", "n", "row", "lo", "hi", "counts", "offsets",
                  "fetched", "fallbacks")
 
-    def __init__(self, cols: Dict[str, Coded], at: np.ndarray, row, lo, hi,
+    def __init__(self, image: images.TableImage, at: np.ndarray, row, lo, hi,
                  fetched: int, fallbacks: int) -> None:
-        self.cols = cols            # column name -> the image's column
+        self.image = image
         self.at = at                # surviving rows' image positions
         self.n = len(at)
         self.row, self.lo, self.hi = row, lo, hi  # one entry per pair
@@ -191,41 +153,38 @@ class _Side:
     def codes(self, name: str, rows: Optional[np.ndarray] = None):
         """Column *name*'s codes for the side's rows (or its *rows*)."""
         at = self.at if rows is None else self.at[rows]
-        return self.cols[name].codes[at]
+        return self.image.columns[name].codes[at]
 
 
 def _columns_for_side(shape: JoinShape, alias: str) -> List[str]:
     """Projected, key and cross-residual columns (filters stay in SQL)."""
-    needed = set()
-    for output in shape.outputs:
-        if output.alias == alias:
-            needed.add(output.column)
-    for left_col, right_col in shape.equalities:
-        needed.add(left_col if alias == shape.left_alias else right_col)
-    for condition in shape.cross:
+    needed = {output.column for output in shape.outputs
+              if output.alias == alias}
+    for condition in shape.equalities + shape.cross:
         for operand in (condition.left, condition.right):
-            if isinstance(operand, Column) and operand.table == alias:
+            if operand.table == alias:
                 needed.add(operand.name)
     return sorted(needed)
 
 
 def _read(snap: images.Snapshot, table: str, columns: List[str], valid: str,
           filters: Sequence[Condition], now_seconds: int, mismatch: str):
-    """A side's image, its coded *columns*, the positions of the rows
-    *filters* select, and their validity pairs grounded at
+    """A side's image with its *columns* loaded, the positions of the
+    rows *filters* select, and their validity pairs grounded at
     *now_seconds* (``row`` indexing those positions)."""
     image, at = snap.side(table, valid, columns, filters)
-    cols = {name: image.column(snap.connection, name) for name in columns}
+    for name in columns:
+        image.column(snap.connection, name)
     row, lo, hi, fallbacks = ground_elements(image.elements, at,
                                              now_seconds, mismatch)
-    return cols, np.arange(image.n) if at is None else at, row, lo, hi, \
+    return image, np.arange(image.n) if at is None else at, row, lo, hi, \
         fallbacks
 
 
 def _prepare_side(snap: images.Snapshot, table: str, columns: List[str],
                   valid: str, filters: Sequence[Condition], now_seconds: int,
                   window_pair: Optional[Pair]) -> _Side:
-    cols, at, row, lo, hi, fallbacks = _read(
+    image, at, row, lo, hi, fallbacks = _read(
         snap, table, columns, valid, filters, now_seconds,
         f"expected Element in {table}.{valid}")
     fetched = len(at)
@@ -240,7 +199,17 @@ def _prepare_side(snap: images.Snapshot, table: str, columns: List[str],
         kept = keep[row]
         row, lo, hi = (np.cumsum(keep) - 1)[row[kept]], lo[kept], hi[kept]
         at = at[keep]
-    return _Side(cols, at, row, lo, hi, fetched, fallbacks)
+    return _Side(image, at, row, lo, hi, fetched, fallbacks)
+
+
+def _operand_ranks(snap: images.Snapshot, sides: Dict[str, _Side],
+                   condition: Condition) -> Dict[str, np.ndarray]:
+    """Each operand's rank per row of its side, by alias; −1 for NULL."""
+    first, second = condition.left, condition.right
+    ranks = snap.ranks((sides[first.table].image, first.name),
+                       (sides[second.table].image, second.name))
+    return {operand.table: by_code[sides[operand.table].codes(operand.name)]
+            for operand, by_code in zip((first, second), ranks)}
 
 
 # -- candidate generation ----------------------------------------------
@@ -260,35 +229,23 @@ def _dense(*ids: np.ndarray) -> Tuple[List[np.ndarray], int]:
         len(distinct)
 
 
-def _hash_candidates(shape: JoinShape, left: _Side,
-                     right: _Side) -> Tuple[np.ndarray, np.ndarray]:
+def _hash_candidates(left_keys: Sequence[np.ndarray],
+                     right_keys: Sequence[np.ndarray]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Equality-bucketed candidates as parallel ``(i, j)`` index arrays.
 
-    Each key column's distinct values are numbered by one dict (NULL,
-    code −1, gets no number: ``NULL = anything`` is never true), and
-    the rows take their value's number through their codes; Python's
-    dict groups 1 with 1.0 exactly as SQLite's `=` does, and text,
-    blob, and numeric values never collide across classes (the planner
-    vetoes key pairs SQLite would convert between).  Several key
-    columns combine into one tuple id.  A stable sort of the right
-    rows by key number makes each bucket one run in fetch order, so
-    every left row expands to its bucket's run and the pairs come out
-    unique and in (i, j) order with no dedup.
+    Each key is a pair of per-row rank arrays, equal where SQLite's
+    ``=`` holds and −1 for NULL (``NULL = anything`` is never true);
+    several keys combine into one tuple id.  A stable sort of the right
+    rows by id makes each bucket one run in fetch order, so every left
+    row expands to its bucket's run and the pairs come out unique and
+    in (i, j) order with no dedup.
     """
     left_ids = right_ids = None
     width = 1
-    for left_col, right_col in shape.equalities:
-        number: Dict[object, int] = {}
-        right_map = np.array(
-            [number.setdefault(value, len(number))
-             for value in right.cols[right_col].values[:-1]] + [-1],
-            np.int64)
-        left_map = np.array([number.get(value, -1)
-                             for value in left.cols[left_col].values[:-1]]
-                            + [-1], np.int64)
-        size = len(number)
-        left_part = left_map[left.codes(left_col)]
-        right_part = right_map[right.codes(right_col)]
+    for left_part, right_part in zip(left_keys, right_keys):
+        size = int(max(left_part.max(initial=0),
+                       right_part.max(initial=0))) + 1
         if left_ids is None:
             left_ids, right_ids, width = left_part, right_part, size
             continue
@@ -299,7 +256,7 @@ def _hash_candidates(shape: JoinShape, left: _Side,
         right_ids = np.where((right_ids < 0) | (right_part < 0), -1,
                              right_ids * size + right_part)
         width *= size
-    if len(shape.equalities) > 1:
+    if len(left_keys) > 1:
         (left_ids, right_ids), width = _dense(left_ids, right_ids)
     order = np.argsort(right_ids, kind="stable")
     bucket_size = np.bincount(right_ids + 1, minlength=width + 1)
@@ -310,7 +267,7 @@ def _hash_candidates(shape: JoinShape, left: _Side,
     runs_at = np.cumsum(counts) - counts
     rights = order[np.arange(counts.sum())
                    + np.repeat(bucket_at[left_ids + 1] - runs_at, counts)]
-    return np.repeat(np.arange(left.n), counts), rights
+    return np.repeat(np.arange(len(left_ids)), counts), rights
 
 
 def _overlap_candidates(left: _Side, right: _Side) -> Tuple[np.ndarray,
@@ -479,7 +436,7 @@ def _vector_emit(connection, left: _Side, right: _Side,
             columns.append(validities.column())
             continue
         source = left if side == 0 else right
-        columns.append(_gather(connection, source.cols[name],
+        columns.append(_gather(connection, source.image.columns[name],
                                source.codes(name, at[side])))
     return ColumnTable(columns, len(at[0]))
 
@@ -530,9 +487,16 @@ def execute_join(connection, shape: JoinShape,
             right = _prepare_side(snap, shape.right_table, right_columns,
                                   shape.right_valid, shape.right_filters,
                                   now_seconds, window_pair)
+        sides = {shape.left_alias: left, shape.right_alias: right}
+        keys = [_operand_ranks(snap, sides, condition)
+                for condition in shape.equalities]
+        residuals = [(condition, _operand_ranks(snap, sides, condition))
+                     for condition in shape.cross]
 
-    if shape.equalities:
-        lefts, rights = _hash_candidates(shape, left, right)
+    if keys:
+        lefts, rights = _hash_candidates(
+            [key[shape.left_alias] for key in keys],
+            [key[shape.right_alias] for key in keys])
     else:
         lefts, rights = _overlap_candidates(left, right)
     stats = {"candidates": len(lefts), "left_rows": left.fetched,
@@ -540,16 +504,12 @@ def execute_join(connection, shape: JoinShape,
              "fallback_decodes": left.fallbacks
              + (right.fallbacks if right is not left else 0)}
 
-    # match() normalized cross conditions left-operand-first.
-    for condition in shape.cross:
-        left_values = map(left.cols[condition.left.name].values.__getitem__,
-                          left.codes(condition.left.name, lefts).tolist())
-        right_values = map(
-            right.cols[condition.right.name].values.__getitem__,
-            right.codes(condition.right.name, rights).tolist())
-        keep = np.fromiter(map(sql_compare, left_values,
-                               repeat(condition.op), right_values),
-                           bool, len(lefts))
+    for condition, ranks in residuals:
+        rows = {shape.left_alias: lefts, shape.right_alias: rights}
+        first = ranks[condition.left.table][rows[condition.left.table]]
+        second = ranks[condition.right.table][rows[condition.right.table]]
+        keep = _COMPARE[condition.op](first, second) \
+            & (first >= 0) & (second >= 0)
         lefts, rights = lefts[keep], rights[keep]
 
     slots = [(0 if output.alias == shape.left_alias else 1, output.column)
@@ -589,40 +549,30 @@ def _join_columns(shape: JoinShape) -> List[str]:
     return names
 
 
-def _order_key(value: object):
-    """A total order over stored values for deterministic output."""
-    if value is None:
-        return (0, "")
-    if isinstance(value, (int, float)):
-        return (1, float(value))
-    if isinstance(value, str):
-        return (2, value)
-    return (3, value)  # blob
-
-
 def execute_coalesce(connection, shape: CoalesceShape,
                      now_seconds: int) -> KernelResult:
     columns = list(dict.fromkeys(shape.group_by))
     with images.snapshot(connection) as snap:
-        cols, at, row, lo, hi, fallbacks = _read(
+        image, at, row, lo, hi, fallbacks = _read(
             snap, shape.table, columns, shape.agg_column, shape.filters,
             now_seconds, "group_union expects Elements")
-    coded = [cols[name] for name in columns]
+        ranks = [snap.ranks((image, name), (image, name))[0]
+                 for name in columns]
+    coded = [image.columns[name] for name in columns]
 
-    # Rows group by their key columns' values with dict semantics (1
-    # and 1.0 together, as SQLite's GROUP BY; NULLs in one group, also
-    # like SQLite), in _order_key order: each column's codes map to the
-    # ranks of their values, which combine into one tuple id.  A
-    # group's first row stays its key and supplies its outputs.  NULL
+    # Rows group by their key columns' SQLite ranks (values equal under
+    # the column's collation, 1 and 1.0, and all NULLs group together,
+    # as in SQLite's GROUP BY), combined into one tuple id.  A group's
+    # first row stays its key and supplies its outputs.  NULL
     # validities add no periods, but their group still exists.
     key = np.zeros(len(at), np.int64)
     width = 1
-    for column in coded:
-        ranks = _ranks(column)
-        if width * len(ranks) > _DENSE_LIMIT:
+    for column, by_code in zip(coded, ranks):
+        size = int(by_code.max()) + 2
+        if width * size > _DENSE_LIMIT:
             (key,), width = _dense(key)
-        key = key * len(ranks) + ranks[column.codes[at]]
-        width *= len(ranks)
+        key = key * size + by_code[column.codes[at]] + 1
+        width *= size
     _ids, first, group_of = np.unique(key, return_index=True,
                                       return_inverse=True)
     n_groups = len(first)
@@ -654,23 +604,3 @@ def execute_coalesce(connection, shape: CoalesceShape,
         {"groups": n_groups, "input_rows": len(at),
          "fallback_decodes": fallbacks},
     )
-
-
-def _ranks(column: Coded) -> np.ndarray:
-    """Each code's rank (NULL's last) among the column's values in
-    :func:`_order_key` order, equal values (1 and 1.0 in a column that
-    codes them apart) sharing one; computed once per image column."""
-    if column.ranks is None:
-        number: Dict[object, int] = {}
-        groups = [number.setdefault(value, len(number))
-                  for value in column.values]
-        keys = list(map(_order_key, column.values))
-        ranks = np.empty(len(groups), np.int64)
-        rank, last = -1, None
-        for code in sorted(range(len(groups)),
-                           key=lambda code: (keys[code], groups[code])):
-            if groups[code] != last:
-                rank, last = rank + 1, groups[code]
-            ranks[code] = rank
-        column.ranks = ranks
-    return column.ranks

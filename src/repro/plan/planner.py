@@ -6,8 +6,11 @@ TEMPORAL`` and the ``plan.*`` counters — whether to evaluate it with a
 set-based kernel (:mod:`repro.plan.kernels`) or to leave it on the
 naive UDF path.  The naive path is always correct, so every decision
 here is allowed to say "no": unmatched shapes, TIP-typed comparison
-columns, inputs below the row threshold, or an armed fault plan that
-does not target ``plan.kernel`` all fall back.  Observation never
+columns, compared columns whose affinities differ, inputs below the
+row threshold, or an armed fault plan that does not target
+``plan.kernel`` all fall back.  A declared collation is no reason: the
+kernels compare SQLite's own ranks of the stored values, which follow
+it (:mod:`repro.plan.images`).  Observation never
 does: a profiled statement runs the plan an unprofiled one runs, and
 reports its kernel through the ``plan.kernel.*`` counter deltas its
 profile carries.
@@ -53,8 +56,8 @@ __all__ = [
 
 DEFAULT_MIN_ROWS = 256
 
-#: Declared types whose storage is TIP-encoded: comparing or grouping
-#: on them in Python would diverge from the blade's semantics, so any
+#: Declared types whose storage is TIP-encoded: ranking their stored
+#: bytes would diverge from the blade's comparison semantics, so any
 #: such column in a residual/key position vetoes the kernel.
 TIP_DECLTYPES = frozenset(
     {"ELEMENT", "PERIOD", "CHRONON", "SPAN", "INSTANT"}
@@ -73,7 +76,7 @@ class PlanState:
 
 state = PlanState()
 
-#: connection -> ((generation, schema versions), types, collated columns).
+#: connection -> ((generation, schema versions), declared types).
 _SCHEMA_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -99,10 +102,13 @@ def is_candidate(sql: str) -> bool:
 
     One lowercase scan; the hot prepared path pays only this check, so
     a SNAPSHOT query (``contains_instant``) or plain SQL skips the
-    matcher entirely.
+    matcher entirely.  A join shape has exactly one ``tintersect`` and
+    a coalesce none, so a multi-way join's translation (one per extra
+    table) skips it too.
     """
     lowered = sql.lower()
-    return "tintersect(" in lowered or "group_union(" in lowered
+    joins = lowered.count("tintersect(")
+    return joins == 1 or (not joins and "group_union(" in lowered)
 
 
 # -- decision pipeline --------------------------------------------------
@@ -119,13 +125,10 @@ def _fallback(reason: str) -> None:
         _flight.record("plan.fallback", reason=reason)
 
 
-def _schemas(connection):
-    """``({table: {column: DECLTYPE}}, {table: {column}})`` for every
-    rowid table (lower-cased), cached per generation and schema
-    version (DDL need not pass through a session): the declared types,
-    and the lower-cased columns declared with a collation other than
-    BINARY.  If the collations cannot be read, every column counts as
-    collated."""
+def _schemas(connection) -> Dict[str, Dict[str, str]]:
+    """``{table: {column: DECLTYPE}}`` for every rowid table the kernels
+    can read (lower-cased table names), cached per generation and
+    schema version (DDL need not pass through a session)."""
     raw = connection.raw
     key = (compiled.generation(),
            raw.execute("PRAGMA schema_version").fetchone()[0],
@@ -136,39 +139,23 @@ def _schemas(connection):
             declared = compiled.declared_columns(connection)
         except Exception:
             declared = {}
-        schemas = {key: {column: decltype.upper() for column, decltype in columns}
-                   for key, (_name, columns, _valid) in declared.items()}
         try:
             tables = connection.query(
                 "SELECT name, sql FROM sqlite_master WHERE type = 'table'")
         except Exception:
             tables = []
-        try:
-            collated = {name.lower(): {column for column, collation
-                                       in _collations(sql or "").items()
-                                       if collation != "BINARY"}
-                        for name, sql in tables}
-        except Exception:
-            collated = {key: {column.lower() for column in columns}
-                        for key, columns in schemas.items()}
         # The kernels address rows by rowid: a WITHOUT ROWID table, one
         # whose definition could not be read, or one with a column that
         # hides the rowid's name is not theirs.
         rowid = {name.lower() for name, sql in tables
                  if not _without_rowid(sql or "")}
-        schemas = {key: columns for key, columns in schemas.items()
-                   if key in rowid and _ROWID_NAMES.isdisjoint(
-                       column.lower() for column in columns)}
-        cached = _SCHEMA_CACHE[connection] = (key, schemas, collated)
-    return cached[1], cached[2]
-
-
-#: The names SQLite reads as the rowid unless a column takes them.
-_ROWID_NAMES = frozenset({"rowid", "oid", "_rowid_"})
-
-#: Words that open a table constraint, not a column definition.
-_TABLE_CONSTRAINTS = frozenset({"CONSTRAINT", "PRIMARY", "UNIQUE", "CHECK",
-                                "FOREIGN"})
+        schemas = {
+            table: {column: decltype.upper() for column, decltype in columns}
+            for table, (_name, columns, _valid) in declared.items()
+            if table in rowid and images.ROWID_NAMES.isdisjoint(
+                column.lower() for column, _decltype in columns)}
+        cached = _SCHEMA_CACHE[connection] = (key, schemas)
+    return cached[1]
 
 
 def _without_rowid(create_sql: str) -> bool:
@@ -187,41 +174,6 @@ def _without_rowid(create_sql: str) -> bool:
     return False
 
 
-def _unquoted(text: str) -> str:
-    return text[1:-1] if text[:1] in "\"'[`" else text
-
-
-def _collations(create_sql: str) -> Dict[str, str]:
-    """``{column: COLLATION}`` for each column a ``CREATE TABLE``
-    statement declares with a ``COLLATE`` clause (lower-cased column,
-    upper-cased collation).  The column definitions are the
-    comma-separated runs of tokens inside the outer parentheses."""
-    found: Dict[str, str] = {}
-    definitions: List[list] = [[]]
-    depth = 0
-    for token in tokens(create_sql):
-        if token.kind == "comment":
-            continue
-        if token.text == ")":
-            depth -= 1
-            if depth == 0:
-                break
-        if depth == 1 and token.text == ",":
-            definitions.append([])
-        elif depth:
-            definitions[-1].append(token)
-        if token.text == "(":
-            depth += 1
-    for definition in definitions:
-        if not definition or definition[0].key in _TABLE_CONSTRAINTS:
-            continue
-        for at, token in enumerate(definition[1:-1], 1):
-            if token.key == "COLLATE":
-                found[_unquoted(definition[0].text).lower()] = \
-                    _unquoted(definition[at + 1].text).upper()
-    return found
-
-
 def _affinity(decltype: str) -> str:
     """The affinity SQLite derives from a declared type, as far as
     comparisons care: numeric (INTEGER, REAL, NUMERIC), text or none."""
@@ -235,14 +187,14 @@ def _affinity(decltype: str) -> str:
 
 
 def _schema_ok(connection, shape) -> bool:
-    """Every referenced column exists and key/residual/group columns are
-    plain-typed (TIP-typed values would need blade comparison rules)
-    and BINARY-collated (the kernels compare stored bytes; a filter is
-    SQLite's own WHERE and may use any collation)."""
-    schemas, collated = _schemas(connection)
+    """Every referenced column exists (an output may also name the
+    rowid) and key/residual/group columns are plain-typed: TIP-typed
+    values would need blade comparison rules."""
+    schemas = _schemas(connection)
     if shape.kind == "join":
-        left = schemas.get(shape.left_table.lower())
-        right = schemas.get(shape.right_table.lower())
+        by_alias = {shape.left_alias: schemas.get(shape.left_table.lower()),
+                    shape.right_alias: schemas.get(shape.right_table.lower())}
+        left, right = by_alias.values()
         if left is None or right is None:
             return False
         if left.get(shape.left_valid) != "ELEMENT":
@@ -250,55 +202,35 @@ def _schema_ok(connection, shape) -> bool:
         if right.get(shape.right_valid) != "ELEMENT":
             return False
         for output in shape.outputs:
-            schema = left if output.alias == shape.left_alias else right
-            if output.column not in schema:
+            if output.column not in by_alias[output.alias] \
+                    and output.column.lower() not in images.ROWID_NAMES:
                 return False
-        for left_col, right_col in shape.equalities:
-            if left.get(left_col, "") in TIP_DECLTYPES or left_col not in left:
-                return False
-            if right.get(right_col, "") in TIP_DECLTYPES \
-                    or right_col not in right:
-                return False
-        conditions = (shape.cross + shape.left_filters
-                      + shape.right_filters)
-        for condition in conditions:
+        compared = shape.equalities + shape.cross
+        for condition in compared + shape.left_filters + shape.right_filters:
             for operand in (condition.left, condition.right):
-                if not isinstance(operand, Column):
-                    continue
-                schema = left if operand.table == shape.left_alias else right
-                if operand.name not in schema \
-                        or schema[operand.name] in TIP_DECLTYPES:
+                if isinstance(operand, Column) and not _plain(
+                        by_alias[operand.table], operand.name):
                     return False
-        # Keys and cross residuals compare in Python, by storage class
-        # and bytes; SQLite would first convert one side when the
-        # affinities differ (2 = '2' between an INTEGER and a TEXT
-        # column is true), and compares under a declared collation.
-        pairs = list(shape.equalities) + [
-            (c.left.name, c.right.name) for c in shape.cross]
-        left_collated = collated.get(shape.left_table.lower(), ())
-        right_collated = collated.get(shape.right_table.lower(), ())
-        return all(_affinity(left[left_col]) == _affinity(right[right_col])
-                   and left_col.lower() not in left_collated
-                   and right_col.lower() not in right_collated
-                   for left_col, right_col in pairs)
+        # SQLite's ORDER BY ranks stored values as they are, but its
+        # comparison first converts one side when the affinities differ
+        # (2 = '2' between an INTEGER and a TEXT column is true).
+        return all(
+            _affinity(by_alias[c.left.table][c.left.name])
+            == _affinity(by_alias[c.right.table][c.right.name])
+            for c in compared)
     schema = schemas.get(shape.table.lower())
-    if schema is None:
+    if schema is None or schema.get(shape.agg_column) != "ELEMENT":
         return False
-    if schema.get(shape.agg_column) != "ELEMENT":
-        return False
-    grouped_collated = collated.get(shape.table.lower(), ())
-    for column in shape.group_by:
-        if column not in schema or schema[column] in TIP_DECLTYPES \
-                or column.lower() in grouped_collated:
-            return False
-    for condition in shape.filters:
-        for operand in (condition.left, condition.right):
-            if isinstance(operand, Column) and (
-                operand.name not in schema
-                or schema[operand.name] in TIP_DECLTYPES
-            ):
-                return False
-    return True
+    operands = [operand for condition in shape.filters
+                for operand in (condition.left, condition.right)
+                if isinstance(operand, Column)]
+    return all(_plain(schema, column) for column in shape.group_by) \
+        and all(_plain(schema, operand.name) for operand in operands)
+
+
+def _plain(schema: Dict[str, str], column: str) -> bool:
+    """Whether *schema* declares *column* with no TIP type."""
+    return column in schema and schema[column] not in TIP_DECLTYPES
 
 
 def _sources(shape) -> List[Tuple[str, str]]:

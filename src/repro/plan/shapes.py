@@ -16,8 +16,10 @@ optionally clipped to a period (the ``VALIDTIME PERIOD`` translation
 wraps the validity in ``restrict(..., period('[..]'))`` and adds one
 ``overlaps(v, to_element(period('[..]')))`` conjunct per side).  The
 residual may be any top-level AND of simple comparisons —
-``alias.col <op> alias.col`` or ``alias.col <op> literal`` — which the
-kernels evaluate with SQLite's own comparison semantics.
+``alias.col <op> alias.col`` or ``alias.col <op> literal``.  Cross-side
+comparisons keep the operand order they were written in: SQLite
+compares under the first operand's column collation, and the kernels
+rank the two columns under that collation.
 
 **Coalesce** (one table, the paper's ``group_union`` aggregation)::
 
@@ -86,8 +88,8 @@ class JoinShape:
     left_valid: str                       # validity column on the left table
     right_valid: str
     window: Optional[str] = None          # VALIDTIME PERIOD text, sans brackets
-    equalities: Tuple[Tuple[str, str], ...] = ()   # (left col, right col)
-    cross: Tuple[Condition, ...] = ()     # non-equality cross-side residuals
+    equalities: Tuple[Condition, ...] = ()  # cross-side =, as written
+    cross: Tuple[Condition, ...] = ()     # other cross-side residuals
     left_filters: Tuple[Condition, ...] = ()
     right_filters: Tuple[Condition, ...] = ()
 
@@ -212,7 +214,7 @@ def _match_join(select: Select) -> Optional[JoinShape]:
 
     pair_seen = False
     window_seen = set()
-    equalities: List[Tuple[str, str]] = []
+    equalities: List[Condition] = []
     cross: List[Condition] = []
     left_filters: List[Condition] = []
     right_filters: List[Condition] = []
@@ -236,13 +238,7 @@ def _match_join(select: Select) -> Optional[JoinShape]:
         sides = {op.table for op in (condition.left, condition.right)
                  if isinstance(op, Column)}
         if sides == set(aliases):
-            if condition.op == "=":
-                left_op, right_op = condition.left, condition.right
-                if left_op.table == right_alias:
-                    left_op, right_op = right_op, left_op
-                equalities.append((left_op.name, right_op.name))
-            else:
-                cross.append(_normalize_cross(condition, left_alias))
+            (equalities if condition.op == "=" else cross).append(condition)
         elif sides == {left_alias}:
             left_filters.append(condition)
         else:
@@ -266,15 +262,6 @@ def _match_join(select: Select) -> Optional[JoinShape]:
         equalities=tuple(equalities), cross=tuple(cross),
         left_filters=tuple(left_filters), right_filters=tuple(right_filters),
     )
-
-
-def _normalize_cross(condition: Condition, left_alias: str) -> Condition:
-    """Cross-side comparisons with the left table's operand first."""
-    if condition.left.table == left_alias:
-        return condition
-    return Condition(condition.right,
-                     _FLIPPED.get(condition.op, condition.op),
-                     condition.left)
 
 
 def _match_coalesce(select: Select) -> Optional[CoalesceShape]:

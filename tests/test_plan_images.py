@@ -153,7 +153,8 @@ class TestImageMatrix:
 
     def test_recreated_with_a_collation(self, conn, forced_planner):
         # DDL outside a session moves no generation, and neither does a
-        # new session: the planner must still see the new collation.
+        # new session: the kernel must still rank under the new
+        # collation, not reuse the old image's ranks.
         old = TsqlSession(conn)
         _warm(old)
         conn.execute("DROP TABLE t")
@@ -168,7 +169,8 @@ class TestImageMatrix:
             with obs.capture():
                 rows = session.query(ELEMENT_Q)
                 counters = obs.snapshot()["counters"]
-            assert counters.get("plan.fallback.schema") == 1
+            assert counters.get("plan.kernel.coalesce") == 1
+            assert len(rows) == 3  # 'a' and 'A' group together
             assert _multiset(rows) == _multiset(_naive(session, ELEMENT_Q))
 
         check(old)
@@ -287,6 +289,65 @@ class TestImageMatrix:
                     first.execute("INSERT INTO t VALUES (?, ?, ?)",
                                   _rows(1, round_)[0])
                 oracle.close()
+
+
+GRAPH = "CREATE TABLE g (src INTEGER, dst INTEGER, valid ELEMENT)"
+
+
+def _ranked(connection, session, query):
+    """A kernel statement's rows, and the number of columns each rank
+    query it issued ranked together."""
+    issued = []
+    connection.raw.set_trace_callback(issued.append)
+    try:
+        with obs.capture():
+            rows = session.query(query)
+            counters = obs.snapshot()["counters"]
+    finally:
+        connection.raw.set_trace_callback(None)
+    assert any(name.startswith("plan.kernel.") for name in counters), query
+    return rows, [sql.count(" UNION ALL ") + 1 for sql in issued
+                  if "GROUP BY v ORDER BY v" in sql]
+
+
+class TestRanks:
+    """SQLite ranks a compared column, or a compared column pair, once
+    per data version: a retained image keeps its ranks for every later
+    kernel statement, and a write ranks afresh on the next build."""
+
+    @pytest.mark.parametrize("query, other, arms", [
+        (JOIN_Q, JOIN_Q.replace("'a'", "'b'"), 1),  # self-join key
+        ("VALIDTIME SELECT e1.src, e2.dst FROM g AS e1, g AS e2 "
+         "WHERE e1.dst = e2.src",
+         "VALIDTIME SELECT e1.src, e2.dst FROM g AS e1, g AS e2 "
+         "WHERE e1.dst = e2.src AND e1.src > 1", 2),  # cross-column key
+        ("VALIDTIME SELECT t.k, g.dst FROM t, g WHERE t.k = g.src",
+         "VALIDTIME SELECT t.k, g.dst FROM t, g WHERE t.k = g.src "
+         "AND t.tag = 'a'", 2),  # a key across two images
+        (ELEMENT_Q, "SELECT tag, length_seconds(group_union(valid)) "
+         "FROM t WHERE k <> 2 GROUP BY tag", 1),  # GROUP BY key
+    ])
+    def test_once_per_data_version(self, conn, forced_planner, query, other,
+                                   arms):
+        conn.execute(GRAPH)
+        conn.executemany("INSERT INTO g VALUES (?, ?, ?)", [
+            (n % 7, n * 3 % 7, VALIDITIES[n % len(VALIDITIES)])
+            for n in range(30)])
+        conn.commit()
+        session = TsqlSession(conn)
+        for write in range(2):
+            ranked = []
+            for statement in (query, query, query, other):
+                rows, issued = _ranked(conn, session, statement)
+                assert _multiset(rows) == _multiset(_naive(session,
+                                                           statement))
+                ranked.append(issued)
+            # Transient, then the retained build, then two hits.
+            assert [len(issued) for issued in ranked] == [1, 1, 0, 0]
+            assert ranked[1] == [arms]
+            conn.execute("INSERT INTO t VALUES (1, 'a', NULL)")
+            conn.execute("INSERT INTO g VALUES (1, 1, NULL)")
+            conn.commit()
 
 
 class TestCodedKeys:

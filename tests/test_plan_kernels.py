@@ -4,8 +4,9 @@ The naive UDF path is the semantics oracle: both join candidate steps
 (hash buckets on equality keys, the searchsorted overlap step
 without), the cross-residual mask, the one vectorized emit and the
 sweep coalesce are held **differentially equal** to the same statement
-run with the planner disabled, over hypothesis-generated tables that
-include NOW-relative and multi-period elements.  The behavioural half
+run with the planner disabled (and SQLite's automatic indexes off),
+over hypothesis-generated tables that include NOW-relative and
+multi-period elements and keys under every collation.  The behavioural half
 covers the planner's visible surface: fallback reasons and counters,
 ``EXPLAIN TEMPORAL``'s strategy line, flight events, generation-keyed
 plan invalidation, and the kernel path on the server's reader pool.
@@ -99,18 +100,33 @@ def _canon(rows, elem_at=None):
     return sorted(out)
 
 
-def _both_ways(session, query):
-    """(naive rows, kernel rows) for *query* on *session*."""
+@contextmanager
+def _naive_path(connection):
+    """The semantics oracle: the planner off, and SQLite's automatic
+    indexes off on *connection* (3.40.1's automatic covering index
+    answers RTRIM-collated joins wrongly; an automatic index must not
+    change results).  Restores the forced planner afterwards."""
     plan.configure(enabled=False)
+    connection.raw.execute("PRAGMA automatic_index=off")
     try:
-        naive = session.query(query)
+        yield
     finally:
+        connection.raw.execute("PRAGMA automatic_index=on")
         plan.configure(enabled=True, min_rows=0)
-    return naive, session.query(query)
 
 
-#: Declared key collations: the kernels compare bytes, so the planner
-#: keeps NOCASE and RTRIM keys on the naive path.
+def _both_ways(connection, session, query, kind=None):
+    """(naive rows, kernel rows) for *query* on *session*; with *kind*,
+    the kernel must have run."""
+    with _naive_path(connection):
+        naive = session.query(query)
+    if kind is None:
+        return naive, session.query(query)
+    return naive, _kernel_taken(session, query, kind)
+
+
+#: Declared key collations: the kernels rank keys in SQLite, under the
+#: collation SQLite compares with.
 COLLATIONS = ("BINARY", "NOCASE", "RTRIM")
 #: Each side's key collation, the same on both sides or mixed.
 collation_pairs = st.tuples(st.sampled_from(COLLATIONS),
@@ -127,43 +143,59 @@ def small_tables(draw):
                          min_size=0, max_size=8))
 
 
+def _written(query, flipped):
+    """*query* with its cross-side comparison written right operand
+    first (``r.k = l.k``, ``r.k > l.k``) when *flipped*."""
+    if not flipped:
+        return query
+    return query.replace("l.k = r.k", "r.k = l.k").replace("l.k < r.k",
+                                                           "r.k > l.k")
+
+
 class TestDifferential:
-    """Kernel results == naive results, as multisets, per strategy."""
+    """Kernel results == naive results, as multisets, per strategy; the
+    kernel runs on every collation and written operand order."""
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(left=small_tables(), right=small_tables(),
-           collations=collation_pairs)
-    def test_hash_join(self, forced_planner, left, right, collations):
+           collations=collation_pairs, flipped=st.booleans())
+    def test_hash_join(self, forced_planner, left, right, collations,
+                       flipped):
         with repro.connect(now=DEMO_NOW) as connection:
             _load(connection, "L", left, collations[0])
             _load(connection, "R", right, collations[1])
             session = TsqlSession(connection)
-            naive, kernel = _both_ways(session, HASH_Q)
+            naive, kernel = _both_ways(connection, session,
+                                       _written(HASH_Q, flipped), "join")
             assert _canon(naive, 2) == _canon(kernel, 2)
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(left=small_tables(), right=small_tables(),
-           collations=collation_pairs)
-    def test_merge_join(self, forced_planner, left, right, collations):
+           collations=collation_pairs, flipped=st.booleans())
+    def test_merge_join(self, forced_planner, left, right, collations,
+                        flipped):
         with repro.connect(now=DEMO_NOW) as connection:
             _load(connection, "L", left, collations[0])
             _load(connection, "R", right, collations[1])
             session = TsqlSession(connection)
-            naive, kernel = _both_ways(session, MERGE_Q)
+            naive, kernel = _both_ways(connection, session,
+                                       _written(MERGE_Q, flipped), "join")
             assert _canon(naive, 2) == _canon(kernel, 2)
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(left=small_tables(), right=small_tables(),
-           collations=collation_pairs)
-    def test_windowed_join(self, forced_planner, left, right, collations):
+           collations=collation_pairs, flipped=st.booleans())
+    def test_windowed_join(self, forced_planner, left, right, collations,
+                           flipped):
         with repro.connect(now=DEMO_NOW) as connection:
             _load(connection, "L", left, collations[0])
             _load(connection, "R", right, collations[1])
             session = TsqlSession(connection)
-            naive, kernel = _both_ways(session, WINDOW_Q)
+            naive, kernel = _both_ways(connection, session,
+                                       _written(WINDOW_Q, flipped), "join")
             assert _canon(naive, 2) == _canon(kernel, 2)
 
     @settings(max_examples=25, deadline=None,
@@ -173,7 +205,8 @@ class TestDifferential:
         with repro.connect(now=DEMO_NOW) as connection:
             _load(connection, "L", rows, collation)
             session = TsqlSession(connection)
-            naive, kernel = _both_ways(session, COALESCE_Q)
+            naive, kernel = _both_ways(connection, session, COALESCE_Q,
+                                       "coalesce")
             assert sorted(naive) == sorted(kernel)
 
     @pytest.mark.parametrize("query", [
@@ -193,7 +226,7 @@ class TestDifferential:
                 (3, None),
             ])
             session = TsqlSession(connection)
-            naive, kernel = _both_ways(session, query)
+            naive, kernel = _both_ways(connection, session, query)
             assert _multiset(naive) == _multiset(kernel)
             assert len(kernel) == 3
 
@@ -210,10 +243,10 @@ class TestDifferential:
             _load(connection, "L", left)
             _load(connection, "R", right)
             session = TsqlSession(connection)
-            naive, kernel = _both_ways(session, HASH_Q)
+            naive, kernel = _both_ways(connection, session, HASH_Q)
             assert _canon(naive, 2) == _canon(kernel, 2)
             connection.set_now(override)
-            naive, kernel = _both_ways(session, HASH_Q)
+            naive, kernel = _both_ways(connection, session, HASH_Q)
             assert _canon(naive, 2) == _canon(kernel, 2)
 
     @pytest.mark.parametrize("now", ["1998-12-31", "1999-04-15",
@@ -237,7 +270,7 @@ class TestDifferential:
                                    (COALESCE_Q, None),
                                    ("SELECT k, group_union(valid) FROM L "
                                     "GROUP BY k", 1)):
-                naive, kernel = _both_ways(session, query)
+                naive, kernel = _both_ways(connection, session, query)
                 assert _canon(naive, elem_at) == _canon(kernel, elem_at)
 
     def test_empty_window_short_circuits(self, forced_planner):
@@ -296,53 +329,77 @@ class TestPlannerDecisions:
 
     @pytest.mark.parametrize("collation, join_rows, groups", [
         ("NOCASE", 2, 2), ("RTRIM", 1, 3), ("BINARY", 0, 3)])
-    def test_collated_keys_veto_kernel(self, conn, forced_planner,
-                                       collation, join_rows, groups):
-        """The kernels compare bytes; a key or GROUP BY column declared
-        with another collation stays on the naive path (fallback
-        ``schema``) and returns what SQLite's collation says."""
+    def test_collated_keys_run_on_the_kernel(self, conn, forced_planner,
+                                             collation, join_rows, groups):
+        """A key or GROUP BY column declared with a collation runs on
+        the kernel (SQLite ranks its values under that collation) and
+        returns what the naive path returns, in either operand order."""
         for table, names in (("a", ["Bob"]), ("b", ["bob", "Bob ", "BOB"])):
             conn.execute(f'CREATE TABLE {table} ("name" TEXT '
-                         f"/* key */ COLLATE {collation.lower()}, "
-                         "valid ELEMENT)")
+                         f"COLLATE {collation.lower()}, valid ELEMENT)")
             for name in names:
                 conn.execute(f"INSERT INTO {table} VALUES "
                              "(?, element('{[1999-01-01, 1999-02-01]}'))",
                              (name,))
         conn.commit()
         session = TsqlSession(conn)
-        for query, expected in (
+        for query, kind, expected in (
             ("VALIDTIME SELECT a.name, b.name FROM a, b "
-             "WHERE a.name = b.name", join_rows),
+             "WHERE a.name = b.name", "join", join_rows),
+            ("VALIDTIME SELECT a.name, b.name FROM a, b "
+             "WHERE b.name = a.name", "join", join_rows),
             ("SELECT name, length_seconds(group_union(valid)) FROM b "
-             "GROUP BY name", groups),
+             "GROUP BY name", "coalesce", groups),
         ):
-            with obs.capture():
-                rows = session.query(query)
-                counters = obs.snapshot()["counters"]
-            assert len(rows) == expected, (collation, query)
-            taken = collation == "BINARY"
-            assert bool(counters.get("plan.fallback.schema")) is not taken
-            assert any(name.startswith("plan.kernel.")
-                       for name in counters) is taken
+            naive, kernel = _both_ways(conn, session, query, kind)
+            assert len(kernel) == expected, (collation, query)
+            assert _multiset(kernel) == _multiset(naive)
+            assert plan.describe(
+                conn, session.translate(query))["strategy"] == "kernel"
 
-    def test_unreadable_collations_count_every_column_collated(
-        self, conn, monkeypatch
-    ):
-        """A failed collation read keeps the declared types and counts
-        every column as collated, so key columns fall back instead of
-        being compared as bytes."""
-        from repro.plan import planner
+    def test_mixed_collations_follow_the_written_order(self, conn,
+                                                       forced_planner):
+        """SQLite compares two columns under the collation of the one
+        written first: a NOCASE ``a.name`` first equates 'Bob' and
+        'bob', a BINARY ``b.name`` first does not, for keys and ``<``
+        residuals alike."""
+        for table, collation, names in (("a", "NOCASE", ["Bob"]),
+                                        ("b", "BINARY", ["bob", "BOB"])):
+            conn.execute(f"CREATE TABLE {table} (name TEXT COLLATE "
+                         f"{collation}, valid ELEMENT)")
+            for name in names:
+                conn.execute(f"INSERT INTO {table} VALUES "
+                             "(?, element('{[1999-01-01, 1999-02-01]}'))",
+                             (name,))
+        conn.commit()
+        session = TsqlSession(conn)
+        for condition, expected in (("a.name = b.name", 2),
+                                    ("b.name = a.name", 0),
+                                    ("a.name < b.name", 0),
+                                    ("b.name > a.name", 1)):
+            query = ("VALIDTIME SELECT a.name, b.name FROM a, b "
+                     f"WHERE {condition}")
+            naive, kernel = _both_ways(conn, session, query, "join")
+            assert len(kernel) == expected, condition
+            assert _multiset(kernel) == _multiset(naive)
 
-        def unreadable(sql):
-            raise ValueError("unparseable CREATE TABLE")
-
-        _load(conn, "L", [(1, E("{[1999-01-01, 1999-06-01]}"))])
-        monkeypatch.setattr(planner, "_collations", unreadable)
-        planner.clear_caches()
-        schemas, collated = planner._schemas(conn)
-        assert schemas["l"] == {"k": "INTEGER", "valid": "ELEMENT"}
-        assert collated["l"] == {"k", "valid"}
+    def test_rowid_outputs_run_on_the_kernel(self, conn, forced_planner):
+        """A join projecting the rowid gathers it from the table image."""
+        _load(conn, "L", [(k % 3, E("{[1999-01-01, 1999-06-01]}"))
+                          for k in range(9)])
+        _load(conn, "R", [(k % 4, E("{[1999-03-01, 1999-09-01]}"))
+                          for k in range(8)])
+        session = TsqlSession(conn)
+        for query in (
+            "VALIDTIME SELECT l.rowid, r.rowid, l.k FROM L AS l, R AS r "
+            "WHERE l.k = r.k",
+            "VALIDTIME SELECT l._rowid_, r.oid FROM L AS l, L AS r "
+            "WHERE l.k < r.k",
+        ):
+            naive, kernel = _both_ways(conn, session, query, "join")
+            assert naive and _multiset(kernel) == _multiset(naive)
+            assert plan.describe(
+                conn, session.translate(query))["strategy"] == "kernel"
 
     @pytest.mark.parametrize("condition", ["l.k = r.s", "l.k >= r.s"])
     def test_mixed_affinity_comparison_vetoes_kernel(
@@ -489,6 +546,29 @@ class TestShapeDecisions:
         shape = plan.match(sql)
         assert (shape.kind if shape is not None else None) == kind
 
+    def test_multi_way_join_skips_the_matcher(self, conn, monkeypatch):
+        """A three-table translation holds two ``tintersect`` calls, and
+        no kernel shape has two: it compiles with no shape and without
+        running the matcher, while every statement the matcher accepts
+        still passes the pre-filter."""
+        assert all(plan.is_candidate(sql)
+                   for sql, kind in SHAPE_DECISIONS if kind is not None)
+        conn.executescript(
+            "CREATE TABLE Visit (patient TEXT, ward TEXT, valid ELEMENT);"
+            "CREATE TABLE Stay (patient TEXT, bed TEXT, valid ELEMENT)")
+
+        def matched(sql):
+            raise AssertionError("the matcher ran")
+
+        monkeypatch.setattr(plan.shapes, "match", matched)
+        statement = TsqlSession(conn).compile(
+            "/* uncached */ VALIDTIME PERIOD '1999-01-01, 1999-12-31' "
+            "SELECT p1.patient, p1.ward, p2.ward, p3.bed "
+            "FROM Visit p1, Visit p2, Stay p3 "
+            "WHERE p1.patient = p2.patient AND p2.patient = p3.patient")
+        assert statement.sql.lower().count("tintersect(") == 2
+        assert statement.shape is None
+
     @pytest.mark.parametrize("label", ["Why?", "x) AND (y"])
     def test_literal_text_does_not_block_the_kernel(
         self, conn, forced_planner, label
@@ -504,7 +584,7 @@ class TestShapeDecisions:
         session = TsqlSession(conn)
         query = ("VALIDTIME SELECT l.k, r.label FROM L AS l, R AS r "
                  f"WHERE l.k = r.k AND l.label = '{label}'")
-        naive, kernel = _both_ways(session, query)
+        naive, kernel = _both_ways(conn, session, query)
         assert len(naive) == 3
         assert _canon(kernel, elem_at=2) == _canon(naive, elem_at=2)
         assert plan.describe(
@@ -1163,7 +1243,9 @@ _edge_windows = st.sampled_from([None, "1999-02-01, 1999-02-03",
                                  "NOW - 30, NOW + 30"])
 _edge_queries = st.sampled_from([
     "SELECT l.k, r.k, l.valid FROM L AS l, R AS r WHERE l.k = r.k",
+    "SELECT l.k, r.k, l.valid FROM L AS l, R AS r WHERE r.k = l.k",
     "SELECT l.k, r.k FROM L AS l, R AS r WHERE l.k < r.k",
+    "SELECT l.k, r.k FROM L AS l, R AS r WHERE r.k > l.k",
     "SELECT l.k, r.valid FROM L AS l, L AS r WHERE l.k = r.k",
     "SELECT k, length_seconds(group_union(valid)) FROM L GROUP BY k",
     "SELECT k, group_union(valid) FROM L GROUP BY k",
@@ -1196,8 +1278,9 @@ def remote():
 
 class TestEdgeDifferential:
     """The generator reaches the edges: NULL and mixed storage-class
-    keys, duplicate rows, NOW-relative elements and windows that empty
-    intersections.  Kernel rows equal naive rows, and a remote session
+    keys under every collation and written operand order, duplicate
+    rows, NOW-relative elements and windows that empty intersections.
+    The kernel runs, its rows equal naive rows, and a remote session
     (column-major frames) returns exactly the embedded kernel rows."""
 
     @settings(max_examples=120, deadline=None,
@@ -1209,9 +1292,6 @@ class TestEdgeDifferential:
                                            collations):
         statement = _edge_statement(query, window)
         kind = "coalesce" if "GROUP BY" in query else "join"
-        # Only BINARY key columns reach a kernel; the rest stay naive.
-        compared = collations if " R AS " in query else collations[:1]
-        vetoed = set(compared) != {"BINARY"}
         tables = [(table, rows, f"CREATE TABLE {table} "
                    f"(k COLLATE {collation}, valid ELEMENT)")
                   for table, rows, collation
@@ -1223,17 +1303,7 @@ class TestEdgeDifferential:
                     f"INSERT INTO {table} VALUES (?, ?)", rows)
             connection.commit()
             session = TsqlSession(connection)
-            plan.configure(enabled=False)
-            naive = session.query(statement)
-            plan.configure(enabled=True, min_rows=0)
-            if vetoed:
-                with obs.capture():
-                    kernel = session.query(statement)
-                    counters = obs.snapshot()["counters"]
-                assert counters.get("plan.fallback.schema") == 1
-                assert not counters.get(f"plan.kernel.{kind}")
-            else:
-                kernel = _kernel_taken(session, statement, kind)
+            naive, kernel = _both_ways(connection, session, statement, kind)
         assert _multiset(naive) == _multiset(kernel)
         for table, rows, ddl in tables:
             remote.execute(f"DROP TABLE IF EXISTS {table}")
